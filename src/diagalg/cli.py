@@ -265,8 +265,12 @@ def cmd_rees(args) -> None:
             {"i": i, "dim": rees.dim_lc_rees_diag(spec, args.g, args.h, i)}
             for i in range(1, args.i_max + 1)
         ]
-        payload["criteria_consistent"] = rees.cm_criteria_consistent(
-            spec.m, spec.k, spec.s, args.g, args.h)
+        if not rees.cm_criteria_consistent(spec.m, spec.k, spec.s, args.g,
+                                           args.h):
+            raise InternalDefectError(
+                f"Rees Cohen-Macaulay criteria disagree for {spec} at "
+                f"diagonal ({args.g},{args.h}); please report")
+        payload["criteria_consistent"] = True
     if args.format == "json":
         _emit_json(payload)
     else:
@@ -352,7 +356,7 @@ def cmd_figure(args) -> None:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-def _add_hyp_flags(sub, k_flags=False):
+def _add_hyp_flags(sub):
     sub.add_argument("--m", type=int, required=True, help="number of x-variables")
     sub.add_argument("--n", type=int, required=True, help="number of y-variables")
     sub.add_argument("--d", type=int, required=True, help="x-degree of the form")

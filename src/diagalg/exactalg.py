@@ -52,9 +52,6 @@ class PrimeField:
             raise PreconditionError(f"modulus must be prime: {p}")
         self.p = p
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -90,10 +87,6 @@ def mono_quot(b, a):
 
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a) -> int:
-    return sum(a)
 
 
 class MonomialOrder:
@@ -205,15 +198,7 @@ class PolyRing:
 
     def poly(self, terms: dict) -> "MultiPoly":
         """Build a polynomial from a {exponent tuple: coefficient} map."""
-        out = {}
-        for exps, c in terms.items():
-            exps = tuple(exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise PreconditionError(f"bad exponent vector {exps!r} for {self!r}")
-            c %= self.p
-            if c:
-                out[exps] = c
-        return MultiPoly._raw(self, out)
+        return MultiPoly(self, terms)
 
     def __eq__(self, other):
         return (

@@ -117,23 +117,17 @@ def dim_lc_tensor_diag(q: int, piece: ShiftedDiagPiece, diag: DiagonalSpec) -> i
     return total
 
 
-def _shape(piece_shape):
-    if isinstance(piece_shape, ShiftedDiagPiece):
-        return piece_shape.m, piece_shape.n, piece_shape.i, piece_shape.j
-    m, n, i, j = piece_shape
-    if m < 1 or n < 1:
-        raise PreconditionError(f"need m, n >= 1: ({m}, {n})")
-    return m, n, i, j
-
-
-def support_window(q: int, piece_shape, diag: DiagonalSpec) -> IndexWindow:
+def support_window(q: int, piece_shape: tuple[int, int, int, int],
+                   diag: DiagonalSpec) -> IndexWindow:
     """Interval of diagonal indices outside of which ``dim_lc_tensor_diag``
     provably vanishes, derived termwise from the three summands.
 
     The q = m + n - 1 summand has no lower bound; when it contributes, the
     returned window is flagged ``unbounded_below`` and enumeration is refused.
     """
-    m, n, i, j = _shape(piece_shape)
+    m, n, i, j = piece_shape
+    if m < 1 or n < 1:
+        raise PreconditionError(f"need m, n >= 1: ({m}, {n})")
     g, h = diag.g, diag.h
     bounded = []
     top_hi = None

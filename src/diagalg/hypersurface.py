@@ -17,6 +17,7 @@ from .gradedcomb import (
     DiagonalSpec,
     IndexWindow,
     ShiftedDiagPiece,
+    _ceil_div,
     dim_lc_tensor_diag,
     dim_tensor_diag,
     support_window,
@@ -80,10 +81,6 @@ class ClassificationReport:
             "cm_obstruction": self.cm_obstruction,
             "caveats": self.caveats,
         }
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def validate_generic_normal(spec: HypersurfaceSpec) -> bool:
@@ -196,22 +193,18 @@ def lc_support_window(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int) -> Ind
     return support_window(q + 1, (spec.m, spec.n, -spec.d, -spec.e), diag)
 
 
-_A_INV_CAP_MESSAGE = (
-    "a-invariant search exceeded its cap; the canonical Hilbert function "
-    "should have become positive -- please report"
-)
-
-
 def a_invariant(spec: HypersurfaceSpec, diag: DiagonalSpec) -> int:
     """Top degree in which the highest local cohomology is nonzero: minus the
-    first index where the canonical module has a nonzero piece."""
-    m, n, d, e = spec.m, spec.n, spec.d, spec.e
-    k0 = max(_ceil_div(m - d, diag.g), _ceil_div(n - e, diag.h))
-    cap = k0 + (d + e + m + n) * (diag.g + diag.h)
-    for k in range(k0, cap + 1):
-        if canonical_piece_dim(spec, diag, k) > 0:
-            return -k
-    raise InternalDefectError(_A_INV_CAP_MESSAGE)
+    first index where the canonical module has a nonzero piece, which is
+    k0 = max(ceil((m-d)/g), ceil((n-e)/h)).
+
+    Below k0 one of a = d-m+gk, b = e-n+hk is negative and the piece
+    vanishes.  At k0 both are >= 0 and the piece has dimension
+    dim S_(a,b) - dim S_(a-d,b-e), positive because m, n >= 2 make dim S
+    strictly increasing in each degree and d + e >= 1.
+    """
+    return -max(_ceil_div(spec.m - spec.d, diag.g),
+                _ceil_div(spec.n - spec.e, diag.h))
 
 
 def has_rational_singularities_generic(spec: HypersurfaceSpec, diag: DiagonalSpec) -> bool:

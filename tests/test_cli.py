@@ -165,6 +165,17 @@ def test_exit_code_internal_defect(capsys, monkeypatch):
     assert "internal defect" in captured.err
 
 
+def test_exit_code_rees_criteria_inconsistent(capsys, monkeypatch):
+    monkeypatch.setattr(cli.rees, "cm_criteria_consistent",
+                        lambda *args: False)
+    code, out, err = run_cli(capsys, "rees", "--m", "3", "--k", "4",
+                             "--s", "2", "--g", "1", "--h", "1",
+                             "--format", "json")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert "internal defect" in err
+
+
 # ---------------------------------------------------------------------------
 # figure boundary lines
 

@@ -59,6 +59,35 @@ def test_fedder_preconditions():
         fedder_is_f_pure(ring.x(1), p=7)
 
 
+def test_fedder_termwise_matches_groebner_membership():
+    # Groebner membership in (x_i^p) is the oracle for the termwise test.
+    def oracle(f):
+        p = f.ring.p
+        return not ideal_contains([v ** p for v in f.ring.gens()], f ** (p - 1))
+
+    cases = []
+    for p in (2, 3, 5, 7):
+        for seed in range(3):
+            cases.append(random_biform(3, 0, 2, 0, p, seed))
+            cases.append(random_biform(2, 2, 1, 1, p, seed))
+        cases.append(random_biform(3, 0, 3, 0, p, 0))
+        ring = PolyRing(p, 3)
+        cases.append((ring.x(1) + ring.x(2) + ring.x(3)) ** p)
+        cases.append(witness_fpure(2, 3, p))
+        cases.append(witness_fpure(2, 3, p, e=1, n=2))
+    verdicts = set()
+    for f in cases:
+        verdict = fedder_is_f_pure(f)
+        assert verdict == oracle(f), str(f)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_fedder_large_prime_is_immediate():
+    ring = PolyRing(2147483647, 2)
+    assert fedder_is_f_pure(ring.x(1) * ring.x(2))
+
+
 def test_fpure_witness_linear_change():
     # x1*(x1+x2)*...*(x1+x_d) is the squarefree monomial after a linear
     # change of variables, so it stays F-pure and is monic in x1^d.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from diagalg.errors import InternalDefectError, PreconditionError
+from diagalg.errors import PreconditionError
 from diagalg.exactalg import groebner_basis, standard_monomial_count
 from diagalg.frobenius import random_biform
 from diagalg.gradedcomb import DiagonalSpec
@@ -135,12 +135,14 @@ def test_a_invariant_examples():
 
 def test_a_invariant_is_argmax_of_top_cohomology():
     for spec in small_grid():
-        for diag in [D11, DiagonalSpec(2, 1), DiagonalSpec(2, 3)]:
+        for diag in diag_grid():
             a_inv = a_invariant(spec, diag)
             top = spec.m + spec.n - 2
             assert dim_lc_piece(spec, diag, top, a_inv) > 0
             for k in range(a_inv + 1, a_inv + 6):
                 assert dim_lc_piece(spec, diag, top, k) == 0
+            assert canonical_piece_dim(spec, diag, -a_inv) > 0
+            assert canonical_piece_dim(spec, diag, -a_inv - 1) == 0
 
 
 def test_top_cohomology_duality():
@@ -266,17 +268,3 @@ def test_hilbert_oracle_small():
             for k in range(0, 4):
                 counted = standard_monomial_count(gb, (g * k, h * k))
                 assert dim_piece(spec, diag, k) == counted
-
-
-def test_a_invariant_cap_is_internal_defect():
-    # The cap cannot be hit through the public API; exercise the defect path
-    # by asking for a canonical piece that can never be positive.
-    from diagalg import hypersurface as mod
-
-    original = mod.canonical_piece_dim
-    mod.canonical_piece_dim = lambda *args, **kwargs: 0
-    try:
-        with pytest.raises(InternalDefectError):
-            a_invariant(HypersurfaceSpec(2, 2, 1, 1), D11)
-    finally:
-        mod.canonical_piece_dim = original
