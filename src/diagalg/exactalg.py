@@ -1,9 +1,10 @@
 """Exact arithmetic kernel over prime fields.
 
 Sparse multivariate polynomials in two blocks of variables (x1..xm, y1..yn),
-monomial orders, Buchberger's algorithm, normal forms, ideal membership, and
-standard-monomial counts (graded Hilbert functions).  Everything is exact:
-coefficients live in F_p and all combinatorics use Python integers.
+Buchberger's algorithm, normal forms, ideal membership, and standard-monomial
+counts (graded Hilbert functions), all under the one monomial order grevlex
+(:func:`grevlex_key`).  Everything is exact: coefficients live in F_p and all
+combinatorics use Python integers.
 
 Monomials are plain exponent tuples of length ``m + n``; the x-block occupies
 the first ``m`` positions.  All values are immutable after construction, so
@@ -89,40 +90,12 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-class MonomialOrder:
-    """Total order on exponent tuples refining divisibility.
+def grevlex_key(exps):
+    """Sort key of the graded reverse lexicographic order; max picks the lead.
 
-    Variable precedence is fixed at the index order x1 > ... > xm > y1 > ...
-    > yn.  Two kinds are shipped: ``grevlex`` (graded reverse lexicographic,
-    the default everywhere) and ``lex``.
+    Variable precedence is the index order x1 > ... > xm > y1 > ... > yn.
     """
-
-    KINDS = ("grevlex", "lex")
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        if kind not in self.KINDS:
-            raise PreconditionError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-
-    def key(self, exps):
-        """Sort key; max(key) picks the leading monomial."""
-        if self.kind == "grevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        return tuple(exps)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and other.kind == self.kind
-
-    def __hash__(self):
-        return hash(("MonomialOrder", self.kind))
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 class PolyRing:
@@ -153,9 +126,6 @@ class PolyRing:
             return f"x{idx + 1}"
         return f"y{idx - self.m + 1}"
 
-    def var_names(self):
-        return [self.var_name(i) for i in range(self.nvars)]
-
     def zero(self) -> "MultiPoly":
         return MultiPoly._raw(self, {})
 
@@ -167,15 +137,6 @@ class PolyRing:
         if c == 0:
             return self.zero()
         return MultiPoly._raw(self, {(0,) * self.nvars: c})
-
-    def monomial(self, exps, coeff: int = 1) -> "MultiPoly":
-        exps = tuple(exps)
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
-            raise PreconditionError(f"bad exponent vector {exps!r} for {self!r}")
-        coeff %= self.p
-        if coeff == 0:
-            return self.zero()
-        return MultiPoly._raw(self, {exps: coeff})
 
     def gen(self, idx: int) -> "MultiPoly":
         exps = tuple(1 if i == idx else 0 for i in range(self.nvars))
@@ -346,6 +307,18 @@ class MultiPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
+        t = len(self.terms)
+        # The power has at most comb(t + k - 1, k) terms (multisets of k
+        # terms) and at most comb(k * deg + nvars, nvars) (monomials of
+        # degree <= k * deg); refuse up front when both exceed the cap.
+        if t >= 2:
+            nv = self.ring.nvars
+            if (comb(k * self.total_degree() + nv, nv) > MONOMIAL_CAP
+                    and comb(t + k - 1, k) > MONOMIAL_CAP):
+                raise DegreeCapError(
+                    f"power {k} of a {t}-term polynomial may exceed the "
+                    f"monomial cap {MONOMIAL_CAP}"
+                )
         result = self.ring.one()
         base = self
         while k:
@@ -367,24 +340,18 @@ class MultiPoly:
             {mono_mul(e, exps): (c * coeff) % p for e, c in self.terms.items()},
         )
 
-    # -- order-dependent views ----------------------------------------------
+    # -- grevlex views ------------------------------------------------------
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX):
+    def leading_monomial(self):
         if not self.terms:
             raise PreconditionError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=grevlex_key)
 
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: MonomialOrder = GREVLEX) -> "MultiPoly":
-        lc = self.leading_coefficient(order)
+    def monic(self) -> "MultiPoly":
+        lc = self.terms[self.leading_monomial()]
         if lc == 1:
             return self
         return self.mul_monomial((0,) * self.ring.nvars, self.ring.field.inv(lc))
-
-    def sorted_monomials(self, order: MonomialOrder = GREVLEX, reverse: bool = True):
-        return sorted(self.terms, key=order.key, reverse=reverse)
 
     # -- comparisons and printing -------------------------------------------
 
@@ -402,7 +369,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mon in self.sorted_monomials(GREVLEX):
+        for mon in sorted(self.terms, key=grevlex_key, reverse=True):
             c = self.terms[mon]
             factors = []
             for idx, e in enumerate(mon):
@@ -432,24 +399,23 @@ def _common_ring(polys) -> PolyRing:
     return next(iter(rings))
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
+def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The S-polynomial of f and g (cancels the leading terms)."""
     _common_ring([f, g])
     field = f.ring.field
-    ltf = f.leading_monomial(order)
-    ltg = g.leading_monomial(order)
+    ltf = f.leading_monomial()
+    ltg = g.leading_monomial()
     lcm = mono_lcm(ltf, ltg)
     a = f.mul_monomial(mono_quot(lcm, ltf), field.inv(f.terms[ltf]))
     b = g.mul_monomial(mono_quot(lcm, ltg), field.inv(g.terms[ltg]))
     return a - b
 
 
-def normal_form(f: MultiPoly, gb, order: MonomialOrder = GREVLEX) -> MultiPoly:
+def normal_form(f: MultiPoly, gb) -> MultiPoly:
     """Remainder of f under full reduction modulo the polynomial list ``gb``.
 
-    When ``gb`` is a Groebner basis with respect to ``order``, the result is
-    the unique normal form: no term of it is divisible by any leading
-    monomial of ``gb``.
+    When ``gb`` is a grevlex Groebner basis, the result is the unique normal
+    form: no term of it is divisible by any leading monomial of ``gb``.
     """
     gb = list(gb)
     if gb:
@@ -461,13 +427,12 @@ def normal_form(f: MultiPoly, gb, order: MonomialOrder = GREVLEX) -> MultiPoly:
     p = ring.p
     reducers = []
     for g in gb:
-        lt = g.leading_monomial(order)
+        lt = g.leading_monomial()
         reducers.append((lt, ring.field.inv(g.terms[lt]), g))
-    key = order.key
     work = dict(f.terms)
     remainder: dict = {}
     while work:
-        u = max(work, key=key)
+        u = max(work, key=grevlex_key)
         c = work.pop(u)
         hit = None
         for lt, lcinv, g in reducers:
@@ -492,8 +457,8 @@ def normal_form(f: MultiPoly, gb, order: MonomialOrder = GREVLEX) -> MultiPoly:
     return MultiPoly._raw(ring, remainder)
 
 
-def _poly_key(f: MultiPoly, order: MonomialOrder):
-    return (order.key(f.leading_monomial(order)), sorted(f.terms.items()))
+def _poly_key(f: MultiPoly):
+    return (grevlex_key(f.leading_monomial()), sorted(f.terms.items()))
 
 
 def _chain_skip(i: int, j: int, lcm_ij, lead_monomials, pending) -> bool:
@@ -510,7 +475,7 @@ def _chain_skip(i: int, j: int, lcm_ij, lead_monomials, pending) -> bool:
     return False
 
 
-def groebner_basis(gens, order: MonomialOrder = GREVLEX):
+def groebner_basis(gens):
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Deterministic: the output is the reduced basis sorted by leading monomial,
@@ -527,12 +492,12 @@ def groebner_basis(gens, order: MonomialOrder = GREVLEX):
 
     basis = []
     seen = set()
-    for g in sorted((g.monic(order) for g in gens), key=lambda f: _poly_key(f, order)):
+    for g in sorted((g.monic() for g in gens), key=_poly_key):
         fp = frozenset(g.terms.items())
         if fp not in seen:
             seen.add(fp)
             basis.append(g)
-    lead = [g.leading_monomial(order) for g in basis]
+    lead = [g.leading_monomial() for g in basis]
 
     pending = {}
     for j in range(len(basis)):
@@ -540,26 +505,26 @@ def groebner_basis(gens, order: MonomialOrder = GREVLEX):
             pending[(i, j)] = mono_lcm(lead[i], lead[j])
 
     while pending:
-        i, j = min(pending, key=lambda ij: (order.key(pending[ij]), ij))
+        i, j = min(pending, key=lambda ij: (grevlex_key(pending[ij]), ij))
         lcm_ij = pending.pop((i, j))
         if lcm_ij == mono_mul(lead[i], lead[j]):
             continue  # coprime leading monomials
         if _chain_skip(i, j, lcm_ij, lead, pending):
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero:
             continue
-        r = r.monic(order)
+        r = r.monic()
         new = len(basis)
         basis.append(r)
-        lt = r.leading_monomial(order)
+        lt = r.leading_monomial()
         for t in range(new):
             pending[(t, new)] = mono_lcm(lead[t], lt)
         lead.append(lt)
 
     # Minimalize: drop elements whose lead is divisible by another kept lead.
     kept = []
-    for t in sorted(range(len(basis)), key=lambda t: order.key(lead[t])):
+    for t in sorted(range(len(basis)), key=lambda t: grevlex_key(lead[t])):
         if not any(mono_divides(lead[u], lead[t]) for u in kept):
             kept.append(t)
     minimal = [basis[t] for t in kept]
@@ -568,17 +533,17 @@ def groebner_basis(gens, order: MonomialOrder = GREVLEX):
     reduced = []
     for a, g in enumerate(minimal):
         others = reduced + minimal[a + 1:]
-        reduced.append(normal_form(g, others, order).monic(order))
-    reduced.sort(key=lambda f: order.key(f.leading_monomial(order)))
+        reduced.append(normal_form(g, others).monic())
+    reduced.sort(key=lambda f: grevlex_key(f.leading_monomial()))
     return reduced
 
 
-def ideal_contains(gens, f: MultiPoly, order: MonomialOrder = GREVLEX) -> bool:
+def ideal_contains(gens, f: MultiPoly) -> bool:
     """Exact ideal membership: f in (gens)?  Via normal form modulo a GB."""
     if f.is_zero:
         return True
     _common_ring([f, *gens])
-    return normal_form(f, groebner_basis(gens, order), order).is_zero
+    return normal_form(f, groebner_basis(gens)).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +582,7 @@ def _ambient_count(ring: PolyRing, degree) -> int:
     return ca * cb
 
 
-def standard_monomial_count(gb, degree, order: MonomialOrder = GREVLEX,
-                            ring: PolyRing | None = None) -> int:
+def standard_monomial_count(gb, degree, *, ring: PolyRing | None = None) -> int:
     """Count monomials of the given degree outside the initial ideal of ``gb``.
 
     ``degree`` selects a graded piece: an integer means total degree, a pair
@@ -652,7 +616,7 @@ def standard_monomial_count(gb, degree, order: MonomialOrder = GREVLEX,
             f"ambient monomial count {ambient} exceeds the cap {MONOMIAL_CAP}"
         )
 
-    leads = [g.leading_monomial(order) for g in gb]
+    leads = [g.leading_monomial() for g in gb]
     count = 0
     if bigraded:
         a, b = degree
@@ -692,8 +656,7 @@ def power_ideal_gens(gens, r: int):
 # ---------------------------------------------------------------------------
 # Dimension of the initial ideal; regular-sequence certification.
 
-def initial_ideal_dimension(gb, order: MonomialOrder = GREVLEX,
-                            ring: PolyRing | None = None) -> int:
+def initial_ideal_dimension(gb, *, ring: PolyRing | None = None) -> int:
     """Krull dimension of R/in(I) for the Groebner basis ``gb`` of I.
 
     Computed combinatorially: the largest size of a variable subset S such
@@ -706,7 +669,7 @@ def initial_ideal_dimension(gb, order: MonomialOrder = GREVLEX,
     elif ring is None:
         raise PreconditionError("ring is required when the basis is empty")
     nv = ring.nvars
-    supports = [frozenset(i for i, e in enumerate(g.leading_monomial(order)) if e)
+    supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
                 for g in gb]
     if any(not s for s in supports):
         return -1  # a unit leading term: the whole ring
@@ -718,7 +681,7 @@ def initial_ideal_dimension(gb, order: MonomialOrder = GREVLEX,
     return -1
 
 
-def is_regular_sequence(gens, order: MonomialOrder = GREVLEX) -> bool:
+def is_regular_sequence(gens) -> bool:
     """Certify that homogeneous ``gens`` form a regular sequence.
 
     Exact criterion in a polynomial ring: s homogeneous forms of positive
@@ -736,5 +699,5 @@ def is_regular_sequence(gens, order: MonomialOrder = GREVLEX) -> bool:
             )
     if len(gens) > ring.nvars:
         return False
-    gb = groebner_basis(gens, order)
-    return initial_ideal_dimension(gb, order) == ring.nvars - len(gens)
+    gb = groebner_basis(gens)
+    return initial_ideal_dimension(gb) == ring.nvars - len(gens)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import PreconditionError, RingContextError
 from .exactalg import (
@@ -60,20 +60,7 @@ class FrobeniusCertificate:
     details: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "p": self.p,
-            "m": self.m,
-            "n": self.n,
-            "degree": list(self.degree),
-            "q_used": self.q_used,
-            "tested_powers": self.tested_powers,
-            "ideal_generators": self.ideal_generators,
-            "socle": self.socle,
-            "normal_form": self.normal_form,
-            "assumptions": self.assumptions,
-            "details": self.details,
-        }
+        return asdict(self) | {"degree": list(self.degree)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -10,7 +10,7 @@ for a generic form over characteristic zero; reports carry that caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import InternalDefectError, PreconditionError
 from .gradedcomb import (
@@ -71,16 +71,7 @@ class ClassificationReport:
     caveats: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "cohen_macaulay": self.cohen_macaulay,
-            "gorenstein": self.gorenstein,
-            "rational_singularities_generic": self.rational_singularities_generic,
-            "f_regular_type_generic": self.f_regular_type_generic,
-            "canonical_shift": list(self.canonical_shift),
-            "a_invariant": self.a_invariant,
-            "cm_obstruction": self.cm_obstruction,
-            "caveats": self.caveats,
-        }
+        return asdict(self) | {"canonical_shift": list(self.canonical_shift)}
 
 
 def validate_generic_normal(spec: HypersurfaceSpec) -> bool:

@@ -25,10 +25,6 @@ class PolyExpr:
     n: int
     p: int
 
-    @property
-    def canonical_text(self) -> str:
-        return str(self.poly)
-
 
 _OPS = set("+-*^()")
 

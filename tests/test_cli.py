@@ -151,6 +151,14 @@ def test_exit_code_precondition(capsys):
     assert code == cli.EXIT_PRECONDITION
 
 
+def test_exit_code_power_over_monomial_cap(capsys):
+    code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure", "--m", "3",
+                             "--p", "5", "--poly", "(x1+x2+x3)^100000")
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert "monomial cap" in err
+
+
 def test_exit_code_internal_defect(capsys, monkeypatch):
     # Internal defects cannot be triggered through valid inputs, so install a
     # synthetic one and confirm main() maps it to exit code 3.

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from diagalg.errors import PolyParseError
+from diagalg.errors import DegreeCapError, PolyParseError
 from diagalg.exactalg import PolyRing
 from diagalg.parsing import parse_polynomial
 
@@ -13,7 +13,7 @@ def test_parse_witness_polynomial():
     expr = parse_polynomial("x1^2 + x2*x3", 3, 0, 5)
     ring = PolyRing(5, 3)
     assert expr.poly == ring.x(1) ** 2 + ring.x(2) * ring.x(3)
-    assert expr.canonical_text == "x1^2 + x2*x3"
+    assert str(expr.poly) == "x1^2 + x2*x3"
 
 
 def test_parse_bigraded_form():
@@ -69,7 +69,16 @@ def test_parse_errors_carry_positions():
 
 def test_zero_and_constant():
     assert parse_polynomial("0", 2, 1, 5).poly.is_zero
-    assert parse_polynomial("4", 2, 1, 5).canonical_text == "4"
+    assert str(parse_polynomial("4", 2, 1, 5).poly) == "4"
+
+
+def test_runaway_power_hits_the_monomial_cap():
+    # (x1+x2+x3)^100000 has about 5e9 terms: refused before expanding.
+    with pytest.raises(DegreeCapError):
+        parse_polynomial("(x1+x2+x3)^100000", 3, 0, 5)
+    # Single terms and powers under the cap still expand.
+    assert str(parse_polynomial("x1^100000", 1, 0, 5).poly) == "x1^100000"
+    assert len(parse_polynomial("(x1+x2+x3)^20", 3, 0, 101).poly) == 231
 
 
 def _random_expression(rng, m, n, depth=0):
