@@ -218,9 +218,20 @@ def cmd_frobenius(args) -> None:
 # ---------------------------------------------------------------------------
 # rees
 
+def _parse_degrees(text: str) -> tuple[int, ...]:
+    degrees = []
+    for part in text.split(","):
+        try:
+            degrees.append(int(part))
+        except ValueError:
+            raise PreconditionError(
+                f"--degrees part is not an integer: {part!r}") from None
+    return tuple(degrees)
+
+
 def cmd_rees(args) -> None:
     if args.degrees is not None:
-        degrees = tuple(int(part) for part in args.degrees.split(","))
+        degrees = _parse_degrees(args.degrees)
         if args.m is None:
             raise PreconditionError("--m is required with --degrees")
         ci = rees.CISpec(args.m, degrees)

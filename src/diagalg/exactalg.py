@@ -617,19 +617,14 @@ def standard_monomial_count(gb, degree, *, ring: PolyRing | None = None) -> int:
         )
 
     leads = [g.leading_monomial() for g in gb]
-    count = 0
     if bigraded:
         a, b = degree
-        for ex in exponent_vectors(a, ring.m):
-            for ey in exponent_vectors(b, ring.n):
-                mono = ex + ey
-                if not any(mono_divides(lt, mono) for lt in leads):
-                    count += 1
+        monos = (ex + ey for ex, ey in itertools.product(
+            exponent_vectors(a, ring.m), exponent_vectors(b, ring.n)))
     else:
-        for mono in exponent_vectors(degree, ring.nvars):
-            if not any(mono_divides(lt, mono) for lt in leads):
-                count += 1
-    return count
+        monos = exponent_vectors(degree, ring.nvars)
+    return sum(1 for mono in monos
+               if not any(mono_divides(lt, mono) for lt in leads))
 
 
 def power_ideal_gens(gens, r: int):

@@ -82,9 +82,10 @@ def _normalize_distinguished(f: MultiPoly, mono: tuple, label: str) -> MultiPoly
     return f.mul_monomial((0,) * f.ring.nvars, f.ring.field.inv(coeff))
 
 
-def fedder_is_f_pure(f: MultiPoly, p: int | None = None) -> bool:
+def fedder_is_f_pure(f: MultiPoly) -> bool:
     """Fedder's criterion (Trans. AMS 278, 1983) for the hypersurface cut out
-    by f: F-pure exactly when f^(p-1) lies outside (v^p : v each variable).
+    by f over F_p, p the ring modulus: F-pure exactly when f^(p-1) lies
+    outside (v^p : v each variable).
 
     That ideal is monomial, so membership is termwise: f^(p-1) lies outside it
     exactly when some term has every exponent below p.  No Groebner basis is
@@ -93,10 +94,7 @@ def fedder_is_f_pure(f: MultiPoly, p: int | None = None) -> bool:
         raise PreconditionError("f must be nonzero")
     if not f.is_homogeneous():
         raise PreconditionError("f must be homogeneous")
-    ring = f.ring
-    if p is not None and p != ring.p:
-        raise RingContextError(f"p={p} disagrees with the ring modulus {ring.p}")
-    p = ring.p
+    p = f.ring.p
     return any(max(mono) < p for mono in (f ** (p - 1)).terms)
 
 
@@ -149,6 +147,8 @@ def f_regular_certificate_graded(f: MultiPoly, d: int, m: int, p: int,
             f"expected a ring with m={m} x-variables, no y-variables, p={p}; "
             f"got {ring!r}"
         )
+    if d < 1:
+        raise PreconditionError(f"need degree d >= 1: {d}")
     if f.is_zero or not f.is_homogeneous() or f.total_degree() != d:
         raise PreconditionError(f"f must be homogeneous of degree {d}")
     if d >= m:
@@ -184,6 +184,8 @@ def f_regular_certificate_bigraded(f: MultiPoly, d: int, e: int, m: int,
             f"expected a ring with m={m} x-variables, n={n} y-variables, "
             f"p={p}; got {ring!r}"
         )
+    if d + e < 1:
+        raise PreconditionError(f"need bidegree with d + e >= 1: ({d}, {e})")
     if f.is_zero or not f.is_bihomogeneous() or f.bidegree() != (d, e):
         raise PreconditionError(f"f must be bihomogeneous of bidegree ({d}, {e})")
     if d >= m or e >= n:

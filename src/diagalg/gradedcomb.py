@@ -2,8 +2,11 @@
 
 Dimensions of graded pieces of polynomial rings, of their top local
 cohomology modules, and of diagonal pieces of shifted tensor products of two
-polynomial rings (the two-factor Kunneth calculus).  All counts are binomial
-coefficients over arbitrary-precision integers; nothing here is approximate.
+polynomial rings (the two-factor Kunneth calculus), with the index windows
+that support them.  A shifted piece is the plain integers (m, n, i, j, k):
+diagonal index k of the (i, j)-shifted tensor product in m and n variables.
+An index window is a ``range``.  All counts are binomial coefficients over
+arbitrary-precision integers; nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -26,49 +29,6 @@ class DiagonalSpec:
             raise PreconditionError(f"diagonal needs g, h >= 1: ({self.g}, {self.h})")
 
 
-@dataclass(frozen=True)
-class ShiftedDiagPiece:
-    """Diagonal index k of the (i, j)-shifted tensor product in (m, n) variables."""
-
-    m: int
-    n: int
-    i: int
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise PreconditionError(f"need m, n >= 1: ({self.m}, {self.n})")
-
-
-@dataclass(frozen=True)
-class IndexWindow:
-    """Closed interval of diagonal indices; empty exactly when lo > hi.
-
-    ``lo is None`` together with ``unbounded_below`` marks a window extending
-    to minus infinity; such windows refuse enumeration and callers must argue
-    by duality instead.
-    """
-
-    lo: int | None
-    hi: int
-    unbounded_below: bool = False
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.unbounded_below and self.lo > self.hi
-
-    def k_values(self) -> range:
-        if self.unbounded_below:
-            raise PreconditionError("window is unbounded below; cannot enumerate")
-        return range(self.lo, self.hi + 1)
-
-    def __contains__(self, k: int) -> bool:
-        if self.unbounded_below:
-            return k <= self.hi
-        return self.lo <= k <= self.hi
-
-
 def _ceil_div(a: int, b: int) -> int:
     # b > 0; Python // floors, so ceil(a/b) = -((-a)//b).
     return -((-a) // b)
@@ -89,14 +49,21 @@ def dim_top_lc(m: int, k: int) -> int:
     return dim_poly(m, -k - m)
 
 
-def dim_tensor_diag(piece: ShiftedDiagPiece, diag: DiagonalSpec) -> int:
-    """dim of the diagonal-index-k piece of the (i, j)-shifted tensor product."""
-    a = piece.i + diag.g * piece.k
-    b = piece.j + diag.h * piece.k
-    return dim_poly(piece.m, a) * dim_poly(piece.n, b)
+def _check_blocks(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise PreconditionError(f"need m, n >= 1: ({m}, {n})")
 
 
-def dim_lc_tensor_diag(q: int, piece: ShiftedDiagPiece, diag: DiagonalSpec) -> int:
+def dim_tensor_diag(m: int, n: int, i: int, j: int, k: int,
+                    diag: DiagonalSpec) -> int:
+    """dim of the diagonal-index-k piece of the (i, j)-shifted tensor product
+    of polynomial rings in m and n variables."""
+    _check_blocks(m, n)
+    return dim_poly(m, i + diag.g * k) * dim_poly(n, j + diag.h * k)
+
+
+def dim_lc_tensor_diag(q: int, m: int, n: int, i: int, j: int, k: int,
+                       diag: DiagonalSpec) -> int:
     """Cohomological degree-q local cohomology dimension of the shifted
     tensor-product diagonal at index k.
 
@@ -104,9 +71,9 @@ def dim_lc_tensor_diag(q: int, piece: ShiftedDiagPiece, diag: DiagonalSpec) -> i
     q = n, q = m, and q = m + n - 1.  When indices coincide (e.g. m = n) the
     matching summands add up.
     """
-    m, n = piece.m, piece.n
-    a = piece.i + diag.g * piece.k
-    b = piece.j + diag.h * piece.k
+    _check_blocks(m, n)
+    a = i + diag.g * k
+    b = j + diag.h * k
     total = 0
     if q == n:
         total += dim_poly(m, a) * dim_top_lc(n, b)
@@ -117,30 +84,23 @@ def dim_lc_tensor_diag(q: int, piece: ShiftedDiagPiece, diag: DiagonalSpec) -> i
     return total
 
 
-def support_window(q: int, piece_shape: tuple[int, int, int, int],
-                   diag: DiagonalSpec) -> IndexWindow:
-    """Interval of diagonal indices outside of which ``dim_lc_tensor_diag``
-    provably vanishes, derived termwise from the three summands.
+def support_window(q: int, m: int, n: int, i: int, j: int,
+                   diag: DiagonalSpec) -> range:
+    """Range of diagonal indices outside of which ``dim_lc_tensor_diag``
+    provably vanishes, derived termwise from the q = n and q = m summands.
 
-    The q = m + n - 1 summand has no lower bound; when it contributes, the
-    returned window is flagged ``unbounded_below`` and enumeration is refused.
+    Defined for q < m + n - 1: the top summand is nonzero for every index
+    below some bound, so no finite window exists there.
     """
-    m, n, i, j = piece_shape
-    if m < 1 or n < 1:
-        raise PreconditionError(f"need m, n >= 1: ({m}, {n})")
-    g, h = diag.g, diag.h
-    bounded = []
-    top_hi = None
+    _check_blocks(m, n)
+    if q >= m + n - 1:
+        raise PreconditionError(f"finite windows need q < m+n-1 = {m + n - 1}: q={q}")
+    windows = []
     if q == n:
-        bounded.append((_ceil_div(-i, g), (-(j + n)) // h))
+        windows.append(range(_ceil_div(-i, diag.g), (-(j + n)) // diag.h + 1))
     if q == m:
-        bounded.append((_ceil_div(-j, h), (-(i + m)) // g))
-    if q == m + n - 1:
-        top_hi = min((-(i + m)) // g, (-(j + n)) // h)
-    bounded = [(lo, hi) for lo, hi in bounded if lo <= hi]
-    if top_hi is not None:
-        hi = max([top_hi] + [w[1] for w in bounded])
-        return IndexWindow(None, hi, unbounded_below=True)
-    if not bounded:
-        return IndexWindow(0, -1)
-    return IndexWindow(min(w[0] for w in bounded), max(w[1] for w in bounded))
+        windows.append(range(_ceil_div(-j, diag.h), (-(i + m)) // diag.g + 1))
+    windows = [w for w in windows if w]
+    # With m = n both summands contribute and the window is their hull.
+    return (range(min(w.start for w in windows), max(w.stop for w in windows))
+            if windows else range(0))

@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass, field
 from .errors import InternalDefectError, PreconditionError
 from .gradedcomb import (
     DiagonalSpec,
-    IndexWindow,
-    ShiftedDiagPiece,
     _ceil_div,
     dim_lc_tensor_diag,
     dim_tensor_diag,
@@ -89,24 +87,21 @@ def is_cohen_macaulay(spec: HypersurfaceSpec, diag: DiagonalSpec) -> bool:
 
 def _obstruction_windows(spec: HypersurfaceSpec, diag: DiagonalSpec):
     # Integer windows d/g <= k <= (e-n)/h and e/h <= k <= (d-m)/g.
-    w1 = (_ceil_div(spec.d, diag.g), (spec.e - spec.n) // diag.h)
-    w2 = (_ceil_div(spec.e, diag.h), (spec.d - spec.m) // diag.g)
-    return w1, w2
+    return (range(_ceil_div(spec.d, diag.g), (spec.e - spec.n) // diag.h + 1),
+            range(_ceil_div(spec.e, diag.h), (spec.d - spec.m) // diag.g + 1))
 
 
 def cm_no_integer_window(spec: HypersurfaceSpec, diag: DiagonalSpec) -> bool:
     """Window-form Cohen-Macaulay criterion: no integer k lies in either
     obstruction window.  Equivalent to :func:`is_cohen_macaulay`; both are
     kept so the equivalence is testable rather than assumed."""
-    w1, w2 = _obstruction_windows(spec, diag)
-    return w1[0] > w1[1] and w2[0] > w2[1]
+    return not any(_obstruction_windows(spec, diag))
 
 
 def cm_obstruction(spec: HypersurfaceSpec, diag: DiagonalSpec) -> int | None:
     """Smallest obstruction index k when not Cohen-Macaulay, else None."""
-    w1, w2 = _obstruction_windows(spec, diag)
-    candidates = [lo for lo, hi in (w1, w2) if lo <= hi]
-    return min(candidates) if candidates else None
+    windows = _obstruction_windows(spec, diag)
+    return min((w.start for w in windows if w), default=None)
 
 
 def canonical_shift(spec: HypersurfaceSpec) -> tuple[int, int]:
@@ -121,32 +116,28 @@ def is_gorenstein(spec: HypersurfaceSpec, diag: DiagonalSpec) -> bool:
     return a % diag.g == 0 and b % diag.h == 0 and a // diag.g == b // diag.h
 
 
-def dim_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, k: int) -> int:
-    """Dimension of the index-k graded piece of the diagonal subalgebra.
-
-    The defining form is a nonzerodivisor, so the Hilbert function is the
-    ambient tensor count minus its (-d, -e) shift.
-    """
-    total = dim_tensor_diag(ShiftedDiagPiece(spec.m, spec.n, 0, 0, k), diag)
-    sub = dim_tensor_diag(ShiftedDiagPiece(spec.m, spec.n, -spec.d, -spec.e, k), diag)
+def _quotient_piece(spec: HypersurfaceSpec, diag: DiagonalSpec,
+                    i: int, j: int, k: int) -> int:
+    # The defining form is a nonzerodivisor, so the (i, j)-shifted quotient
+    # count is the tensor count at (i, j) minus its (-d, -e) shift.
+    total = dim_tensor_diag(spec.m, spec.n, i, j, k, diag)
+    sub = dim_tensor_diag(spec.m, spec.n, i - spec.d, j - spec.e, k, diag)
     if sub > total:
         raise InternalDefectError(
-            f"negative Hilbert value at k={k} for {spec}; please report"
+            f"negative Hilbert value at shift ({i}, {j}) k={k} for {spec}; please report"
         )
     return total - sub
+
+
+def dim_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, k: int) -> int:
+    """Dimension of the index-k graded piece of the diagonal subalgebra."""
+    return _quotient_piece(spec, diag, 0, 0, k)
 
 
 def canonical_piece_dim(spec: HypersurfaceSpec, diag: DiagonalSpec, k: int) -> int:
     """Dimension of the index-k piece of the graded canonical module, i.e. of
     the (d - m, e - n)-shifted diagonal of the hypersurface ring."""
-    a, b = canonical_shift(spec)
-    total = dim_tensor_diag(ShiftedDiagPiece(spec.m, spec.n, a, b, k), diag)
-    sub = dim_tensor_diag(ShiftedDiagPiece(spec.m, spec.n, -spec.m, -spec.n, k), diag)
-    if sub > total:
-        raise InternalDefectError(
-            f"negative canonical Hilbert value at k={k} for {spec}; please report"
-        )
-    return total - sub
+    return _quotient_piece(spec, diag, *canonical_shift(spec), k)
 
 
 def dim_lc_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int, k: int) -> int:
@@ -162,11 +153,9 @@ def dim_lc_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int, k: int) -> 
     if q < 0 or q > top:
         return 0
     if q < top:
-        return dim_lc_tensor_diag(
-            q + 1, ShiftedDiagPiece(m, n, -d, -e, k), diag
-        )
-    big = dim_lc_tensor_diag(m + n - 1, ShiftedDiagPiece(m, n, -d, -e, k), diag)
-    small = dim_lc_tensor_diag(m + n - 1, ShiftedDiagPiece(m, n, 0, 0, k), diag)
+        return dim_lc_tensor_diag(q + 1, m, n, -d, -e, k, diag)
+    big = dim_lc_tensor_diag(m + n - 1, m, n, -d, -e, k, diag)
+    small = dim_lc_tensor_diag(m + n - 1, m, n, 0, 0, k, diag)
     if small > big:
         raise InternalDefectError(
             f"top local cohomology came out negative at k={k} for {spec}"
@@ -174,14 +163,14 @@ def dim_lc_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int, k: int) -> 
     return big - small
 
 
-def lc_support_window(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int) -> IndexWindow:
-    """Bounded index window outside of which ``dim_lc_piece(spec, diag, q, .)``
+def lc_support_window(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int) -> range:
+    """Finite range of indices outside of which ``dim_lc_piece(spec, diag, q, .)``
     vanishes, for q strictly below the top cohomological degree."""
     if not 0 <= q <= spec.m + spec.n - 3:
         raise PreconditionError(
             f"bounded windows exist only for 0 <= q <= m+n-3; got q={q}"
         )
-    return support_window(q + 1, (spec.m, spec.n, -spec.d, -spec.e), diag)
+    return support_window(q + 1, spec.m, spec.n, -spec.d, -spec.e, diag)
 
 
 def a_invariant(spec: HypersurfaceSpec, diag: DiagonalSpec) -> int:
@@ -260,10 +249,7 @@ def lc_dim_table(spec: HypersurfaceSpec, diag: DiagonalSpec,
     table: dict = {}
     top = spec.m + spec.n - 2
     for q in range(0, top):
-        window = lc_support_window(spec, diag, q)
-        if window.is_empty:
-            continue
-        for k in window.k_values():
+        for k in lc_support_window(spec, diag, q):
             value = dim_lc_piece(spec, diag, q, k)
             if value:
                 table[(q, k)] = value

@@ -112,10 +112,7 @@ def test_criterion_3_cm_iff_vanishing():
                     diag = DiagonalSpec(g, h)
                     nonzero = False
                     for q in range(0, m + n - 2):
-                        window = lc_support_window(spec, diag, q)
-                        if window.is_empty:
-                            continue
-                        for k in window.k_values():
+                        for k in lc_support_window(spec, diag, q):
                             if dim_lc_piece(spec, diag, q, k) > 0:
                                 nonzero = True
                                 break

@@ -149,6 +149,19 @@ def test_exit_code_precondition(capsys):
     assert "error" in err
     code, _, err = run_cli(capsys, "figure", "--m", "2", "--n", "3")
     assert code == cli.EXIT_PRECONDITION
+    for degrees, part in [("2,x", "'x'"), ("", "''")]:
+        code, out, err = run_cli(capsys, "rees", "--m", "4", "--degrees", degrees,
+                                 "--g", "3", "--h", "1")
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert err.startswith("error:") and part in err
+        assert "Traceback" not in err
+    for mode in ("graded", "bigraded"):
+        code, out, err = run_cli(capsys, "frobenius", "--mode", mode, "--m", "3",
+                                 "--n", "0" if mode == "graded" else "2",
+                                 "--p", "5", "--poly", "1")
+        assert code == cli.EXIT_PRECONDITION
+        assert "degree" in err and "exponent" not in err
 
 
 def test_exit_code_power_over_monomial_cap(capsys):

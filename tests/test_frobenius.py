@@ -55,8 +55,6 @@ def test_fedder_preconditions():
         fedder_is_f_pure(ring.zero())
     with pytest.raises(PreconditionError):
         fedder_is_f_pure(ring.x(1) + 1)
-    with pytest.raises(RingContextError):
-        fedder_is_f_pure(ring.x(1), p=7)
 
 
 def test_fedder_termwise_matches_groebner_membership():
@@ -164,6 +162,9 @@ def test_graded_certificate_context_checks():
         f_regular_certificate_graded(witness_graded(2, 3, 5), 2, 4, 5)
     with pytest.raises(PreconditionError):
         f_regular_certificate_graded(ring.x(1) + ring.x(2) ** 2, 2, 3, 5)
+    # A constant form would send a negative socle exponent into the search.
+    with pytest.raises(PreconditionError, match=r"need degree d >= 1: 0"):
+        f_regular_certificate_graded(ring.one(), 0, 3, 5)
 
 
 def test_graded_membership_monotone_on_witnesses():
@@ -212,6 +213,16 @@ def test_bigraded_a_invariant_branch():
     g = ring.x(1) ** 2 * ring.y(1)  # bidegree (2, 1) with d = m
     cert = f_regular_certificate_bigraded(g, 2, 1, 2, 2, 5)
     assert cert.verdict == VERDICT_NOT_F_REGULAR
+
+
+def test_bigraded_certificate_context_checks():
+    ring = PolyRing(5, 2, 2)
+    with pytest.raises(RingContextError):
+        f_regular_certificate_bigraded(witness_bigraded(1, 1, 2, 2, 5),
+                                       1, 1, 3, 2, 5)
+    with pytest.raises(PreconditionError,
+                       match=r"need bidegree with d \+ e >= 1: \(0, 0\)"):
+        f_regular_certificate_bigraded(ring.one(), 0, 0, 2, 2, 5)
 
 
 def test_bigraded_fpure_witness_is_fpure():

@@ -6,8 +6,6 @@ from diagalg.errors import PreconditionError
 from diagalg.exactalg import PolyRing, exponent_vectors, standard_monomial_count
 from diagalg.gradedcomb import (
     DiagonalSpec,
-    IndexWindow,
-    ShiftedDiagPiece,
     dim_lc_tensor_diag,
     dim_poly,
     dim_tensor_diag,
@@ -20,8 +18,13 @@ def test_diagonal_spec_validation():
     DiagonalSpec(1, 1)
     with pytest.raises(PreconditionError):
         DiagonalSpec(0, 1)
+    d11 = DiagonalSpec(1, 1)
     with pytest.raises(PreconditionError):
-        ShiftedDiagPiece(0, 2, 0, 0, 0)
+        dim_tensor_diag(0, 2, 0, 0, 0, d11)
+    # No summand of degree 5 contributes at (m, n) = (0, 2), so only the
+    # block check can raise.
+    with pytest.raises(PreconditionError):
+        dim_lc_tensor_diag(5, 0, 2, 0, 0, 0, d11)
 
 
 def test_dim_poly_examples():
@@ -50,19 +53,19 @@ def test_dim_top_lc_examples():
 
 def test_dim_tensor_diag_examples():
     d11 = DiagonalSpec(1, 1)
-    assert dim_tensor_diag(ShiftedDiagPiece(2, 2, 0, 0, 1), d11) == 4
-    assert dim_tensor_diag(ShiftedDiagPiece(3, 2, -4, -1, 1), d11) == 0
-    assert dim_tensor_diag(ShiftedDiagPiece(2, 2, -1, -1, 2), d11) == 4
+    assert dim_tensor_diag(2, 2, 0, 0, 1, d11) == 4
+    assert dim_tensor_diag(3, 2, -4, -1, 1, d11) == 0
+    assert dim_tensor_diag(2, 2, -1, -1, 2, d11) == 4
 
 
 def test_dim_lc_tensor_diag_examples():
     d11 = DiagonalSpec(1, 1)
-    assert dim_lc_tensor_diag(3, ShiftedDiagPiece(3, 2, -4, -1, 1), d11) == 1
+    assert dim_lc_tensor_diag(3, 3, 2, -4, -1, 1, d11) == 1
     for m in range(2, 5):
         for n in range(2, 5):
-            assert dim_lc_tensor_diag(1, ShiftedDiagPiece(m, n, 2, -3, 1), d11) == 0
-    assert dim_lc_tensor_diag(3, ShiftedDiagPiece(2, 2, 0, 0, -3), d11) == 4
-    assert dim_lc_tensor_diag(3, ShiftedDiagPiece(2, 2, 0, 0, -3), d11) == dim_top_lc(2, -3) ** 2
+            assert dim_lc_tensor_diag(1, m, n, 2, -3, 1, d11) == 0
+    assert dim_lc_tensor_diag(3, 2, 2, 0, 0, -3, d11) == 4
+    assert dim_lc_tensor_diag(3, 2, 2, 0, 0, -3, d11) == dim_top_lc(2, -3) ** 2
 
 
 def test_dim_lc_vanishes_off_kunneth_degrees():
@@ -74,8 +77,7 @@ def test_dim_lc_vanishes_off_kunneth_degrees():
                 if q in allowed:
                     continue
                 for k in range(-4, 5):
-                    piece = ShiftedDiagPiece(m, n, -2, 1, k)
-                    assert dim_lc_tensor_diag(q, piece, d) == 0
+                    assert dim_lc_tensor_diag(q, m, n, -2, 1, k, d) == 0
 
 
 def test_duality_identity_grid():
@@ -90,26 +92,21 @@ def test_duality_identity_grid():
                 for i in range(-8, 9):
                     for j in range(-8, 9):
                         for k in range(-8, 9):
-                            lhs = dim_lc_tensor_diag(
-                                m + n - 1, ShiftedDiagPiece(m, n, i, j, k), diag)
-                            rhs = dim_tensor_diag(
-                                ShiftedDiagPiece(m, n, -i - m, -j - n, -k), diag)
+                            lhs = dim_lc_tensor_diag(m + n - 1, m, n, i, j, k, diag)
+                            rhs = dim_tensor_diag(m, n, -i - m, -j - n, -k, diag)
                             assert lhs == rhs, (m, n, g, h, i, j, k)
 
 
 def test_support_window_examples():
     # Empty window in the regime d < m, e < n.
-    win = support_window(2, (3, 2, -2, -1), DiagonalSpec(1, 1))
-    assert win.is_empty
-    # Top cohomological degree: unbounded below.
-    win = support_window(4, (3, 2, 0, 0), DiagonalSpec(1, 1))
-    assert win.unbounded_below
+    win = support_window(2, 3, 2, -2, -1, DiagonalSpec(1, 1))
+    assert not win
+    # Top cohomological degree q = m + n - 1: no finite window exists.
     with pytest.raises(PreconditionError):
-        win.k_values()
-    assert -100 in win
+        support_window(4, 3, 2, 0, 0, DiagonalSpec(1, 1))
     # q = n with zero shifts: [0, -2] is empty.
-    win = support_window(2, (2, 2, 0, 0), DiagonalSpec(1, 1))
-    assert win.is_empty
+    win = support_window(2, 2, 2, 0, 0, DiagonalSpec(1, 1))
+    assert not win
 
 
 def test_support_window_is_sound():
@@ -120,14 +117,13 @@ def test_support_window_is_sound():
                 diag = DiagonalSpec(g, h)
                 for i in range(-4, 5):
                     for j in range(-4, 5):
-                        for q in {m, n, m + n - 1}:
-                            win = support_window(q, (m, n, i, j), diag)
-                            lo = -25 if win.unbounded_below else None
+                        for q in {m, n} - {m + n - 1}:
+                            win = support_window(q, m, n, i, j, diag)
                             for k in range(-25, 26):
                                 if k in win:
                                     continue
-                                piece = ShiftedDiagPiece(m, n, i, j, k)
-                                assert dim_lc_tensor_diag(q, piece, diag) == 0, (
+                                assert dim_lc_tensor_diag(
+                                    q, m, n, i, j, k, diag) == 0, (
                                     m, n, g, h, i, j, q, k)
 
 
@@ -138,19 +134,8 @@ def test_support_window_nonempty_is_tight_for_middle_degrees():
     for i in range(-6, 1):
         for j in range(-6, 1):
             for q in (m, n):
-                win = support_window(q, (m, n, i, j), diag)
-                if win.is_empty:
-                    continue
-                for k in win.k_values():
-                    assert dim_lc_tensor_diag(
-                        q, ShiftedDiagPiece(m, n, i, j, k), diag) > 0
-
-
-def test_index_window_shape():
-    win = IndexWindow(3, 1)
-    assert win.is_empty and list(win.k_values()) == []
-    win = IndexWindow(1, 3)
-    assert list(win.k_values()) == [1, 2, 3] and 2 in win and 4 not in win
+                for k in support_window(q, m, n, i, j, diag):
+                    assert dim_lc_tensor_diag(q, m, n, i, j, k, diag) > 0
 
 
 def test_tensor_diag_enumeration_oracle():
@@ -170,8 +155,7 @@ def test_tensor_diag_enumeration_oracle():
                                     sum(1 for _ in exponent_vectors(a, m))
                                     * sum(1 for _ in exponent_vectors(b, n))
                                 )
-                                piece = ShiftedDiagPiece(m, n, i, j, k)
-                                assert dim_tensor_diag(piece, diag) == counted
+                                assert dim_tensor_diag(m, n, i, j, k, diag) == counted
 
 
 def test_tensor_diag_standard_monomial_oracle():
@@ -186,7 +170,6 @@ def test_tensor_diag_standard_monomial_oracle():
                     for i in range(-2, 3):
                         for j in range(-2, 3):
                             for k in range(-2, 3):
-                                piece = ShiftedDiagPiece(m, n, i, j, k)
                                 expected = standard_monomial_count(
                                     [], (i + g * k, j + h * k), ring=ring)
-                                assert dim_tensor_diag(piece, diag) == expected
+                                assert dim_tensor_diag(m, n, i, j, k, diag) == expected
