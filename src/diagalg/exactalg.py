@@ -6,14 +6,30 @@ counts (graded Hilbert functions), all under the one monomial order grevlex
 (:func:`grevlex_key`).  Everything is exact: coefficients live in F_p and all
 combinatorics use Python integers.
 
-Monomials are plain exponent tuples of length ``m + n``; the x-block occupies
-the first ``m`` positions.  All values are immutable after construction, so
-every operation in this module is safe for concurrent use.
+Monomials are plain exponent tuples of length ``m + n`` at the API
+(``MultiPoly.terms``, printing, parsing, every signature); the x-block
+occupies the first ``m`` positions.  Inside the kernel (``normal_form``,
+``s_polynomial``, ``groebner_basis`` and ``truncated_power``) each monomial is
+one Python integer (:class:`_Packing`).  From the most significant end it
+holds 2 * (m + n) fields of equal width: the total degree, the prefix sums
+e0 + ... + ek for k = m + n - 2 down to 0, then the exponents, each exponent
+field with a guard bit on top.  So grevlex is integer order, multiplying
+monomials is adding integers, and divisibility is one subtraction and one
+mask.  The width comes from the call's degree bound: the degree of f in
+``normal_form`` (reduction never raises it), of the lcm in
+``s_polynomial``, and of the power in ``truncated_power``; ``groebner_basis``
+starts from twice its top input degree and widens when a pair's lcm
+outgrows the fields.
+
+All values are immutable after construction, so every operation in this
+module is safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from heapq import heapify, heappop, heappush
 from math import comb
 
 from .errors import (
@@ -70,7 +86,7 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# Monomials: exponent tuples.
+# Monomials: exponent tuples at the API, packed integers inside the kernel.
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -81,21 +97,60 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_quot(b, a):
-    """Exponent vector of b / a; assumes a divides b."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def grevlex_key(exps):
     """Sort key of the graded reverse lexicographic order; max picks the lead.
 
     Variable precedence is the index order x1 > ... > xm > y1 > ... > yn.
     """
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+class _Packing:
+    """Monomials of total degree at most ``limit`` in ``nvars`` variables,
+    each packed into one integer with the field layout of the module
+    docstring.  Every field value is at most the total degree, and ``limit``
+    = 2^(width-1) - 1 keeps the top bit of each exponent field, its guard
+    bit, clear.  So:
+
+    - integer order is grevlex (the degree and prefix sums decide it);
+    - multiplying monomials is adding their packed forms (no field carries
+      while the product's degree stays within ``limit``);
+    - u divides v exactly when d = v - u has d >= 0 and ``not d & guard``:
+      the lowest exponent field with v < u borrows and sets its guard bit.
+    """
+
+    __slots__ = ("width", "limit", "ones", "guard", "_weights", "_shifts")
+
+    def __init__(self, nvars: int, degree: int):
+        width = max(degree, 0).bit_length() + 1
+        self.width = width
+        self.limit = (1 << (width - 1)) - 1
+        # A 1 at the bottom of every exponent field; exponent k sits in
+        # field nvars - 1 - k and prefix sum k in field nvars + k.
+        self.ones = sum(1 << (width * k) for k in range(nvars))
+        self.guard = self.ones << (width - 1)
+        self._shifts = [width * (nvars - 1 - k) for k in range(nvars)]
+        self._weights = [
+            (1 << shift) + sum(1 << (width * (nvars + j)) for j in range(k, nvars))
+            for k, shift in enumerate(self._shifts)
+        ]
+
+    def pack(self, exps) -> int:
+        return sum(map(operator.mul, exps, self._weights))
+
+    def unpack(self, v: int) -> tuple:
+        mask = (1 << self.width) - 1
+        return tuple(v >> shift & mask for shift in self._shifts)
+
+    def divides(self, u: int, v: int) -> bool:
+        d = v - u
+        return d >= 0 and not d & self.guard
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(exps): c for exps, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(v): c for v, c in terms.items()}
 
 
 class PolyRing:
@@ -390,6 +445,51 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
+# Truncated powers.
+
+def truncated_power(f: MultiPoly, k: int, q: int) -> MultiPoly:
+    """f^k with every term that has an exponent >= q dropped: its image
+    modulo the monomial ideal (v^q : v each variable).
+
+    Computed by square and multiply on packed monomials, dropping such terms
+    as soon as they appear, which is exact: every product with such a term
+    has one too.
+    """
+    if not isinstance(k, int) or k < 0:
+        raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
+    if q < 1:
+        raise PreconditionError(f"need q >= 1: {q}")
+    ring = f.ring
+    p = ring.p
+    packing = _Packing(ring.nvars, max(k * f.total_degree(), q))
+    # Adding 2^(width-1) - q to every exponent field sets the field's guard
+    # bit exactly when the exponent is >= q.
+    bias = ((packing.limit + 1) - q) * packing.ones
+    guard = packing.guard
+
+    def mul(a, b):
+        out = {}
+        get = out.get
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                if not (m + bias) & guard:
+                    out[m] = get(m, 0) + ca * cb
+        return {m: v for m, c in out.items() if (v := c % p)}
+
+    base = {m: c for m, c in packing.pack_terms(f.terms).items()
+            if not (m + bias) & guard}
+    result = {0: 1}  # the constant 1 packs to 0
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return MultiPoly._raw(ring, packing.unpack_terms(result))
+
+
+# ---------------------------------------------------------------------------
 # Division and Buchberger's algorithm.
 
 def _common_ring(polys) -> PolyRing:
@@ -399,23 +499,87 @@ def _common_ring(polys) -> PolyRing:
     return next(iter(rings))
 
 
+def _reducer(terms: dict, field: PrimeField):
+    """A packed polynomial as (leading monomial, inverse of the leading
+    coefficient, other terms as (monomial, coefficient) pairs)."""
+    lt = max(terms)
+    return lt, field.inv(terms[lt]), [(m, c) for m, c in terms.items() if m != lt]
+
+
+def _s_poly(a, b, lcm: int, p: int) -> dict:
+    # Packed S-polynomial of the reducers a and b whose leads divide lcm:
+    # the leading terms cancel, so only the tails are shifted.
+    lta, inva, taila = a
+    ltb, invb, tailb = b
+    sa, sb = lcm - lta, lcm - ltb
+    out = {m + sa: c * inva % p for m, c in taila}
+    for m, c in tailb:
+        m += sb
+        v = (out.get(m, 0) - c * invb) % p
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return out
+
+
+def _reduce(work: dict, reducers, guard: int, p: int) -> dict:
+    """Remainder of the packed polynomial ``work`` (consumed) under full
+    reduction by ``reducers``, as {monomial: coefficient} in descending order.
+
+    Each step takes the largest remaining term and reduces it by the first
+    reducer whose lead divides it.  A max-heap holds every monomial of
+    ``work`` once, so that term is found in logarithmic time.  Coefficients
+    are reduced mod p only when popped; a term that cancelled is skipped
+    then (lazy deletion).  A popped monomial never comes back, because every
+    term a step adds is smaller than the one it removes.
+    """
+    heap = [-u for u in work]
+    heapify(heap)
+    pop, push, get = heappop, heappush, work.get
+    remainder = {}
+    while heap:
+        u = -pop(heap)
+        c = work.pop(u) % p
+        if not c:
+            continue
+        for lt, lcinv, tail in reducers:
+            shift = u - lt
+            if shift >= 0 and not shift & guard:
+                break
+        else:
+            remainder[u] = c
+            continue
+        factor = p - c * lcinv % p
+        for mon, cc in tail:
+            mm = mon + shift
+            v = get(mm)
+            if v is None:
+                work[mm] = factor * cc
+                push(heap, -mm)
+            else:
+                work[mm] = v + factor * cc
+    return remainder
+
+
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The S-polynomial of f and g (cancels the leading terms)."""
-    _common_ring([f, g])
-    field = f.ring.field
-    ltf = f.leading_monomial()
-    ltg = g.leading_monomial()
-    lcm = mono_lcm(ltf, ltg)
-    a = f.mul_monomial(mono_quot(lcm, ltf), field.inv(f.terms[ltf]))
-    b = g.mul_monomial(mono_quot(lcm, ltg), field.inv(g.terms[ltg]))
-    return a - b
+    ring = _common_ring([f, g])
+    lcm = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
+    packing = _Packing(ring.nvars, sum(lcm))
+    a = _reducer(packing.pack_terms(f.terms), ring.field)
+    b = _reducer(packing.pack_terms(g.terms), ring.field)
+    return MultiPoly._raw(
+        ring, packing.unpack_terms(_s_poly(a, b, packing.pack(lcm), ring.p)))
 
 
 def normal_form(f: MultiPoly, gb) -> MultiPoly:
     """Remainder of f under full reduction modulo the polynomial list ``gb``.
 
-    When ``gb`` is a grevlex Groebner basis, the result is the unique normal
-    form: no term of it is divisible by any leading monomial of ``gb``.
+    Each step reduces the largest remaining term by the first element of
+    ``gb`` whose leading monomial divides it.  When ``gb`` is a grevlex
+    Groebner basis, the result is the unique normal form: no term of it is
+    divisible by any leading monomial of ``gb``.
     """
     gb = list(gb)
     if gb:
@@ -424,50 +588,28 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
         return f
     if any(g.is_zero for g in gb):
         raise PreconditionError("zero polynomial in the reducer list")
-    p = ring.p
-    reducers = []
-    for g in gb:
-        lt = g.leading_monomial()
-        reducers.append((lt, ring.field.inv(g.terms[lt]), g))
-    work = dict(f.terms)
-    remainder: dict = {}
-    while work:
-        u = max(work, key=grevlex_key)
-        c = work.pop(u)
-        hit = None
-        for lt, lcinv, g in reducers:
-            if mono_divides(lt, u):
-                hit = (lt, lcinv, g)
-                break
-        if hit is None:
-            remainder[u] = c
-            continue
-        lt, lcinv, g = hit
-        shift = mono_quot(u, lt)
-        factor = (c * lcinv) % p
-        for mon, cc in g.terms.items():
-            if mon == lt:
-                continue
-            mm = mono_mul(mon, shift)
-            v = (work.get(mm, 0) - factor * cc) % p
-            if v:
-                work[mm] = v
-            elif mm in work:
-                del work[mm]
-    return MultiPoly._raw(ring, remainder)
+    # Reduction never raises the degree, so a reducer of higher degree than
+    # f divides no term it meets.
+    top = f.total_degree()
+    packing = _Packing(ring.nvars, top)
+    reducers = [_reducer(packing.pack_terms(g.terms), ring.field)
+                for g in gb if g.total_degree() <= top]
+    remainder = _reduce(packing.pack_terms(f.terms), reducers, packing.guard,
+                        ring.p)
+    return MultiPoly._raw(ring, packing.unpack_terms(remainder))
 
 
 def _poly_key(f: MultiPoly):
     return (grevlex_key(f.leading_monomial()), sorted(f.terms.items()))
 
 
-def _chain_skip(i: int, j: int, lcm_ij, lead_monomials, pending) -> bool:
+def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending, packing) -> bool:
     # Buchberger's chain criterion: skip (i, j) when some other basis element
     # divides the lcm and both mixed pairs were already handled.
-    for t in range(len(lead_monomials)):
+    for t, (lt, _, _) in enumerate(basis):
         if t == i or t == j:
             continue
-        if mono_divides(lead_monomials[t], lcm_ij):
+        if packing.divides(lt, lcm_ij):
             a = (min(i, t), max(i, t))
             b = (min(j, t), max(j, t))
             if a not in pending and b not in pending:
@@ -481,7 +623,8 @@ def groebner_basis(gens):
     Deterministic: the output is the reduced basis sorted by leading monomial,
     so it does not depend on the order of the input generators.  Pair
     processing uses the normal selection strategy with the coprimality and
-    chain criteria.
+    chain criteria.  The generators are packed once (see :class:`_Packing`);
+    the fields widen when a pair's lcm outgrows them.
     """
     gens = list(gens)
     if not gens:
@@ -489,53 +632,77 @@ def groebner_basis(gens):
     ring = _common_ring(gens)
     if any(g.is_zero for g in gens):
         raise PreconditionError("zero polynomial among the ideal generators")
+    p = ring.p
 
-    basis = []
+    inputs = []
     seen = set()
     for g in sorted((g.monic() for g in gens), key=_poly_key):
         fp = frozenset(g.terms.items())
         if fp not in seen:
             seen.add(fp)
-            basis.append(g)
-    lead = [g.leading_monomial() for g in basis]
+            inputs.append(g)
+    # Twice the top degree bounds the lcm of every pair of inputs.
+    packing = _Packing(ring.nvars, 2 * max(g.total_degree() for g in inputs))
+    basis = []     # monic reducers (lead, 1, tail) in insertion order
+    leads = []     # their leading exponent tuples, for the pair lcms
+    heap = []      # (packed lcm, i, j) of every pending pair
+    pending = set()
 
-    pending = {}
-    for j in range(len(basis)):
-        for i in range(j):
-            pending[(i, j)] = mono_lcm(lead[i], lead[j])
-
-    while pending:
-        i, j = min(pending, key=lambda ij: (grevlex_key(pending[ij]), ij))
-        lcm_ij = pending.pop((i, j))
-        if lcm_ij == mono_mul(lead[i], lead[j]):
-            continue  # coprime leading monomials
-        if _chain_skip(i, j, lcm_ij, lead, pending):
-            continue
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero:
-            continue
-        r = r.monic()
+    def include(g):
+        nonlocal packing
         new = len(basis)
-        basis.append(r)
-        lt = r.leading_monomial()
-        for t in range(new):
-            pending[(t, new)] = mono_lcm(lead[t], lt)
-        lead.append(lt)
+        lt = packing.unpack(g[0])
+        lcms = [tuple(map(max, e, lt)) for e in leads]
+        top = max(map(sum, lcms), default=0)
+        if top > packing.limit:
+            # Widen the fields.  Repacking keeps the order of packed values,
+            # so the heap stays a heap.
+            old, packing = packing, _Packing(ring.nvars, 2 * top)
+
+            def move(m):
+                return packing.pack(old.unpack(m))
+
+            basis[:] = [(move(lm), 1, [(move(m), c) for m, c in tail])
+                        for lm, _, tail in basis]
+            heap[:] = [(move(lcm), i, j) for lcm, i, j in heap]
+            g = (move(g[0]), 1, [(move(m), c) for m, c in g[2]])
+        basis.append(g)
+        leads.append(lt)
+        for t, lcm in enumerate(lcms):
+            heappush(heap, (packing.pack(lcm), t, new))
+            pending.add((t, new))
+
+    for g in inputs:
+        include(_reducer(packing.pack_terms(g.terms), ring.field))
+    while heap:
+        lcm_ij, i, j = heappop(heap)
+        pending.remove((i, j))
+        if lcm_ij == basis[i][0] + basis[j][0]:
+            continue  # coprime leading monomials
+        if _chain_skip(i, j, lcm_ij, basis, pending, packing):
+            continue
+        r = _reduce(_s_poly(basis[i], basis[j], lcm_ij, p), basis,
+                    packing.guard, p)
+        if r:
+            terms = iter(r.items())  # descending: the lead comes first
+            lt, lc = next(terms)
+            inv = ring.field.inv(lc)
+            include((lt, 1, [(m, c * inv % p) for m, c in terms]))
 
     # Minimalize: drop elements whose lead is divisible by another kept lead.
     kept = []
-    for t in sorted(range(len(basis)), key=lambda t: grevlex_key(lead[t])):
-        if not any(mono_divides(lead[u], lead[t]) for u in kept):
-            kept.append(t)
-    minimal = [basis[t] for t in kept]
+    for g in sorted(basis, key=lambda g: g[0]):
+        if not any(packing.divides(u[0], g[0]) for u in kept):
+            kept.append(g)
 
-    # Interreduce tails for the unique reduced basis.
+    # Interreduce tails for the unique reduced basis, still sorted by lead;
+    # the leads are mutually indivisible, so each keeps coefficient 1.
     reduced = []
-    for a, g in enumerate(minimal):
-        others = reduced + minimal[a + 1:]
-        reduced.append(normal_form(g, others).monic())
-    reduced.sort(key=lambda f: grevlex_key(f.leading_monomial()))
-    return reduced
+    for a, (lt, _, tail) in enumerate(kept):
+        tail = _reduce(dict(tail), reduced + kept[a + 1:], packing.guard, p)
+        reduced.append((lt, 1, list(tail.items())))
+    return [MultiPoly._raw(ring, packing.unpack_terms(dict([(lt, 1), *tail])))
+            for lt, _, tail in reduced]
 
 
 def ideal_contains(gens, f: MultiPoly) -> bool:

@@ -1,12 +1,14 @@
 """CLI surface: golden JSON/CSV documents, exit codes, figure boundaries."""
 
 import json
+import shlex
 from pathlib import Path
 
 from diagalg import cli
 from diagalg.errors import InternalDefectError
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +49,14 @@ def test_golden_frobenius(capsys):
                  "--format", "json")
 
 
+def test_golden_frobenius_bigraded(capsys):
+    # The README's sampled bigraded certificate; recorded with the tuple
+    # kernel, which took about two minutes for it.
+    check_golden(capsys, "frobenius_bigraded.json", "frobenius", "--mode",
+                 "bigraded", "--m", "3", "--n", "3", "--d", "2", "--e", "2",
+                 "--p", "7", "--seed", "1", "--format", "json")
+
+
 def test_golden_rees(capsys):
     check_golden(capsys, "rees.json", "rees", "--m", "3", "--k", "4",
                  "--s", "2", "--g", "1", "--h", "1", "--i-max", "3",
@@ -77,6 +87,21 @@ def test_json_documents_are_versioned(capsys):
         assert code == cli.EXIT_OK
         doc = json.loads(out)
         assert doc["schema"].startswith("diagalg/") and doc["schema"].endswith("/1")
+
+
+def test_readme_commands_succeed(capsys):
+    # Every command of the README's command-line block, so it cannot go
+    # stale.
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("diagalg ")]
+    assert {argv[0] for argv in commands} == {
+        "classify", "hilbert", "lcdim", "frobenius", "rees", "figure"}
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_OK, (argv, err)
+        assert out, argv
 
 
 # ---------------------------------------------------------------------------

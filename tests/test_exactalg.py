@@ -18,10 +18,12 @@ from diagalg.exactalg import (
     ideal_contains,
     initial_ideal_dimension,
     is_regular_sequence,
+    mono_divides,
     normal_form,
     power_ideal_gens,
     s_polynomial,
     standard_monomial_count,
+    truncated_power,
 )
 
 
@@ -183,6 +185,21 @@ def test_groebner_spair_closure_and_containment():
                 assert normal_form(s, gb).is_zero
 
 
+def test_groebner_widens_packed_fields():
+    # Mora's ideals: the basis reaches degree n^2 + 1 from generators of
+    # degree n + 1, so pair lcms outgrow the fields sized from the input
+    # (twice for n = 4).  Expected basis recorded with the tuple kernel.
+    ring = PolyRing(7, 4)
+    x1, x2, x3, x4 = ring.gens()
+    n = 4
+    gens = [x1**(n + 1) - x2 * x3**(n - 1) * x4, x1 * x2**(n - 1) - x3**n,
+            x1**n * x3 - x2**n * x4]
+    assert [str(g) for g in groebner_basis(gens)] == [
+        "x1*x2^3 + 6*x3^4", "x1^4*x3 + 6*x2^4*x4", "x1^5 + 6*x2*x3^3*x4",
+        "x1^3*x3^5 + 6*x2^7*x4", "x1^2*x3^9 + 6*x2^10*x4",
+        "x1*x3^13 + 6*x2^13*x4", "x3^17 + 6*x2^16*x4"]
+
+
 def test_groebner_reduced_property():
     # No term of a reduced basis element is divisible by another's lead.
     ring = ring3(101)
@@ -221,6 +238,92 @@ def test_normal_form_idempotent():
         f = random_poly(ring, rng, max_terms=6)
         r = normal_form(f, gb)
         assert normal_form(r, gb) == r
+
+
+def _reference_normal_form(f, gb):
+    # The division normal_form replaced: the lead is max(work) under
+    # grevlex_key, and the first reducer whose lead divides it reduces it.
+    p = f.ring.p
+    reducers = []
+    for g in gb:
+        lt = max(g.terms, key=grevlex_key)
+        reducers.append((lt, pow(g.terms[lt], -1, p), g))
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        u = max(work, key=grevlex_key)
+        c = work.pop(u)
+        for lt, lcinv, g in reducers:
+            if mono_divides(lt, u):
+                break
+        else:
+            remainder[u] = c
+            continue
+        shift = tuple(y - x for x, y in zip(lt, u))
+        factor = c * lcinv % p
+        for mon, cc in g.terms.items():
+            if mon == lt:
+                continue
+            mm = tuple(a + b for a, b in zip(mon, shift))
+            v = (work.get(mm, 0) - factor * cc) % p
+            if v:
+                work[mm] = v
+            elif mm in work:
+                del work[mm]
+    return remainder
+
+
+def _reference_s_polynomial(f, g):
+    p = f.ring.p
+    ltf = max(f.terms, key=grevlex_key)
+    ltg = max(g.terms, key=grevlex_key)
+    lcm = tuple(map(max, ltf, ltg))
+    out = {}
+    for h, lt, sign in ((f, ltf, 1), (g, ltg, -1)):
+        scale = sign * pow(h.terms[lt], -1, p)
+        for mon, c in h.terms.items():
+            mm = tuple(a + b - e for a, b, e in zip(mon, lcm, lt))
+            out[mm] = (out.get(mm, 0) + scale * c) % p
+    return {mon: c for mon, c in out.items() if c}
+
+
+def test_normal_form_matches_reference_division():
+    # Reducer lists that are not Groebner bases, as inside Buchberger's
+    # loop: repeated leads, leads that are not monic, more reducers than
+    # variables, and reducers above f's degree.  The remainder must be the
+    # same terms in the same order.
+    rng = random.Random(17)
+    for trial in range(60):
+        ring = PolyRing(rng.choice([2, 5, 7, 101]), rng.choice([2, 3, 4]))
+        reducers = [random_poly(ring, rng, max_terms=5)
+                    for _ in range(ring.nvars + rng.randrange(1, 4))]
+        twin = reducers[rng.randrange(len(reducers))]
+        lead = twin.leading_monomial()
+        tail = random_poly(ring, rng, max_terms=3, max_exp=1)
+        tail = ring.poly({mono: c for mono, c in tail.terms.items()
+                          if grevlex_key(mono) < grevlex_key(lead)})
+        reducers.insert(rng.randrange(len(reducers) + 1),
+                        ring.poly({lead: rng.randrange(1, ring.p)}) + tail)
+        f = random_poly(ring, rng, max_terms=8, max_exp=4)
+        expected = _reference_normal_form(f, reducers)
+        assert list(normal_form(f, reducers).terms.items()) == list(expected.items())
+        g, h = rng.sample(reducers, 2)
+        assert s_polynomial(g, h).terms == _reference_s_polynomial(g, h)
+
+
+def test_truncated_power_matches_full_power():
+    rng = random.Random(19)
+    for trial in range(30):
+        ring = PolyRing(rng.choice([2, 3, 5, 7]), rng.choice([1, 2, 3]))
+        f = random_poly(ring, rng, max_terms=4, max_exp=2)
+        k, q = rng.randrange(0, 7), rng.randrange(1, 9)
+        expected = {mono: c for mono, c in (f ** k).terms.items() if max(mono) < q}
+        assert truncated_power(f, k, q).terms == expected
+    ring = ring3(5)
+    assert truncated_power(ring.zero(), 3, 5).is_zero
+    assert truncated_power(ring.zero(), 0, 5) == ring.one()
+    with pytest.raises(PreconditionError):
+        truncated_power(ring.x(1), -1, 5)
 
 
 def test_ideal_contains_examples():

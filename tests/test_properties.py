@@ -1,15 +1,17 @@
-"""Property tests of kernel invariants: the grevlex key, reduced Groebner
-bases, normal forms and the parse/print round trip."""
+"""Property tests of kernel invariants: the grevlex key, packed monomials,
+reduced Groebner bases, normal forms and the parse/print round trip."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagalg.exactalg import (
     PolyRing,
+    _Packing,
     exponent_vectors,
     grevlex_key,
     groebner_basis,
     mono_divides,
+    mono_mul,
     normal_form,
 )
 from diagalg.parsing import parse_polynomial
@@ -72,6 +74,58 @@ def test_grevlex_key_is_the_textbook_order(vectors):
     for a in vectors:
         for b in vectors:
             assert (grevlex_key(a) > grevlex_key(b)) == _textbook_greater(a, b)
+
+
+@st.composite
+def packed_monomials(draw):
+    """A packing and a list of exponent tuples within its degree limit; the
+    caps below push many of them to the limit itself."""
+    nvars = draw(st.integers(1, 6))
+    packing = _Packing(nvars, draw(st.integers(0, 200)))
+    monos = []
+    for _ in range(draw(st.integers(2, 8))):
+        exps, room = [], packing.limit
+        for e in draw(st.lists(st.integers(0, packing.limit),
+                               min_size=nvars, max_size=nvars)):
+            exps.append(min(e, room))
+            room -= exps[-1]
+        monos.append(tuple(exps))
+    return packing, monos
+
+
+@SETTINGS
+@given(packed_monomials())
+def test_packed_monomials_agree_with_tuples(drawn):
+    packing, monos = drawn
+    packed = [packing.pack(a) for a in monos]
+    for a, u in zip(monos, packed):
+        assert packing.unpack(u) == a
+        for b, v in zip(monos, packed):
+            assert (u < v) == (grevlex_key(a) < grevlex_key(b))
+            assert packing.divides(u, v) == mono_divides(a, b)
+            if sum(a) + sum(b) <= packing.limit:
+                assert u + v == packing.pack(mono_mul(a, b))
+
+
+def test_packed_monomials_at_the_field_maximum():
+    # Pure powers at the degree limit, against each variable and against
+    # the power one below.
+    for nvars in range(1, 6):
+        for degree in (1, 2, 3, 7, 8, 63, 64):
+            packing = _Packing(nvars, degree)
+            top = packing.limit
+            assert degree <= top and top + 1 == 1 << (packing.width - 1)
+            for k in range(nvars):
+                power = tuple(top if i == k else 0 for i in range(nvars))
+                below = tuple(top - 1 if i == k else 0 for i in range(nvars))
+                u, v = packing.pack(power), packing.pack(below)
+                assert packing.unpack(u) == power
+                assert v < u and packing.divides(v, u)
+                assert not packing.divides(u, v)
+                for j in range(nvars):
+                    var = packing.pack(tuple(int(i == j) for i in range(nvars)))
+                    assert packing.divides(var, u) == (j == k)
+                    assert (var + v == u) == (j == k)
 
 
 @SETTINGS
