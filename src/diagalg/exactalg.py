@@ -9,7 +9,7 @@ combinatorics use Python integers.
 Monomials are plain exponent tuples of length ``m + n`` at the API
 (``MultiPoly.terms``, printing, parsing, every signature); the x-block
 occupies the first ``m`` positions.  Inside the kernel (``normal_form``,
-``s_polynomial``, ``groebner_basis`` and ``truncated_power``) each monomial is
+``s_polynomial``, ``groebner_basis`` and ``_truncated_power``) each monomial is
 one Python integer (:class:`_Packing`).  From the most significant end it
 holds 2 * (m + n) fields of equal width: the total degree, the prefix sums
 e0 + ... + ek for k = m + n - 2 down to 0, then the exponents, each exponent
@@ -17,7 +17,7 @@ field with a guard bit on top.  So grevlex is integer order, multiplying
 monomials is adding integers, and divisibility is one subtraction and one
 mask.  The width comes from the call's degree bound: the degree of f in
 ``normal_form`` (reduction never raises it), of the lcm in
-``s_polynomial``, and of the power in ``truncated_power``; ``groebner_basis``
+``s_polynomial``, and of the power in ``_truncated_power``; ``groebner_basis``
 starts from twice its top input degree and widens when a pair's lcm
 outgrows the fields.
 
@@ -360,20 +360,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
-        t = len(self.terms)
-        # The power has at most comb(t + k - 1, k) terms (multisets of k
-        # terms) and at most comb(k * deg + nvars, nvars) (monomials of
-        # degree <= k * deg); refuse up front when both exceed the cap.
-        if t >= 2:
-            nv = self.ring.nvars
-            if (comb(k * self.total_degree() + nv, nv) > MONOMIAL_CAP
-                    and comb(t + k - 1, k) > MONOMIAL_CAP):
-                raise DegreeCapError(
-                    f"power {k} of a {t}-term polynomial may exceed the "
-                    f"monomial cap {MONOMIAL_CAP}"
-                )
+        _check_power(self, k)
         result = self.ring.one()
         base = self
         while k:
@@ -445,20 +432,37 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Truncated powers.
+# Powers.
 
-def truncated_power(f: MultiPoly, k: int, q: int) -> MultiPoly:
-    """f^k with every term that has an exponent >= q dropped: its image
-    modulo the monomial ideal (v^q : v each variable).
+def _check_power(f: MultiPoly, k: int) -> None:
+    """Refuse f^k before computing it when it may outgrow the monomial cap.
 
-    Computed by square and multiply on packed monomials, dropping such terms
-    as soon as they appear, which is exact: every product with such a term
-    has one too.
+    The power has at most comb(t + k - 1, k) terms (multisets of k of f's t
+    terms) and at most comb(k * deg + nvars, nvars) (monomials of degree
+    <= k * deg); refuse when both exceed the cap.
     """
     if not isinstance(k, int) or k < 0:
         raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
-    if q < 1:
-        raise PreconditionError(f"need q >= 1: {q}")
+    t = len(f.terms)
+    if t >= 2:
+        nv = f.ring.nvars
+        if (comb(k * f.total_degree() + nv, nv) > MONOMIAL_CAP
+                and comb(t + k - 1, k) > MONOMIAL_CAP):
+            raise DegreeCapError(
+                f"power {k} of a {t}-term polynomial may exceed the "
+                f"monomial cap {MONOMIAL_CAP}"
+            )
+
+
+def _truncated_power(f: MultiPoly, k: int, q: int) -> MultiPoly:
+    """f^k with every term that has an exponent >= q dropped: its image
+    modulo the monomial ideal (v^q : v each variable), for q >= 1.
+
+    Computed by square and multiply on packed monomials, dropping such terms
+    as soon as they appear, which is exact: every product with such a term
+    has one too.  Refused by the same monomial cap as ``f ** k``.
+    """
+    _check_power(f, k)
     ring = f.ring
     p = ring.p
     packing = _Packing(ring.nvars, max(k * f.total_degree(), q))

@@ -20,10 +20,10 @@ from .errors import PreconditionError, RingContextError
 from .exactalg import (
     MultiPoly,
     PolyRing,
+    _truncated_power,
     exponent_vectors,
     groebner_basis,
     normal_form,
-    truncated_power,
 )
 
 VERDICT_F_REGULAR = "f_regular"
@@ -96,7 +96,7 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
     if not f.is_homogeneous():
         raise PreconditionError("f must be homogeneous")
     p = f.ring.p
-    return not truncated_power(f, p - 1, p).is_zero
+    return not _truncated_power(f, p - 1, p).is_zero
 
 
 def _membership_search(f: MultiPoly, p: int, e_max: int, param_gens_at,

@@ -197,6 +197,16 @@ def test_exit_code_power_over_monomial_cap(capsys):
     assert "monomial cap" in err
 
 
+def test_exit_code_fedder_power_over_monomial_cap(capsys):
+    # Fedder's test computes f^(p-1) truncated, yet refuses it as f ** (p-1)
+    # does: a dense cubic in 4 variables at p = 101 exits 2 at once.
+    code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure", "--m", "4",
+                             "--p", "101", "--poly", "(x1+x2+x3+x4)^3")
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert "monomial cap" in err
+
+
 def test_exit_code_internal_defect(capsys, monkeypatch):
     # Internal defects cannot be triggered through valid inputs, so install a
     # synthetic one and confirm main() maps it to exit code 3.

@@ -13,6 +13,7 @@ from diagalg.errors import (
 from diagalg.exactalg import (
     PolyRing,
     PrimeField,
+    _truncated_power,
     grevlex_key,
     groebner_basis,
     ideal_contains,
@@ -23,7 +24,6 @@ from diagalg.exactalg import (
     power_ideal_gens,
     s_polynomial,
     standard_monomial_count,
-    truncated_power,
 )
 
 
@@ -318,12 +318,19 @@ def test_truncated_power_matches_full_power():
         f = random_poly(ring, rng, max_terms=4, max_exp=2)
         k, q = rng.randrange(0, 7), rng.randrange(1, 9)
         expected = {mono: c for mono, c in (f ** k).terms.items() if max(mono) < q}
-        assert truncated_power(f, k, q).terms == expected
+        assert _truncated_power(f, k, q).terms == expected
     ring = ring3(5)
-    assert truncated_power(ring.zero(), 3, 5).is_zero
-    assert truncated_power(ring.zero(), 0, 5) == ring.one()
+    assert _truncated_power(ring.zero(), 3, 5).is_zero
+    assert _truncated_power(ring.zero(), 0, 5) == ring.one()
     with pytest.raises(PreconditionError):
-        truncated_power(ring.x(1), -1, 5)
+        _truncated_power(ring.x(1), -1, 5)
+    # Refused exactly where the full power is: a dense cubic in 4 variables
+    # to the 100th may have comb(304, 4) > MONOMIAL_CAP terms.
+    ring = PolyRing(101, 4)
+    cubic = (ring.x(1) + ring.x(2) + ring.x(3) + ring.x(4)) ** 3
+    for power in (lambda: cubic ** 100, lambda: _truncated_power(cubic, 100, 101)):
+        with pytest.raises(DegreeCapError):
+            power()
 
 
 def test_ideal_contains_examples():
