@@ -7,8 +7,9 @@ polynomials), ``rees`` (Rees-diagonal criteria and exact dimensions), and
 ``figure`` (flag grid over a (d, e) rectangle at diagonal (1, 1)).
 
 Output formats: json (single versioned document), csv (header plus one row
-per cell or table entry), text.  Exit codes: 0 success, 2 precondition or
-parse error, 3 internal defect.
+per cell or table entry), text.  Exit codes: 0 success, 1 stdout closed
+before the output was written, 2 precondition or parse error, 3 internal
+defect.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import frobenius as frob
@@ -29,6 +31,7 @@ from .parsing import parse_polynomial
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
 
@@ -157,15 +160,15 @@ def cmd_frobenius(args) -> None:
     if args.mode == "fpure":
         if args.poly is None:
             raise PreconditionError("--poly is required for --mode fpure")
-        expr = parse_polynomial(args.poly, args.m, args.n, p)
-        result = frob.fedder_is_f_pure(expr.poly)
+        f = parse_polynomial(args.poly, args.m, args.n, p)
+        result = frob.fedder_is_f_pure(f)
         if args.format == "json":
             _emit_json({"schema": _schema("frobenius"), "mode": "fpure",
                         "inputs": {"m": args.m, "n": args.n, "p": p,
-                                   "poly": str(expr.poly)},
+                                   "poly": str(f)},
                         "f_pure": result})
         else:
-            print(f"f = {expr.poly}")
+            print(f"f = {f}")
             print(f"F-pure over F_{p}: {result}")
         return
 
@@ -173,7 +176,7 @@ def cmd_frobenius(args) -> None:
         if args.n:
             raise PreconditionError("graded mode takes --n 0")
         if args.poly is not None:
-            f = parse_polynomial(args.poly, args.m, 0, p).poly
+            f = parse_polynomial(args.poly, args.m, 0, p)
             if f.is_zero or not f.is_homogeneous():
                 raise PreconditionError("--poly must be nonzero homogeneous")
             d = f.total_degree()
@@ -185,7 +188,7 @@ def cmd_frobenius(args) -> None:
         cert = frob.f_regular_certificate_graded(f, d, args.m, p, args.q_max)
     else:  # bigraded
         if args.poly is not None:
-            f = parse_polynomial(args.poly, args.m, args.n, p).poly
+            f = parse_polynomial(args.poly, args.m, args.n, p)
             if f.is_zero or not f.is_bihomogeneous():
                 raise PreconditionError("--poly must be nonzero bihomogeneous")
             d, e = f.bidegree()
@@ -459,6 +462,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Send what is still buffered
+        # to devnull, so the flush at interpreter exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -1,9 +1,10 @@
-"""Exact arithmetic kernel over prime fields.
+"""Exact arithmetic kernel over F_p.
 
 Sparse multivariate polynomials in two blocks of variables (x1..xm, y1..yn),
 Buchberger's algorithm, normal forms, ideal membership, and standard-monomial
 counts (graded Hilbert functions), all under the one monomial order grevlex
-(:func:`grevlex_key`).  Everything is exact: coefficients live in F_p and all
+(:func:`grevlex_key`).  Everything is exact: coefficients are residues
+modulo the prime ``PolyRing.p`` (inverses are ``pow(c, -1, p)``) and all
 combinatorics use Python integers.
 
 Monomials are plain exponent tuples of length ``m + n`` at the API
@@ -55,34 +56,6 @@ def _is_prime(p: int) -> bool:
             return False
         f += 2
     return True
-
-
-class PrimeField:
-    """The field F_p for a prime p with 2 <= p < 2**31."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not 2 <= p < 2**31:
-            raise PreconditionError(f"modulus must be an integer in [2, 2^31): {p!r}")
-        if not _is_prime(p):
-            raise PreconditionError(f"modulus must be prime: {p}")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in a prime field")
-        return pow(a, -1, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +129,22 @@ class _Packing:
 class PolyRing:
     """The ring F_p[x1..xm, y1..yn] with deg x_i = (1,0) and deg y_j = (0,1).
 
-    ``n`` may be zero for a single-block (ordinary graded) polynomial ring.
+    ``p`` is a prime with 2 <= p < 2**31.  ``n`` may be zero for a
+    single-block (ordinary graded) polynomial ring.
     """
 
-    __slots__ = ("field", "m", "n")
+    __slots__ = ("p", "m", "n")
 
-    def __init__(self, p, m: int, n: int = 0):
-        self.field = p if isinstance(p, PrimeField) else PrimeField(p)
+    def __init__(self, p: int, m: int, n: int = 0):
+        if not isinstance(p, int) or not 2 <= p < 2**31:
+            raise PreconditionError(f"modulus must be an integer in [2, 2^31): {p!r}")
+        if not _is_prime(p):
+            raise PreconditionError(f"modulus must be prime: {p}")
         if m < 0 or n < 0 or m + n < 1:
             raise PreconditionError(f"need m, n >= 0 with m + n >= 1: m={m}, n={n}")
+        self.p = p
         self.m = m
         self.n = n
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     @property
     def nvars(self) -> int:
@@ -219,7 +193,7 @@ class PolyRing:
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
-            and other.field == self.field
+            and other.p == self.p
             and other.m == self.m
             and other.n == self.n
         )
@@ -371,17 +345,6 @@ class MultiPoly:
                 base = base * base
         return result
 
-    def mul_monomial(self, exps, coeff: int = 1) -> "MultiPoly":
-        """Multiply by ``coeff * monomial(exps)`` (fast path for reduction)."""
-        p = self.ring.p
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        return MultiPoly._raw(
-            self.ring,
-            {mono_mul(e, exps): (c * coeff) % p for e, c in self.terms.items()},
-        )
-
     # -- grevlex views ------------------------------------------------------
 
     def leading_monomial(self):
@@ -393,7 +356,10 @@ class MultiPoly:
         lc = self.terms[self.leading_monomial()]
         if lc == 1:
             return self
-        return self.mul_monomial((0,) * self.ring.nvars, self.ring.field.inv(lc))
+        p = self.ring.p
+        inv = pow(lc, -1, p)
+        return MultiPoly._raw(self.ring,
+                              {e: c * inv % p for e, c in self.terms.items()})
 
     # -- comparisons and printing -------------------------------------------
 
@@ -503,11 +469,11 @@ def _common_ring(polys) -> PolyRing:
     return next(iter(rings))
 
 
-def _reducer(terms: dict, field: PrimeField):
+def _reducer(terms: dict, p: int):
     """A packed polynomial as (leading monomial, inverse of the leading
-    coefficient, other terms as (monomial, coefficient) pairs)."""
+    coefficient mod p, other terms as (monomial, coefficient) pairs)."""
     lt = max(terms)
-    return lt, field.inv(terms[lt]), [(m, c) for m, c in terms.items() if m != lt]
+    return lt, pow(terms[lt], -1, p), [(m, c) for m, c in terms.items() if m != lt]
 
 
 def _s_poly(a, b, lcm: int, p: int) -> dict:
@@ -571,8 +537,8 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     ring = _common_ring([f, g])
     lcm = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
     packing = _Packing(ring.nvars, sum(lcm))
-    a = _reducer(packing.pack_terms(f.terms), ring.field)
-    b = _reducer(packing.pack_terms(g.terms), ring.field)
+    a = _reducer(packing.pack_terms(f.terms), ring.p)
+    b = _reducer(packing.pack_terms(g.terms), ring.p)
     return MultiPoly._raw(
         ring, packing.unpack_terms(_s_poly(a, b, packing.pack(lcm), ring.p)))
 
@@ -596,7 +562,7 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
     # f divides no term it meets.
     top = f.total_degree()
     packing = _Packing(ring.nvars, top)
-    reducers = [_reducer(packing.pack_terms(g.terms), ring.field)
+    reducers = [_reducer(packing.pack_terms(g.terms), ring.p)
                 for g in gb if g.total_degree() <= top]
     remainder = _reduce(packing.pack_terms(f.terms), reducers, packing.guard,
                         ring.p)
@@ -677,7 +643,7 @@ def groebner_basis(gens):
             pending.add((t, new))
 
     for g in inputs:
-        include(_reducer(packing.pack_terms(g.terms), ring.field))
+        include(_reducer(packing.pack_terms(g.terms), p))
     while heap:
         lcm_ij, i, j = heappop(heap)
         pending.remove((i, j))
@@ -690,7 +656,7 @@ def groebner_basis(gens):
         if r:
             terms = iter(r.items())  # descending: the lead comes first
             lt, lc = next(terms)
-            inv = ring.field.inv(lc)
+            inv = pow(lc, -1, p)
             include((lt, 1, [(m, c * inv % p) for m, c in terms]))
 
     # Minimalize: drop elements whose lead is divisible by another kept lead.

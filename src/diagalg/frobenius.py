@@ -52,11 +52,11 @@ class FrobeniusCertificate:
     m: int
     n: int
     degree: tuple[int, int] | tuple[int]
-    q_used: int | None
-    tested_powers: list[int]
-    ideal_generators: list[str]
-    socle: str | None
-    normal_form: str | None
+    q_used: int | None = None
+    tested_powers: list[int] = field(default_factory=list)
+    ideal_generators: list[str] = field(default_factory=list)
+    socle: str | None = None
+    normal_form: str | None = None
     assumptions: list[str] = field(default_factory=list)
     details: str | None = None
 
@@ -71,16 +71,14 @@ def _normalize_distinguished(f: MultiPoly, mono: tuple, label: str) -> MultiPoly
     # The socle argument needs the distinguished variables to stay a system
     # of parameters on the hypersurface, which the parameter-space
     # normalization (pure power present) guarantees.  Scaling f leaves the
-    # ideal unchanged, so a nonzero coefficient is normalized to 1.
-    coeff = f.terms.get(mono, 0)
-    if coeff == 0:
+    # ideal unchanged, so its coefficient is normalized to 1: mono is the
+    # largest monomial of f's (bi)degree in grevlex, hence f's lead.
+    if mono not in f.terms:
         raise PreconditionError(
             f"the membership criterion needs {label} to occur in f with a "
             "nonzero coefficient"
         )
-    if coeff == 1:
-        return f
-    return f.mul_monomial((0,) * f.ring.nvars, f.ring.field.inv(coeff))
+    return f.monic()
 
 
 def fedder_is_f_pure(f: MultiPoly) -> bool:
@@ -99,20 +97,19 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
     return not _truncated_power(f, p - 1, p).is_zero
 
 
-def _membership_search(f: MultiPoly, p: int, e_max: int, param_gens_at,
-                       socle_at, base_assumptions, m: int, n: int, degree):
+def _membership_search(f: MultiPoly, degree, e_max: int, param_gens_at,
+                       socle_at):
     """Shared search loop: test socle membership for q = p, p^2, ..., p^e_max."""
     if e_max < 1:
         raise PreconditionError(f"need e_max >= 1: {e_max}")
+    p, m, n = f.ring.p, f.ring.m, f.ring.n
     if not fedder_is_f_pure(f):
         return FrobeniusCertificate(
             verdict=VERDICT_NOT_F_PURE, p=p, m=m, n=n, degree=degree,
-            q_used=None, tested_powers=[], ideal_generators=[],
-            socle=None, normal_form=None, assumptions=[],
             details="Frobenius-power exclusion test failed: the hypersurface "
                     "is not F-pure, hence not F-regular",
         )
-    assumptions = [ASSUMPTION_F_PURE, *base_assumptions]
+    assumptions = [ASSUMPTION_F_PURE, ASSUMPTION_REGULAR_LOCUS]
     tested: list[int] = []
     for e in range(1, e_max + 1):
         q = p ** e
@@ -131,8 +128,7 @@ def _membership_search(f: MultiPoly, p: int, e_max: int, param_gens_at,
             )
     return FrobeniusCertificate(
         verdict=VERDICT_INCONCLUSIVE, p=p, m=m, n=n, degree=degree,
-        q_used=None, tested_powers=tested, ideal_generators=[],
-        socle=None, normal_form=None, assumptions=assumptions,
+        tested_powers=tested, assumptions=assumptions,
         details=f"socle contained in the Frobenius-power ideal for all "
                 f"tested q up to p^{e_max}; no verdict",
     )
@@ -155,8 +151,6 @@ def f_regular_certificate_graded(f: MultiPoly, d: int, m: int, p: int,
     if d >= m:
         return FrobeniusCertificate(
             verdict=VERDICT_NOT_F_REGULAR, p=p, m=m, n=0, degree=(d,),
-            q_used=None, tested_powers=[], ideal_generators=[],
-            socle=None, normal_form=None, assumptions=[],
             details=f"not F-regular: the hypersurface has a-invariant "
                     f"d - m = {d - m} >= 0",
         )
@@ -168,9 +162,7 @@ def f_regular_certificate_graded(f: MultiPoly, d: int, m: int, p: int,
     def socle(q):
         return ring.x(1) ** ((d - 1) * q + 1)
 
-    return _membership_search(
-        f, p, e_max, params, socle, [ASSUMPTION_REGULAR_LOCUS], m, 0, (d,)
-    )
+    return _membership_search(f, (d,), e_max, params, socle)
 
 
 def f_regular_certificate_bigraded(f: MultiPoly, d: int, e: int, m: int,
@@ -192,8 +184,6 @@ def f_regular_certificate_bigraded(f: MultiPoly, d: int, e: int, m: int,
     if d >= m or e >= n:
         return FrobeniusCertificate(
             verdict=VERDICT_NOT_F_REGULAR, p=p, m=m, n=n, degree=(d, e),
-            q_used=None, tested_powers=[], ideal_generators=[],
-            socle=None, normal_form=None, assumptions=[],
             details="not F-regular: a negative multigraded a-invariant "
                     f"requires d < m and e < n; got (d, e) = ({d}, {e})",
         )
@@ -209,9 +199,7 @@ def f_regular_certificate_bigraded(f: MultiPoly, d: int, e: int, m: int,
     def socle(q):
         return ring.x(1) ** ((d + e - 1) * q + 1)
 
-    return _membership_search(
-        f, p, e_max, params, socle, [ASSUMPTION_REGULAR_LOCUS], m, n, (d, e)
-    )
+    return _membership_search(f, (d, e), e_max, params, socle)
 
 
 def recheck_certificate(cert: FrobeniusCertificate) -> bool:
@@ -221,9 +209,9 @@ def recheck_certificate(cert: FrobeniusCertificate) -> bool:
 
     if cert.verdict != VERDICT_F_REGULAR:
         raise PreconditionError("only f_regular certificates can be rechecked")
-    gens = [parse_polynomial(text, cert.m, cert.n, cert.p).poly
+    gens = [parse_polynomial(text, cert.m, cert.n, cert.p)
             for text in cert.ideal_generators]
-    socle = parse_polynomial(cert.socle, cert.m, cert.n, cert.p).poly
+    socle = parse_polynomial(cert.socle, cert.m, cert.n, cert.p)
     remainder = normal_form(socle, groebner_basis(gens))
     return str(remainder) == cert.normal_form
 

@@ -1,29 +1,17 @@
 """Text grammar for polynomials over F_p in blocked variables.
 
 Accepts integer coefficients, ``+ - * ^``, parentheses, and the variables
-x1..xm, y1..yn; whitespace is ignored.  Printing a parsed polynomial (terms
-in descending graded-reverse-lexicographic order, coefficients reduced to
-0..p-1) and re-parsing it yields an equal polynomial.  The grammar is
-documented in docs/poly-grammar.ebnf.
+x1..xm, y1..yn; whitespace is ignored.  ``parse_polynomial`` returns the
+:class:`MultiPoly` itself; its ring carries m, n and p.  Printing a parsed
+polynomial (terms in descending graded-reverse-lexicographic order,
+coefficients reduced to 0..p-1) and re-parsing it yields an equal
+polynomial.  The grammar is documented in docs/poly-grammar.ebnf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import PolyParseError, PreconditionError
+from .errors import PolyParseError
 from .exactalg import MultiPoly, PolyRing
-
-
-@dataclass
-class PolyExpr:
-    """A parsed polynomial together with its source text and ring shape."""
-
-    source: str
-    poly: MultiPoly
-    m: int
-    n: int
-    p: int
 
 
 _OPS = set("+-*^()")
@@ -151,14 +139,12 @@ class _Parser:
         raise PolyParseError("expected a number, a variable, or '('", pos)
 
 
-def parse_polynomial(text: str, m: int, n: int, p: int) -> PolyExpr:
+def parse_polynomial(text: str, m: int, n: int, p: int) -> MultiPoly:
     """Parse ``text`` into an exact polynomial over F_p[x1..xm, y1..yn]."""
-    if m < 0 or n < 0 or m + n < 1:
-        raise PreconditionError(f"need m, n >= 0 with m + n >= 1: m={m}, n={n}")
     ring = PolyRing(p, m, n)
     parser = _Parser(_tokenize(text), ring)
     poly = parser.parse_expr()
     kind, _, pos = parser.peek()
     if kind != "end":
         raise PolyParseError("trailing input after the expression", pos)
-    return PolyExpr(source=text, poly=poly, m=m, n=n, p=p)
+    return poly

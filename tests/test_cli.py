@@ -1,7 +1,10 @@
 """CLI surface: golden JSON/CSV documents, exit codes, figure boundaries."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from diagalg import cli
@@ -9,6 +12,7 @@ from diagalg.errors import InternalDefectError
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +234,38 @@ def test_exit_code_rees_criteria_inconsistent(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL
     assert out == ""
     assert "internal defect" in err
+
+
+def _cli_process(stdout, *argv):
+    # A whole `python -m diagalg` process with block-buffered stdout, as in a
+    # shell pipeline.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "diagalg", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_exit_code_closed_stdout():
+    # `| head -1`: the reader stops after one line.  The grid is far larger
+    # than a pipe's buffer, so the writes after that line hit the closed pipe.
+    with _cli_process(subprocess.PIPE, "figure", "--m", "3", "--n", "3",
+                      "--d-max", "300", "--e-max", "300") as proc:
+        assert proc.stdout.readline().startswith(b"flags over")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert err == b""
+    # `| true`: the reader is gone before anything is written, and the short
+    # report stays in stdout's buffer until the flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with _cli_process(write_end, "classify", "--m", "3", "--n", "3",
+                      "--d", "4", "--e", "2") as proc:
+        os.close(write_end)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

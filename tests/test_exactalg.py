@@ -12,7 +12,6 @@ from diagalg.errors import (
 )
 from diagalg.exactalg import (
     PolyRing,
-    PrimeField,
     _truncated_power,
     grevlex_key,
     groebner_basis,
@@ -43,19 +42,11 @@ def random_poly(ring, rng, max_terms=4, max_exp=3):
 # fields and rings
 
 def test_prime_field_validation():
-    assert PrimeField(2).p == 2
-    assert PrimeField(2**31 - 1).p == 2**31 - 1  # Mersenne prime
+    assert PolyRing(2, 1).p == 2
+    assert PolyRing(2**31 - 1, 1).p == 2**31 - 1  # Mersenne prime
     for bad in (0, 1, 4, 9, 2**31 + 11):
         with pytest.raises(PreconditionError):
-            PrimeField(bad)
-
-
-def test_prime_field_inverse():
-    field = PrimeField(101)
-    for a in range(1, 101):
-        assert (a * field.inv(a)) % 101 == 1
-    with pytest.raises(ZeroDivisionError):
-        field.inv(0)
+            PolyRing(bad, 1)
 
 
 def test_ring_accessors():

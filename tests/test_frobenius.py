@@ -208,6 +208,17 @@ def test_bigraded_certificate_on_witness():
     assert cert.socle == "x1^6"
 
 
+def test_bigraded_certificate_rescales_distinguished_monomial():
+    f = witness_bigraded(1, 1, 2, 2, 5)
+    scaled = 3 * f
+    assert scaled.terms[(1, 0, 1, 0)] == 3
+    cert = f_regular_certificate_bigraded(scaled, 1, 1, 2, 2, 5)
+    reference = f_regular_certificate_bigraded(f, 1, 1, 2, 2, 5)
+    assert cert.verdict == reference.verdict == VERDICT_F_REGULAR
+    assert "x1*y1 + x2*y2" in cert.ideal_generators
+    assert cert == reference
+
+
 def test_bigraded_a_invariant_branch():
     ring = PolyRing(5, 2, 2)
     g = ring.x(1) ** 2 * ring.y(1)  # bidegree (2, 1) with d = m

@@ -1,5 +1,6 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials,
-reduced Groebner bases, normal forms and the parse/print round trip."""
+the lead of a form containing x1^d (x1^d*y1^e), reduced Groebner bases,
+normal forms and the parse/print round trip."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,25 @@ def polys(draw, ring, max_degree=3):
     coeffs = draw(st.lists(st.integers(1, ring.p - 1),
                            min_size=len(monos), max_size=len(monos)))
     return ring.poly(dict(zip(monos, coeffs)))
+
+
+@st.composite
+def distinguished_forms(draw):
+    """A form of degree d (n = 0) or of bidegree (d, e) (n >= 1) containing
+    x1^d (x1^d*y1^e), together with that monomial."""
+    ring = PolyRing(draw(st.sampled_from([5, 7])), draw(st.integers(1, 3)),
+                    draw(st.integers(0, 3)))
+    d = draw(st.integers(1, 3))
+    e = draw(st.integers(1, 3)) if ring.n else 0
+    y_part = (e,) + (0,) * (ring.n - 1) if ring.n else ()
+    lead = (d,) + (0,) * (ring.m - 1) + y_part
+    support = [ex + ey for ex in exponent_vectors(d, ring.m)
+               for ey in exponent_vectors(e, ring.n)]
+    others = draw(st.lists(st.sampled_from(support), max_size=5, unique=True))
+    monos = [lead, *(mono for mono in others if mono != lead)]
+    coeffs = draw(st.lists(st.integers(1, ring.p - 1),
+                           min_size=len(monos), max_size=len(monos)))
+    return ring.poly(dict(zip(monos, coeffs))), lead
 
 
 @st.composite
@@ -121,6 +141,15 @@ def test_packed_monomials_agree_with_tuples(drawn):
 
 
 @SETTINGS
+@given(distinguished_forms())
+def test_distinguished_monomial_is_the_lead(drawn):
+    # The F-regularity certificates scale f to monic in x1^d (x1^d*y1^e):
+    # that monomial is the largest of its (bi)degree in grevlex.
+    f, lead = drawn
+    assert f.leading_monomial() == lead
+
+
+@SETTINGS
 @given(ideals(), st.randoms(use_true_random=False))
 def test_reduced_basis_ignores_generator_order(ideal, rng):
     ring, gens = ideal
@@ -156,4 +185,4 @@ def test_parse_print_round_trip(data):
     ring = PolyRing(data.draw(st.sampled_from([2, 5, 7, 101])),
                     data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2)))
     f = data.draw(polys(ring))
-    assert parse_polynomial(str(f), ring.m, ring.n, ring.p).poly == f
+    assert parse_polynomial(str(f), ring.m, ring.n, ring.p) == f
