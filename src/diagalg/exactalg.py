@@ -1,26 +1,26 @@
 """Exact arithmetic kernel over F_p.
 
 Sparse multivariate polynomials in two blocks of variables (x1..xm, y1..yn),
-Buchberger's algorithm, normal forms, ideal membership, and standard-monomial
-counts (graded Hilbert functions), all under the one monomial order grevlex
-(:func:`grevlex_key`).  Everything is exact: coefficients are residues
+powers modulo (v^q : v each variable), Buchberger's algorithm, normal forms
+and standard-monomial counts (graded Hilbert functions), all under the one
+monomial order grevlex (:func:`grevlex_key`).  Everything is exact: coefficients are residues
 modulo the prime ``PolyRing.p`` (inverses are ``pow(c, -1, p)``) and all
 combinatorics use Python integers.
 
 Monomials are plain exponent tuples of length ``m + n`` at the API
 (``MultiPoly.terms``, printing, parsing, every signature); the x-block
 occupies the first ``m`` positions.  Inside the kernel (``normal_form``,
-``s_polynomial``, ``groebner_basis`` and ``_truncated_power``) each monomial is
-one Python integer (:class:`_Packing`).  From the most significant end it
+``s_polynomial``, ``groebner_basis`` and ``MultiPoly.__pow__``) each monomial
+is one Python integer (:class:`_Packing`).  From the most significant end it
 holds 2 * (m + n) fields of equal width: the total degree, the prefix sums
 e0 + ... + ek for k = m + n - 2 down to 0, then the exponents, each exponent
 field with a guard bit on top.  So grevlex is integer order, multiplying
 monomials is adding integers, and divisibility is one subtraction and one
 mask.  The width comes from the call's degree bound: the degree of f in
 ``normal_form`` (reduction never raises it), of the lcm in
-``s_polynomial``, and of the power in ``_truncated_power``; ``groebner_basis``
-starts from twice its top input degree and widens when a pair's lcm
-outgrows the fields.
+``s_polynomial``, and of the power (or q, if larger) in ``__pow__``;
+``groebner_basis`` starts from twice its top input degree and widens when a
+pair's lcm outgrows the fields.
 
 All values are immutable after construction, so every operation in this
 module is safe for concurrent use.
@@ -100,11 +100,13 @@ class _Packing:
         self.limit = (1 << (width - 1)) - 1
         # A 1 at the bottom of every exponent field; exponent k sits in
         # field nvars - 1 - k and prefix sum k in field nvars + k.
-        self.ones = sum(1 << (width * k) for k in range(nvars))
-        self.guard = self.ones << (width - 1)
+        ones = ((1 << (width * nvars)) - 1) // ((1 << width) - 1)
+        self.ones = ones
+        self.guard = ones << (width - 1)
         self._shifts = [width * (nvars - 1 - k) for k in range(nvars)]
+        # Exponent k adds 1 to its own field and to prefix sums k..nvars-1.
         self._weights = [
-            (1 << shift) + sum(1 << (width * (nvars + j)) for j in range(k, nvars))
+            (1 << shift) + (ones >> (width * k) << (width * (nvars + k)))
             for k, shift in enumerate(self._shifts)
         ]
 
@@ -333,17 +335,60 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        _check_power(self, k)
-        result = self.ring.one()
-        base = self
+    def __pow__(self, k: int, q: int | None = None):
+        """f ** k, or with ``q`` (``pow(f, k, q)``) the image of f^k modulo
+        the monomial ideal (v^q : v each variable): f^k without its terms
+        that have an exponent >= q.
+
+        Computed by square and multiply on packed monomials, dropping such
+        terms as soon as they appear, which is exact: every product with
+        such a term has one too.  f^k has at most comb(t + k - 1, k) terms
+        (multisets of k of f's t terms) and at most comb(k * deg + nvars,
+        nvars) (monomials of degree <= k * deg); it is refused before any
+        work when both exceed the monomial cap, with or without ``q``.
+        """
+        if not isinstance(k, int) or k < 0:
+            raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
+        ring = self.ring
+        t, nv = len(self.terms), ring.nvars
+        top = k * self.total_degree()
+        if (t >= 2 and comb(top + nv, nv) > MONOMIAL_CAP
+                and comb(t + k - 1, k) > MONOMIAL_CAP):
+            raise DegreeCapError(
+                f"power {k} of a {t}-term polynomial may exceed the "
+                f"monomial cap {MONOMIAL_CAP}"
+            )
+        if q is not None and (not isinstance(q, int) or q < 1):
+            raise PreconditionError(f"q must be an integer >= 1: {q!r}")
+        p = ring.p
+        packing = _Packing(nv, top if q is None else max(top, q))
+        if q is None:
+            q = packing.limit + 1  # no exponent reaches it
+        # Adding 2^(width-1) - q to every exponent field sets the field's
+        # guard bit exactly when the exponent is >= q.
+        bias = ((packing.limit + 1) - q) * packing.ones
+        guard = packing.guard
+
+        def mul(a, b):
+            out = {}
+            get = out.get
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    m = ma + mb
+                    if not (m + bias) & guard:
+                        out[m] = get(m, 0) + ca * cb
+            return {m: v for m, c in out.items() if (v := c % p)}
+
+        base = {m: c for m, c in packing.pack_terms(self.terms).items()
+                if not (m + bias) & guard}
+        result = {0: 1}  # the constant 1 packs to 0
         while k:
             if k & 1:
-                result = result * base
+                result = mul(result, base)
             k >>= 1
             if k:
-                base = base * base
-        return result
+                base = mul(base, base)
+        return MultiPoly._raw(ring, packing.unpack_terms(result))
 
     # -- grevlex views ------------------------------------------------------
 
@@ -395,68 +440,6 @@ class MultiPoly:
 
     def __repr__(self):
         return str(self)
-
-
-# ---------------------------------------------------------------------------
-# Powers.
-
-def _check_power(f: MultiPoly, k: int) -> None:
-    """Refuse f^k before computing it when it may outgrow the monomial cap.
-
-    The power has at most comb(t + k - 1, k) terms (multisets of k of f's t
-    terms) and at most comb(k * deg + nvars, nvars) (monomials of degree
-    <= k * deg); refuse when both exceed the cap.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
-    t = len(f.terms)
-    if t >= 2:
-        nv = f.ring.nvars
-        if (comb(k * f.total_degree() + nv, nv) > MONOMIAL_CAP
-                and comb(t + k - 1, k) > MONOMIAL_CAP):
-            raise DegreeCapError(
-                f"power {k} of a {t}-term polynomial may exceed the "
-                f"monomial cap {MONOMIAL_CAP}"
-            )
-
-
-def _truncated_power(f: MultiPoly, k: int, q: int) -> MultiPoly:
-    """f^k with every term that has an exponent >= q dropped: its image
-    modulo the monomial ideal (v^q : v each variable), for q >= 1.
-
-    Computed by square and multiply on packed monomials, dropping such terms
-    as soon as they appear, which is exact: every product with such a term
-    has one too.  Refused by the same monomial cap as ``f ** k``.
-    """
-    _check_power(f, k)
-    ring = f.ring
-    p = ring.p
-    packing = _Packing(ring.nvars, max(k * f.total_degree(), q))
-    # Adding 2^(width-1) - q to every exponent field sets the field's guard
-    # bit exactly when the exponent is >= q.
-    bias = ((packing.limit + 1) - q) * packing.ones
-    guard = packing.guard
-
-    def mul(a, b):
-        out = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                if not (m + bias) & guard:
-                    out[m] = get(m, 0) + ca * cb
-        return {m: v for m, c in out.items() if (v := c % p)}
-
-    base = {m: c for m, c in packing.pack_terms(f.terms).items()
-            if not (m + bias) & guard}
-    result = {0: 1}  # the constant 1 packs to 0
-    while k:
-        if k & 1:
-            result = mul(result, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return MultiPoly._raw(ring, packing.unpack_terms(result))
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +552,6 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
     return MultiPoly._raw(ring, packing.unpack_terms(remainder))
 
 
-def _poly_key(f: MultiPoly):
-    return (grevlex_key(f.leading_monomial()), sorted(f.terms.items()))
-
-
 def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending, packing) -> bool:
     # Buchberger's chain criterion: skip (i, j) when some other basis element
     # divides the lcm and both mixed pairs were already handled.
@@ -606,7 +585,7 @@ def groebner_basis(gens):
 
     inputs = []
     seen = set()
-    for g in sorted((g.monic() for g in gens), key=_poly_key):
+    for g in map(MultiPoly.monic, gens):
         fp = frozenset(g.terms.items())
         if fp not in seen:
             seen.add(fp)
@@ -675,14 +654,6 @@ def groebner_basis(gens):
             for lt, _, tail in reduced]
 
 
-def ideal_contains(gens, f: MultiPoly) -> bool:
-    """Exact ideal membership: f in (gens)?  Via normal form modulo a GB."""
-    if f.is_zero:
-        return True
-    _common_ring([f, *gens])
-    return normal_form(f, groebner_basis(gens)).is_zero
-
-
 # ---------------------------------------------------------------------------
 # Standard-monomial counting (Hilbert functions).
 
@@ -719,22 +690,19 @@ def _ambient_count(ring: PolyRing, degree) -> int:
     return ca * cb
 
 
-def standard_monomial_count(gb, degree, *, ring: PolyRing | None = None) -> int:
+def standard_monomial_count(gb, degree) -> int:
     """Count monomials of the given degree outside the initial ideal of ``gb``.
 
     ``degree`` selects a graded piece: an integer means total degree, a pair
     ``(a, b)`` means bidegree over the x/y blocks.  When ``gb`` is a Groebner
     basis of a homogeneous ideal w.r.t. the selector, the count equals the
-    K-dimension of that graded piece of the quotient ring.  ``ring`` is
-    required when ``gb`` is empty.
+    K-dimension of that graded piece of the quotient ring.  ``gb`` must not
+    be empty.
     """
     gb = list(gb)
-    if gb:
-        ring = _common_ring(gb) if ring is None else ring
-        if ring != gb[0].ring:
-            raise RingContextError("explicit ring disagrees with the basis ring")
-    elif ring is None:
-        raise PreconditionError("ring is required when the basis is empty")
+    if not gb:
+        raise PreconditionError("the basis is empty")
+    ring = _common_ring(gb)
 
     bigraded = not isinstance(degree, int)
     for g in gb:
@@ -788,19 +756,17 @@ def power_ideal_gens(gens, r: int):
 # ---------------------------------------------------------------------------
 # Dimension of the initial ideal; regular-sequence certification.
 
-def initial_ideal_dimension(gb, *, ring: PolyRing | None = None) -> int:
-    """Krull dimension of R/in(I) for the Groebner basis ``gb`` of I.
+def initial_ideal_dimension(gb) -> int:
+    """Krull dimension of R/in(I) for the nonempty Groebner basis ``gb`` of I.
 
     Computed combinatorially: the largest size of a variable subset S such
     that no leading monomial is supported inside S.  Returns -1 for the unit
-    ideal and ``nvars`` for the zero ideal.
+    ideal.
     """
     gb = list(gb)
-    if gb:
-        ring = _common_ring(gb) if ring is None else ring
-    elif ring is None:
-        raise PreconditionError("ring is required when the basis is empty")
-    nv = ring.nvars
+    if not gb:
+        raise PreconditionError("the basis is empty")
+    nv = _common_ring(gb).nvars
     supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
                 for g in gb]
     if any(not s for s in supports):
@@ -810,7 +776,6 @@ def initial_ideal_dimension(gb, *, ring: PolyRing | None = None) -> int:
             chosen = set(subset)
             if all(not s <= chosen for s in supports):
                 return size
-    return -1
 
 
 def is_regular_sequence(gens) -> bool:

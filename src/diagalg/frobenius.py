@@ -20,7 +20,6 @@ from .errors import PreconditionError, RingContextError
 from .exactalg import (
     MultiPoly,
     PolyRing,
-    _truncated_power,
     exponent_vectors,
     groebner_basis,
     normal_form,
@@ -86,15 +85,16 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
     by f over F_p, p the ring modulus: F-pure exactly when f^(p-1) lies
     outside (v^p : v each variable).
 
-    That ideal is monomial, so membership is termwise: f^(p-1) lies outside it
-    exactly when some term has every exponent below p.  No Groebner basis is
-    needed, and the power drops every other term as soon as it appears."""
+    That ideal is monomial, so membership is termwise: ``pow(f, p - 1, p)``,
+    the image of f^(p-1) modulo it, is nonzero exactly when f is F-pure.  No
+    Groebner basis is needed, and the power drops every term with an
+    exponent >= p as soon as it appears."""
     if f.is_zero:
         raise PreconditionError("f must be nonzero")
     if not f.is_homogeneous():
         raise PreconditionError("f must be homogeneous")
     p = f.ring.p
-    return not _truncated_power(f, p - 1, p).is_zero
+    return not pow(f, p - 1, p).is_zero
 
 
 def _membership_search(f: MultiPoly, degree, e_max: int, param_gens_at,

@@ -185,6 +185,23 @@ def test_exit_code_precondition(capsys):
         assert out == ""
         assert err.startswith("error:") and part in err
         assert "Traceback" not in err
+    # Every rees mode checks the diagonal, and --a/--dim must agree with --m.
+    for argv, part in [
+        (["--a", "0", "--dim", "3", "--k", "1", "--s", "2", "--g", "1", "--h", "0"],
+         "need g, h >= 1: (1, 0)"),
+        (["--a", "0", "--dim", "3", "--k", "1", "--s", "2", "--h", "-1"],
+         "need g, h >= 1: (1, -1)"),
+        (["--m", "3", "--a", "5", "--k", "2", "--s", "2"], "a = -m"),
+        (["--m", "3", "--dim", "4", "--k", "2", "--s", "2"], "dimA = m"),
+    ]:
+        code, out, err = run_cli(capsys, "rees", *argv)
+        assert code == cli.EXIT_PRECONDITION, argv
+        assert out == "" and part in err
+    code, out, _ = run_cli(capsys, "rees", "--m", "3", "--a", "-3", "--dim", "3",
+                           "--k", "2", "--s", "2", "--format", "json")
+    assert code == 0
+    assert out == run_cli(capsys, "rees", "--m", "3", "--k", "2", "--s", "2",
+                          "--format", "json")[1]
     for mode in ("graded", "bigraded"):
         code, out, err = run_cli(capsys, "frobenius", "--mode", mode, "--m", "3",
                                  "--n", "0" if mode == "graded" else "2",

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from diagalg.errors import PreconditionError, RingContextError
-from diagalg.exactalg import PolyRing, ideal_contains
+from diagalg.exactalg import PolyRing, groebner_basis, normal_form
 from diagalg.frobenius import (
     VERDICT_F_REGULAR,
     VERDICT_INCONCLUSIVE,
@@ -61,7 +61,8 @@ def test_fedder_termwise_matches_groebner_membership():
     # Groebner membership in (x_i^p) is the oracle for the termwise test.
     def oracle(f):
         p = f.ring.p
-        return not ideal_contains([v ** p for v in f.ring.gens()], f ** (p - 1))
+        gb = groebner_basis([v ** p for v in f.ring.gens()])
+        return not normal_form(f ** (p - 1), gb).is_zero
 
     cases = []
     for p in (2, 3, 5, 7):
@@ -177,7 +178,7 @@ def test_graded_membership_monotone_on_witnesses():
             q = p ** e
             gens = [ring.x(i) ** q for i in range(2, m + 1)] + [f]
             socle = ring.x(1) ** ((d - 1) * q + 1)
-            assert not ideal_contains(gens, socle), (d, m, p, q)
+            assert not normal_form(socle, groebner_basis(gens)).is_zero, (d, m, p, q)
 
 
 def test_certificate_reproducible():

@@ -159,11 +159,13 @@ def test_tensor_diag_enumeration_oracle():
 
 
 def test_tensor_diag_standard_monomial_oracle():
-    # Spot-check against the full bidegree count of the zero ideal.
+    # Spot-check against the full bidegree count of the zero ideal, taken
+    # as the ideal of one monomial whose bidegree lies above every count.
     ring_cache = {}
     for m in range(1, 3):
         for n in range(1, 3):
             ring = ring_cache.setdefault((m, n), PolyRing(5, m, n))
+            above = [ring.x(1) ** 9 * ring.y(1) ** 9]
             for g in range(1, 3):
                 for h in range(1, 3):
                     diag = DiagonalSpec(g, h)
@@ -171,5 +173,5 @@ def test_tensor_diag_standard_monomial_oracle():
                         for j in range(-2, 3):
                             for k in range(-2, 3):
                                 expected = standard_monomial_count(
-                                    [], (i + g * k, j + h * k), ring=ring)
+                                    above, (i + g * k, j + h * k))
                                 assert dim_tensor_diag(m, n, i, j, k, diag) == expected

@@ -1,6 +1,7 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials,
-the lead of a form containing x1^d (x1^d*y1^e), reduced Groebner bases,
-normal forms and the parse/print round trip."""
+the lead of a form containing x1^d (x1^d*y1^e), reduced Groebner bases
+(independent of generator order and repetition), normal forms and the
+parse/print round trip."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -164,6 +165,23 @@ def test_reduced_basis_ignores_generator_order(ideal, rng):
         for mono in g.terms:
             assert not any(mono_divides(lead, mono)
                            for jdx, lead in enumerate(leads) if jdx != idx)
+
+
+@SETTINGS
+@given(st.data())
+def test_reduced_basis_ignores_duplicate_generators(data):
+    # groebner_basis does not sort its inputs; the basis, down to the order
+    # of its terms, must still not depend on their order or repetitions.
+    ring, gens = data.draw(ideals())
+    repeats = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+    scales = data.draw(st.lists(st.integers(1, ring.p - 1),
+                                min_size=len(repeats), max_size=len(repeats)))
+    noisy = data.draw(st.permutations(
+        gens + [c * g for c, g in zip(scales, repeats)]))
+    gb, noisy_gb = groebner_basis(gens), groebner_basis(noisy)
+    assert noisy_gb == gb
+    assert [list(g.terms.items()) for g in noisy_gb] == [
+        list(g.terms.items()) for g in gb]
 
 
 @SETTINGS
