@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
 
@@ -39,8 +40,16 @@ from .errors import (
     RingContextError,
 )
 
-# Refuse enumerations whose ambient monomial count exceeds this.
+# Refuse enumerations whose ambient monomial count exceeds this, and
+# products that would form more candidate monomials.
 MONOMIAL_CAP = 10_000_000
+
+
+def _check_product(ta: int, tb: int) -> None:
+    # A product of a ta-term by a tb-term polynomial forms ta * tb monomials.
+    if ta * tb > MONOMIAL_CAP:
+        raise DegreeCapError(f"a product of {ta} by {tb} terms exceeds the "
+                             f"monomial cap {MONOMIAL_CAP}")
 
 
 def _is_prime(p: int) -> bool:
@@ -128,6 +137,7 @@ class _Packing:
         return {self.unpack(v): c for v, c in terms.items()}
 
 
+@dataclass(frozen=True, slots=True)
 class PolyRing:
     """The ring F_p[x1..xm, y1..yn] with deg x_i = (1,0) and deg y_j = (0,1).
 
@@ -135,18 +145,18 @@ class PolyRing:
     single-block (ordinary graded) polynomial ring.
     """
 
-    __slots__ = ("p", "m", "n")
+    p: int
+    m: int
+    n: int = 0
 
-    def __init__(self, p: int, m: int, n: int = 0):
+    def __post_init__(self):
+        p, m, n = self.p, self.m, self.n
         if not isinstance(p, int) or not 2 <= p < 2**31:
             raise PreconditionError(f"modulus must be an integer in [2, 2^31): {p!r}")
         if not _is_prime(p):
             raise PreconditionError(f"modulus must be prime: {p}")
         if m < 0 or n < 0 or m + n < 1:
             raise PreconditionError(f"need m, n >= 0 with m + n >= 1: m={m}, n={n}")
-        self.p = p
-        self.m = m
-        self.n = n
 
     @property
     def nvars(self) -> int:
@@ -191,20 +201,6 @@ class PolyRing:
     def poly(self, terms: dict) -> "MultiPoly":
         """Build a polynomial from a {exponent tuple: coefficient} map."""
         return MultiPoly(self, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and other.p == self.p
-            and other.m == self.m
-            and other.n == self.n
-        )
-
-    def __hash__(self):
-        return hash(("PolyRing", self.p, self.m, self.n))
-
-    def __repr__(self):
-        return f"PolyRing(p={self.p}, m={self.m}, n={self.n})"
 
 
 class MultiPoly:
@@ -321,6 +317,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        _check_product(len(self.terms), len(other.terms))
         p = self.ring.p
         out: dict = {}
         for ea, ca in self.terms.items():
@@ -345,7 +342,9 @@ class MultiPoly:
         such a term has one too.  f^k has at most comb(t + k - 1, k) terms
         (multisets of k of f's t terms) and at most comb(k * deg + nvars,
         nvars) (monomials of degree <= k * deg); it is refused before any
-        work when both exceed the monomial cap, with or without ``q``.
+        work when both exceed the monomial cap, with or without ``q``.  Like
+        ``*``, each product it forms is refused when it would form more
+        candidate monomials than the cap.
         """
         if not isinstance(k, int) or k < 0:
             raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
@@ -370,6 +369,7 @@ class MultiPoly:
         guard = packing.guard
 
         def mul(a, b):
+            _check_product(len(a), len(b))
             out = {}
             get = out.get
             for ma, ca in a.items():

@@ -24,6 +24,7 @@ from .exactalg import (
     groebner_basis,
     normal_form,
 )
+from .parsing import parse_polynomial
 
 VERDICT_F_REGULAR = "f_regular"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -66,20 +67,6 @@ class FrobeniusCertificate:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _normalize_distinguished(f: MultiPoly, mono: tuple, label: str) -> MultiPoly:
-    # The socle argument needs the distinguished variables to stay a system
-    # of parameters on the hypersurface, which the parameter-space
-    # normalization (pure power present) guarantees.  Scaling f leaves the
-    # ideal unchanged, so its coefficient is normalized to 1: mono is the
-    # largest monomial of f's (bi)degree in grevlex, hence f's lead.
-    if mono not in f.terms:
-        raise PreconditionError(
-            f"the membership criterion needs {label} to occur in f with a "
-            "nonzero coefficient"
-        )
-    return f.monic()
-
-
 def fedder_is_f_pure(f: MultiPoly) -> bool:
     """Fedder's criterion (Trans. AMS 278, 1983) for the hypersurface cut out
     by f over F_p, p the ring modulus: F-pure exactly when f^(p-1) lies
@@ -97,12 +84,33 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
     return not pow(f, p - 1, p).is_zero
 
 
-def _membership_search(f: MultiPoly, degree, e_max: int, param_gens_at,
-                       socle_at):
-    """Shared search loop: test socle membership for q = p, p^2, ..., p^e_max."""
+def _distinguished(m: int, n: int, d: int, e: int = 0) -> tuple:
+    """Exponents of x1^d*y1^e; d (e) must be 0 when m (n) is."""
+    return ((d,) + (0,) * m)[:m] + ((e,) + (0,) * n)[:n]
+
+
+def _membership_search(f: MultiPoly, degree, e_max: int):
+    """Search q = p, p^2, ..., p^e_max for a socle outside J_q, where
+    J_q = (x1^q - y1^q (only when n >= 1), x2^q, ..., xm^q, y2^q, ..., yn^q,
+    f) and the socle is x1^((sum(degree) - 1) q + 1); p, m and n are those
+    of f's ring, and ``degree`` is (d,) or (d, e)."""
+    ring = f.ring
+    p, m, n = ring.p, ring.m, ring.n
+    # The socle argument needs the distinguished variables to stay a system
+    # of parameters on the hypersurface, which the parameter-space
+    # normalization (pure power present) guarantees.  Scaling f leaves the
+    # ideal unchanged, so its coefficient is normalized to 1: the
+    # distinguished monomial is the largest of f's (bi)degree in grevlex,
+    # hence f's lead.
+    if _distinguished(m, n, *degree) not in f.terms:
+        label = "x1^d" if len(degree) == 1 else "x1^d*y1^e"
+        raise PreconditionError(
+            f"the membership criterion needs {label} to occur in f with a "
+            "nonzero coefficient"
+        )
+    f = f.monic()
     if e_max < 1:
         raise PreconditionError(f"need e_max >= 1: {e_max}")
-    p, m, n = f.ring.p, f.ring.m, f.ring.n
     if not fedder_is_f_pure(f):
         return FrobeniusCertificate(
             verdict=VERDICT_NOT_F_PURE, p=p, m=m, n=n, degree=degree,
@@ -113,8 +121,10 @@ def _membership_search(f: MultiPoly, degree, e_max: int, param_gens_at,
     tested: list[int] = []
     for e in range(1, e_max + 1):
         q = p ** e
-        gens = param_gens_at(q) + [f]
-        socle = socle_at(q)
+        gens = [ring.x(1) ** q - ring.y(1) ** q] if n else []
+        gens += [ring.x(i) ** q for i in range(2, m + 1)]
+        gens += [ring.y(j) ** q for j in range(2, n + 1)] + [f]
+        socle = ring.x(1) ** ((sum(degree) - 1) * q + 1)
         remainder = normal_form(socle, groebner_basis(gens))
         tested.append(q)
         if not remainder.is_zero:
@@ -154,15 +164,7 @@ def f_regular_certificate_graded(f: MultiPoly, d: int, m: int, p: int,
             details=f"not F-regular: the hypersurface has a-invariant "
                     f"d - m = {d - m} >= 0",
         )
-    f = _normalize_distinguished(f, (d,) + (0,) * (m - 1), "x1^d")
-
-    def params(q):
-        return [ring.x(i) ** q for i in range(2, m + 1)]
-
-    def socle(q):
-        return ring.x(1) ** ((d - 1) * q + 1)
-
-    return _membership_search(f, (d,), e_max, params, socle)
+    return _membership_search(f, (d,), e_max)
 
 
 def f_regular_certificate_bigraded(f: MultiPoly, d: int, e: int, m: int,
@@ -187,26 +189,12 @@ def f_regular_certificate_bigraded(f: MultiPoly, d: int, e: int, m: int,
             details="not F-regular: a negative multigraded a-invariant "
                     f"requires d < m and e < n; got (d, e) = ({d}, {e})",
         )
-    f = _normalize_distinguished(
-        f, (d,) + (0,) * (m - 1) + (e,) + (0,) * (n - 1), "x1^d*y1^e")
-
-    def params(q):
-        gens = [ring.x(1) ** q - ring.y(1) ** q]
-        gens += [ring.x(i) ** q for i in range(2, m + 1)]
-        gens += [ring.y(j) ** q for j in range(2, n + 1)]
-        return gens
-
-    def socle(q):
-        return ring.x(1) ** ((d + e - 1) * q + 1)
-
-    return _membership_search(f, (d, e), e_max, params, socle)
+    return _membership_search(f, (d, e), e_max)
 
 
 def recheck_certificate(cert: FrobeniusCertificate) -> bool:
     """Re-run a stored f_regular certificate's membership computation and
     compare the resulting normal form with the recorded one."""
-    from .parsing import parse_polynomial
-
     if cert.verdict != VERDICT_F_REGULAR:
         raise PreconditionError("only f_regular certificates can be rechecked")
     gens = [parse_polynomial(text, cert.m, cert.n, cert.p)
@@ -287,9 +275,7 @@ def random_biform(m: int, n: int, d: int, e: int, p: int, seed: int) -> MultiPol
         raise PreconditionError(f"bidegree must be >= 0 and not (0, 0): ({d}, {e})")
     ring = PolyRing(p, m, n)
     rng = random.Random(seed)
-    lead = tuple([d] + [0] * (m - 1) + [e] + [0] * (n - 1)) if m and n else (
-        tuple([d] + [0] * (m - 1)) if m else tuple([e] + [0] * (n - 1))
-    )
+    lead = _distinguished(m, n, d, e)
     terms = {}
     for ex in exponent_vectors(d, m):
         for ey in exponent_vectors(e, n):

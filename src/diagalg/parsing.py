@@ -10,46 +10,34 @@ polynomial.  The grammar is documented in docs/poly-grammar.ebnf.
 
 from __future__ import annotations
 
+import re
+
 from .errors import PolyParseError
 from .exactalg import MultiPoly, PolyRing
 
 
-_OPS = set("+-*^()")
+# Only the grammar's ASCII alphabet forms tokens; any other non-space
+# character is an error.
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)([0-9]*)|([-+*^()])|(\S)")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < size and text[pos].isdigit():
-                pos += 1
-            tokens.append(("int", int(text[start:pos]), start))
-            continue
-        if ch.isalpha():
-            start = pos
-            while pos < size and text[pos].isalpha():
-                pos += 1
-            name = text[start:pos]
-            if pos >= size or not text[pos].isdigit():
-                raise PolyParseError(f"variable {name!r} is missing its index", start)
-            idx_start = pos
-            while pos < size and text[pos].isdigit():
-                pos += 1
-            tokens.append(("var", (name, int(text[idx_start:pos])), start))
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", None, size))
+    for match in _TOKEN.finditer(text):
+        number, name, index, op, other = match.groups()
+        pos = match.start()
+        if number:
+            tokens.append(("int", int(number), pos))
+        elif name and index:
+            tokens.append(("var", (name, int(index)), pos))
+        elif name:
+            raise PolyParseError(f"variable {name!r} is missing its index",
+                                 match.end())
+        elif op:
+            tokens.append(("op", op, pos))
+        else:
+            raise PolyParseError(f"unexpected character {other!r}", pos)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -119,19 +107,13 @@ class _Parser:
             return self.ring.const(value)
         if kind == "var":
             name, index = value
-            if name == "x":
-                if not 1 <= index <= self.ring.m:
-                    raise PolyParseError(
-                        f"unknown variable x{index}: ring has {self.ring.m} "
-                        "x-variables", pos)
-                return self.ring.x(index)
-            if name == "y":
-                if not 1 <= index <= self.ring.n:
-                    raise PolyParseError(
-                        f"unknown variable y{index}: ring has {self.ring.n} "
-                        "y-variables", pos)
-                return self.ring.y(index)
-            raise PolyParseError(f"unknown variable {name}{index}", pos)
+            size = {"x": self.ring.m, "y": self.ring.n}.get(name)
+            if size is None:
+                raise PolyParseError(f"unknown variable {name}{index}", pos)
+            if not 1 <= index <= size:
+                raise PolyParseError(f"unknown variable {name}{index}: ring "
+                                     f"has {size} {name}-variables", pos)
+            return getattr(self.ring, name)(index)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             self.expect_op(")")

@@ -165,10 +165,12 @@ def test_figure_text_grid(capsys):
 # exit codes
 
 def test_exit_code_parse_error(capsys):
-    code, _, err = run_cli(capsys, "frobenius", "--mode", "graded", "--m", "3",
-                           "--p", "5", "--poly", "x1^-1")
-    assert code == cli.EXIT_PRECONDITION
-    assert "parse error" in err
+    # A non-ASCII digit is a parse error, not a crash in int().
+    for poly in ("x1^-1", "x1^\u00b2"):
+        code, _, err = run_cli(capsys, "frobenius", "--mode", "graded",
+                               "--m", "3", "--p", "5", "--poly", poly)
+        assert code == cli.EXIT_PRECONDITION, poly
+        assert "parse error" in err
 
 
 def test_exit_code_precondition(capsys):
@@ -211,11 +213,17 @@ def test_exit_code_precondition(capsys):
 
 
 def test_exit_code_power_over_monomial_cap(capsys):
-    code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure", "--m", "3",
-                             "--p", "5", "--poly", "(x1+x2+x3)^100000")
-    assert code == cli.EXIT_PRECONDITION
-    assert out == ""
-    assert "monomial cap" in err
+    # The first power is refused before any work.  The other two pass that
+    # check but form a product of more than 10^7 candidate monomials: at
+    # p = 1000003, f^(p-1) of the binomial keeps about p/2 terms per power.
+    for p, poly in [("5", "(x1+x2+x3)^100000"),
+                    ("1000003", "x1*x2+x3^2"),
+                    ("1000003", "(x1+x2+x3)^200*(x1+x2+x3)^200")]:
+        code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure",
+                                 "--m", "3", "--p", p, "--poly", poly)
+        assert code == cli.EXIT_PRECONDITION, poly
+        assert out == ""
+        assert "monomial cap" in err
 
 
 def test_exit_code_fedder_power_over_monomial_cap(capsys):

@@ -331,6 +331,19 @@ def test_truncated_power_matches_full_power():
             power()
 
 
+def test_product_over_monomial_cap():
+    # 3163 * 3163 and 4000 * 2501 candidate monomials exceed MONOMIAL_CAP
+    # = 10^7, so * and the squaring inside ** refuse before multiplying;
+    # the power's own term-count bound, comb(3164, 2), is under the cap.
+    ring = PolyRing(101, 2)
+    f = ring.poly({(i, 0): 1 for i in range(3163)})
+    g = ring.poly({(0, j): 1 for j in range(2501)})
+    for product in (lambda: f ** 2, lambda: pow(f, 2, 7000),
+                    lambda: ring.poly({(i, 0): 1 for i in range(4000)}) * g):
+        with pytest.raises(DegreeCapError):
+            product()
+
+
 def in_ideal(gens, f):
     return normal_form(f, groebner_basis(gens)).is_zero
 

@@ -211,6 +211,19 @@ def test_dim2_rational_examples():
     assert not dim2_rational(4, 1, DiagonalSpec(2, 1))
 
 
+def test_dim2_rational_matches_general_criterion():
+    # The m = n = 2 closed form against the general criterion (CM and
+    # d < m or e < n) over a grid of diagonals and bidegrees.
+    for g in range(1, 5):
+        for h in range(1, 5):
+            diag = DiagonalSpec(g, h)
+            for d in range(1, 12):
+                for e in range(1, 12):
+                    general = has_rational_singularities_generic(
+                        HypersurfaceSpec(2, 2, d, e), diag)
+                    assert dim2_rational(d, e, diag) == general, (g, h, d, e)
+
+
 def test_rees_to_product_diagonal():
     for d in range(1, 9):
         assert rees_to_product_diagonal(d, d + 1, 1) == DiagonalSpec(1, 1)

@@ -60,6 +60,15 @@ def test_parse_errors_carry_positions():
         parse_polynomial("x1 x2", 2, 0, 5)
     assert err.value.position == 3
 
+    # Only ASCII digits and letters form tokens: a superscript, an
+    # Arabic-Indic or a fullwidth digit, or a non-ASCII letter is an error
+    # at its own position.
+    for text, position in [("x1^\u00b2", 3), ("x1^\u0663", 3),
+                           ("x\uff11", 1), ("\u00df1", 0)]:
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, 2, 0, 5)
+        assert err.value.position == position, text
+
     with pytest.raises(PolyParseError):
         parse_polynomial("y1", 2, 0, 5)  # no y-block in this ring
 
