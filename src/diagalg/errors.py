@@ -14,7 +14,7 @@ class RingContextError(PreconditionError):
 
 
 class DegreeCapError(PreconditionError):
-    """A computation would enumerate more monomials than the safety cap."""
+    """A computation would form more monomials than the safety cap."""
 
 
 class UnsupportedModeError(PreconditionError):

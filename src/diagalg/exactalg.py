@@ -40,8 +40,7 @@ from .errors import (
     RingContextError,
 )
 
-# Refuse enumerations whose ambient monomial count exceeds this, and
-# products that would form more candidate monomials.
+# Refuse products that would form more candidate monomials than this.
 MONOMIAL_CAP = 10_000_000
 
 
@@ -72,11 +71,6 @@ def _is_prime(p: int) -> bool:
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def grevlex_key(exps):
@@ -655,7 +649,7 @@ def groebner_basis(gens):
 
 
 # ---------------------------------------------------------------------------
-# Standard-monomial counting (Hilbert functions).
+# Hilbert series of monomial ideals; standard-monomial counts.
 
 def exponent_vectors(total: int, length: int):
     """Yield all exponent tuples of the given length summing to ``total``."""
@@ -673,21 +667,81 @@ def exponent_vectors(total: int, length: int):
             yield (first,) + rest
 
 
-def _ambient_count(ring: PolyRing, degree) -> int:
-    if isinstance(degree, int):
-        if degree < 0:
-            return 0
-        return comb(degree + ring.nvars - 1, ring.nvars - 1)
-    a, b = degree
-    if a < 0 or b < 0:
+def _monomial_count(degree: int, nvars: int) -> int:
+    """Number of monomials of the given degree in ``nvars`` variables."""
+    if degree < 0:
         return 0
-    if ring.m == 0 and a > 0:
-        return 0
-    if ring.n == 0 and b > 0:
-        return 0
-    ca = comb(a + ring.m - 1, ring.m - 1) if ring.m else 1
-    cb = comb(b + ring.n - 1, ring.n - 1) if ring.n else 1
-    return ca * cb
+    if nvars == 0:
+        return int(degree == 0)
+    return comb(degree + nvars - 1, nvars - 1)
+
+
+def _divides(u: tuple, g: tuple) -> bool:
+    return all(map(operator.le, u, g))
+
+
+def _minimal(gens: list) -> list:
+    """The minimal generators of the monomial ideal generated by ``gens``.
+
+    Distinct monomials of one degree never divide each other, so each
+    generator is tested only against those kept from lower degrees.
+    """
+    kept = []
+    for _, group in itertools.groupby(sorted(set(gens), key=sum), key=sum):
+        kept += [g for g in group if not any(_divides(u, g) for u in kept)]
+    return kept
+
+
+def _hilbert_numerator(leads, m: int) -> dict:
+    """The bigraded Hilbert-Poincare numerator of S/(leads): ``{(i, j): c}``
+    with HS(S/(leads)) = sum c * s^i * t^j / ((1 - s)^m * (1 - t)^n).
+
+    ``leads`` are exponent tuples; the first ``m`` positions are the x-block
+    (degree (1, 0)), the rest the y-block (degree (0, 1)).  Pivot recursion
+    (Bayer & Stillman 1992; Bigatti 1997): for a variable v that divides at
+    least two minimal generators and a pivot v^e that is not in I,
+    HN(I) = HN(I + (v^e)) + s^a * t^b * HN(I : v^e), where (a, b) is the
+    bidegree of v^e.  Pairwise coprime generators are the base case,
+    HN = prod (1 - s^a * t^b), and the unit ideal has HN = 0.  An explicit
+    stack of (generators, shift) replaces the call stack, so deep
+    staircases cannot overflow it.
+    """
+    out: dict = {}
+    stack = [(_minimal(leads), 0, 0)]
+    while stack:
+        gens, si, sj = stack.pop()
+        if not any(gens[0]):
+            continue  # the unit ideal (minimal, so it is the only generator)
+        # Variable counts over the generators; coprime when none exceeds 1.
+        counts = [sum(1 for g in gens if g[v]) for v in range(len(gens[0]))]
+        v = max(range(len(counts)), key=counts.__getitem__)
+        if counts[v] <= 1:
+            numerator = {(si, sj): 1}
+            for g in gens:
+                a, b = sum(g[:m]), sum(g[m:])
+                for (i, j), c in list(numerator.items()):
+                    key = (i + a, j + b)
+                    numerator[key] = numerator.get(key, 0) - c
+            for key, c in numerator.items():
+                out[key] = out.get(key, 0) + c
+            continue
+        # The lower median exponent of v.  Two or more generators contain v,
+        # so e is below the largest exponent, the one a pure power of v
+        # among the generators would have: v^e is not in I.
+        exps = sorted(g[v] for g in gens if g[v])
+        e = exps[(len(exps) - 1) // 2]
+        pivot = tuple(e if k == v else 0 for k in range(len(gens[0])))
+        # I + (v^e): v^e replaces the generators it divides; no generator
+        # divides v^e, so the result is minimal.
+        stack.append(([g for g in gens if g[v] < e] + [pivot], si, sj))
+        # I : v^e lowers every v-exponent by e.  Only generators that lose v
+        # can divide others, so minimalize them and drop what they divide.
+        low = _minimal([g[:v] + (0,) + g[v + 1:] for g in gens if g[v] <= e])
+        high = [g[:v] + (g[v] - e,) + g[v + 1:] for g in gens if g[v] > e]
+        high = [g for g in high if not any(_divides(u, g) for u in low)]
+        a, b = (e, 0) if v < m else (0, e)
+        stack.append((low + high, si + a, sj + b))
+    return {key: c for key, c in out.items() if c}
 
 
 def standard_monomial_count(gb, degree) -> int:
@@ -698,6 +752,10 @@ def standard_monomial_count(gb, degree) -> int:
     basis of a homogeneous ideal w.r.t. the selector, the count equals the
     K-dimension of that graded piece of the quotient ring.  ``gb`` must not
     be empty.
+
+    The count is read off the Hilbert series of the monomial ideal of
+    leading monomials (:func:`_hilbert_numerator`), so its cost does not
+    depend on the degree.
     """
     gb = list(gb)
     if not gb:
@@ -713,23 +771,14 @@ def standard_monomial_count(gb, degree) -> int:
         if not bigraded and not g.is_homogeneous():
             raise PreconditionError(f"basis element not homogeneous: {g}")
 
-    ambient = _ambient_count(ring, degree)
-    if ambient == 0:
-        return 0
-    if ambient > MONOMIAL_CAP:
-        raise DegreeCapError(
-            f"ambient monomial count {ambient} exceeds the cap {MONOMIAL_CAP}"
-        )
-
-    leads = [g.leading_monomial() for g in gb]
+    numerator = _hilbert_numerator([g.leading_monomial() for g in gb], ring.m)
     if bigraded:
         a, b = degree
-        monos = (ex + ey for ex, ey in itertools.product(
-            exponent_vectors(a, ring.m), exponent_vectors(b, ring.n)))
-    else:
-        monos = exponent_vectors(degree, ring.nvars)
-    return sum(1 for mono in monos
-               if not any(mono_divides(lt, mono) for lt in leads))
+        return sum(c * _monomial_count(a - i, ring.m)
+                   * _monomial_count(b - j, ring.n)
+                   for (i, j), c in numerator.items())
+    return sum(c * _monomial_count(degree - i - j, ring.nvars)
+               for (i, j), c in numerator.items())
 
 
 def power_ideal_gens(gens, r: int):

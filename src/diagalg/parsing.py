@@ -19,6 +19,10 @@ from .exactalg import MultiPoly, PolyRing
 # Only the grammar's ASCII alphabet forms tokens; any other non-space
 # character is an error.
 _TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)([0-9]*)|([-+*^()])|(\S)")
+# Longer digit runs are refused: 640 is the lowest limit Python may set on
+# int() of a digit string (sys.set_int_max_str_digits), so every run that
+# passes converts under any setting.
+_MAX_DIGITS = 640
 
 
 def _tokenize(text: str):
@@ -26,6 +30,10 @@ def _tokenize(text: str):
     for match in _TOKEN.finditer(text):
         number, name, index, op, other = match.groups()
         pos = match.start()
+        digits = number or index or ""
+        if len(digits) > _MAX_DIGITS:
+            raise PolyParseError(f"a number longer than {_MAX_DIGITS} digits",
+                                 match.start(1 if number else 3))
         if number:
             tokens.append(("int", int(number), pos))
         elif name and index:

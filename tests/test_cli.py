@@ -165,11 +165,12 @@ def test_figure_text_grid(capsys):
 # exit codes
 
 def test_exit_code_parse_error(capsys):
-    # A non-ASCII digit is a parse error, not a crash in int().
-    for poly in ("x1^-1", "x1^\u00b2"):
+    # A non-ASCII digit or a run of more digits than int() converts is a
+    # parse error, not a crash in int().
+    for poly in ("x1^-1", "x1^\u00b2", "1" * 5000 + "*x1"):
         code, _, err = run_cli(capsys, "frobenius", "--mode", "graded",
                                "--m", "3", "--p", "5", "--poly", poly)
-        assert code == cli.EXIT_PRECONDITION, poly
+        assert code == cli.EXIT_PRECONDITION, poly[:8]
         assert "parse error" in err
 
 

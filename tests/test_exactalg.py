@@ -16,12 +16,12 @@ from diagalg.exactalg import (
     groebner_basis,
     initial_ideal_dimension,
     is_regular_sequence,
-    mono_divides,
     normal_form,
     power_ideal_gens,
     s_polynomial,
     standard_monomial_count,
 )
+from oracles import mono_divides
 
 
 def ring3(p=5):
@@ -465,9 +465,22 @@ def test_count_rejects_inhomogeneous():
 
 
 def test_count_degree_cap():
+    # Over 4 * 10^10 monomials: the enumeration refused this degree; the
+    # Hilbert series counts it exactly.
     ring = PolyRing(5, 12)
-    with pytest.raises(DegreeCapError):
-        standard_monomial_count([ring.x(1) ** 41], 40)
+    assert standard_monomial_count([ring.x(1) ** 41], 40) == comb(51, 11)
+
+
+def test_count_deep_staircase():
+    # (x1, x2)^2000 as 2001 leads in k[x1, x2, y1]: the pivot recursion
+    # splits it about 2000 times, on a stack of its own, not Python's.
+    ring = PolyRing(5, 2, 1)
+    top = 2000
+    leads = [ring.poly({(i, top - i, 0): 1}) for i in range(top + 1)]
+    assert standard_monomial_count(leads, (top - 1, 7)) == top
+    assert standard_monomial_count(leads, (top, 7)) == 0
+    assert standard_monomial_count(leads, top - 1) == comb(top + 1, 2)
+    assert standard_monomial_count(leads, 10) == comb(12, 2)
 
 
 # ---------------------------------------------------------------------------

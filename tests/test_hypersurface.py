@@ -1,5 +1,7 @@
 """Classifier tests: criteria, dimensions, duality, and the Groebner oracle."""
 
+from math import comb
+
 import pytest
 
 from diagalg.errors import PreconditionError
@@ -277,3 +279,19 @@ def test_hilbert_oracle_small():
             for k in range(0, 4):
                 counted = standard_monomial_count(gb, (g * k, h * k))
                 assert dim_piece(spec, diag, k) == counted
+
+
+def test_hilbert_oracle_past_the_enumeration_cap():
+    # At k = 200 and 1000 each bidegree holds 4 * 10^8 to over 10^14
+    # monomials, far past the 10^7 the enumeration refused; the count from
+    # the Hilbert series of in(f) still matches the closed form.
+    for m, n, d, e, seed in [(3, 3, 2, 1, 0), (3, 4, 1, 3, 1)]:
+        spec = HypersurfaceSpec(m, n, d, e)
+        gb = groebner_basis([random_biform(m, n, d, e, 101, seed)])
+        for g, h in [(1, 1), (2, 1)]:
+            for k in (200, 1000):
+                assert (comb(g * k + m - 1, m - 1)
+                        * comb(h * k + n - 1, n - 1)) > 10**7
+                counted = standard_monomial_count(gb, (g * k, h * k))
+                assert counted == dim_piece(spec, DiagonalSpec(g, h), k), (
+                    m, n, d, e, g, h, k)

@@ -76,6 +76,20 @@ def test_parse_errors_carry_positions():
         parse_polynomial("z1 + 1", 2, 0, 5)
 
 
+def test_long_digit_runs_are_parse_errors():
+    # int() refuses digit strings over a limit the interpreter sets (4300
+    # digits by default), so runs over 640 digits, the lowest limit it may
+    # set, are parse errors at the run's position, as coefficients, as
+    # variable indices and as exponents.
+    for text, position in [("1" * 5000 + "*x1", 0), ("x" + "1" * 641, 1),
+                           ("x1^" + "2" * 641, 3), ("1" * 641, 0)]:
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, 2, 0, 5)
+        assert err.value.position == position, text[:8]
+    # 640 digits still parse: 10^640 - 1 is 4 mod 5.
+    assert parse_polynomial("9" * 640 + "*x2", 2, 0, 5) == 4 * PolyRing(5, 2).x(2)
+
+
 def test_zero_and_constant():
     assert parse_polynomial("0", 2, 1, 5).is_zero
     assert str(parse_polynomial("4", 2, 1, 5)) == "4"

@@ -1,7 +1,7 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials,
 the lead of a form containing x1^d (x1^d*y1^e), reduced Groebner bases
-(independent of generator order and repetition), normal forms and the
-parse/print round trip."""
+(independent of generator order and repetition), normal forms, standard
+monomial counts against enumeration and the parse/print round trip."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,11 +12,12 @@ from diagalg.exactalg import (
     exponent_vectors,
     grevlex_key,
     groebner_basis,
-    mono_divides,
     mono_mul,
     normal_form,
+    standard_monomial_count,
 )
 from diagalg.parsing import parse_polynomial
+from oracles import enumerated_standard_count, mono_divides
 
 # Derandomized and without an example database, so every run checks the
 # same examples and writes nothing.
@@ -195,6 +196,37 @@ def test_normal_form_is_idempotent_and_ideal_invariant(data):
     assert normal_form(r, gb) == r
     for g in gb:
         assert normal_form(f + h * g, gb) == r
+
+
+def monomials(ring, exps):
+    return [ring.poly({e: 1}) for e in exps]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Monomial generators in F_5[x1..xm, y1..yn], m + n in 1..4; either
+    block may be empty, and a generator may be the unit 1."""
+    m = draw(st.integers(0, 3))
+    ring = PolyRing(5, m, draw(st.integers(1 if m == 0 else 0, 4 - m)))
+    exps = st.tuples(*[st.integers(0, 4)] * ring.nvars)
+    return monomials(ring, draw(st.lists(exps, min_size=1, max_size=6)))
+
+
+@SETTINGS
+@given(monomial_ideals())
+@example(monomials(PolyRing(5, 0, 2), [(1, 2), (3, 0)]))
+@example(monomials(PolyRing(5, 3, 0), [(2, 0, 1), (0, 2, 2)]))
+@example(monomials(PolyRing(5, 2, 1), [(1, 0, 1), (0, 0, 0)]))
+def test_standard_count_matches_enumeration(gens):
+    # Monomials are their own leads.  Degrees -1..9 and bidegrees with
+    # both parts in -1..5, so negative and empty pieces are checked too.
+    for degree in range(-1, 10):
+        assert (standard_monomial_count(gens, degree)
+                == enumerated_standard_count(gens, degree)), degree
+    for a in range(-1, 6):
+        for b in range(-1, 6):
+            assert (standard_monomial_count(gens, (a, b))
+                    == enumerated_standard_count(gens, (a, b))), (a, b)
 
 
 @SETTINGS

@@ -1,5 +1,7 @@
 """Rees-diagonal tests: windows, criteria, exact dimensions, Groebner oracle."""
 
+from math import comb
+
 import pytest
 
 from diagalg.errors import PreconditionError, UnsupportedModeError
@@ -155,6 +157,20 @@ def test_power_a_invariant_groebner_oracle():
         assert values[-2] == stable and values[-3] == stable
         observed = max(j for j, v in enumerate(values) if v != stable)
         assert observed == predicted, (r, values)
+
+
+def test_power_ideal_hilbert_groebner_oracle():
+    # R/I^r for a complete intersection I of s k-forms is filtered by
+    # I^rho / I^(rho+1), rho < r, each comb(s - 1 + rho, rho) copies of R/I
+    # shifted by rho * k; the Groebner count matches through degree 30.
+    for m, k, s, seed, r in [(3, 2, 2, 0, 3), (4, 2, 3, 2, 2), (3, 3, 2, 1, 2)]:
+        gens = sample_regular_forms(m, k, s, seed=seed)
+        gb = groebner_basis(power_ideal_gens(gens, r))
+        for j in range(31):
+            expected = sum(comb(s - 1 + rho, rho)
+                           * ci_quotient_hilbert(m, (k,) * s, j - rho * k)
+                           for rho in range(r))
+            assert standard_monomial_count(gb, j) == expected, (m, k, s, r, j)
 
 
 # ---------------------------------------------------------------------------
