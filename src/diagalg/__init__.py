@@ -22,7 +22,6 @@ from .exactalg import (
     MultiPoly,
     PolyRing,
     groebner_basis,
-    initial_ideal_dimension,
     is_regular_sequence,
     normal_form,
     power_ideal_gens,
@@ -36,8 +35,6 @@ from .frobenius import (
     fedder_is_f_pure,
     random_biform,
     recheck_certificate,
-    witness_bigraded,
-    witness_fpure,
     witness_graded,
 )
 from .gradedcomb import (
@@ -57,7 +54,6 @@ from .hypersurface import (
     classify,
     cm_no_integer_window,
     cm_obstruction,
-    dim2_rational,
     dim_lc_piece,
     dim_piece,
     has_rational_singularities_generic,
@@ -66,7 +62,6 @@ from .hypersurface import (
     is_gorenstein,
     lc_dim_table,
     lc_support_window,
-    rees_to_product_diagonal,
     validate_generic_normal,
 )
 from .parsing import parse_polynomial
@@ -74,14 +69,12 @@ from .rees import (
     CISpec,
     ReesSpec,
     a_inv_quotient_power,
-    blowup_example_range,
     ci_diagonal_is_cm,
     ci_quotient_hilbert,
     cm_criteria_consistent,
     dim_lc_ci_quotient_power,
     dim_lc_rees_diag,
     rigidity_is_cm,
-    rigidity_vanishing,
     rigidity_window,
 )
 
@@ -105,7 +98,6 @@ __all__ = [
     "UnsupportedModeError",
     "a_inv_quotient_power",
     "a_invariant",
-    "blowup_example_range",
     "canonical_piece_dim",
     "canonical_shift",
     "ci_diagonal_is_cm",
@@ -114,7 +106,6 @@ __all__ = [
     "cm_criteria_consistent",
     "cm_no_integer_window",
     "cm_obstruction",
-    "dim2_rational",
     "dim_lc_ci_quotient_power",
     "dim_lc_piece",
     "dim_lc_rees_diag",
@@ -128,7 +119,6 @@ __all__ = [
     "fedder_is_f_pure",
     "groebner_basis",
     "has_rational_singularities_generic",
-    "initial_ideal_dimension",
     "is_cohen_macaulay",
     "is_f_regular_type_generic",
     "is_gorenstein",
@@ -140,15 +130,11 @@ __all__ = [
     "power_ideal_gens",
     "random_biform",
     "recheck_certificate",
-    "rees_to_product_diagonal",
     "rigidity_is_cm",
-    "rigidity_vanishing",
     "rigidity_window",
     "s_polynomial",
     "standard_monomial_count",
     "support_window",
     "validate_generic_normal",
-    "witness_bigraded",
-    "witness_fpure",
     "witness_graded",
 ]

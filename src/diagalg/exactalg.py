@@ -9,16 +9,17 @@ combinatorics use Python integers.
 
 Monomials are plain exponent tuples of length ``m + n`` at the API
 (``MultiPoly.terms``, printing, parsing, every signature); the x-block
-occupies the first ``m`` positions.  Inside the kernel (``normal_form``,
-``s_polynomial``, ``groebner_basis`` and ``MultiPoly.__pow__``) each monomial
-is one Python integer (:class:`_Packing`).  From the most significant end it
+occupies the first ``m`` positions.  Inside the kernel (products and powers,
+``normal_form``, ``s_polynomial`` and ``groebner_basis``) each monomial is
+one Python integer (:class:`_Packing`).  From the most significant end it
 holds 2 * (m + n) fields of equal width: the total degree, the prefix sums
 e0 + ... + ek for k = m + n - 2 down to 0, then the exponents, each exponent
 field with a guard bit on top.  So grevlex is integer order, multiplying
 monomials is adding integers, and divisibility is one subtraction and one
-mask.  The width comes from the call's degree bound: the degree of f in
-``normal_form`` (reduction never raises it), of the lcm in
-``s_polynomial``, and of the power (or q, if larger) in ``__pow__``;
+mask.  The width comes from the call's degree bound: the sum of the
+factors' degrees in ``*``, the degree of f in ``normal_form`` (reduction
+never raises it), of the lcm in ``s_polynomial``, and of the power (or q,
+if larger) in ``__pow__``;
 ``groebner_basis`` starts from twice its top input degree and widens when a
 pair's lcm outgrows the fields.
 
@@ -68,10 +69,6 @@ def _is_prime(p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Monomials: exponent tuples at the API, packed integers inside the kernel.
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def grevlex_key(exps):
     """Sort key of the graded reverse lexicographic order; max picks the lead.
@@ -129,6 +126,21 @@ class _Packing:
 
     def unpack_terms(self, terms: dict) -> dict:
         return {self.unpack(v): c for v, c in terms.items()}
+
+
+def _mul(a: dict, b: dict, p: int, bias: int, guard: int) -> dict:
+    """Product of the packed polynomials a and b (see :class:`_Packing`)
+    without the monomials u that have ``(u + bias) & guard`` set; a guard
+    of 0 keeps them all."""
+    _check_product(len(a), len(b))
+    out = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            if not (m + bias) & guard:
+                out[m] = get(m, 0) + ca * cb
+    return {m: v for m, c in out.items() if (v := c % p)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,18 +323,11 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _check_product(len(self.terms), len(other.terms))
-        p = self.ring.p
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = mono_mul(ea, eb)
-                v = (out.get(exps, 0) + ca * cb) % p
-                if v:
-                    out[exps] = v
-                elif exps in out:
-                    del out[exps]
-        return MultiPoly._raw(self.ring, out)
+        packing = _Packing(self.ring.nvars,
+                           self.total_degree() + other.total_degree())
+        product = _mul(packing.pack_terms(self.terms),
+                       packing.pack_terms(other.terms), self.ring.p, 0, 0)
+        return MultiPoly._raw(self.ring, packing.unpack_terms(product))
 
     __rmul__ = __mul__
 
@@ -361,27 +366,15 @@ class MultiPoly:
         # guard bit exactly when the exponent is >= q.
         bias = ((packing.limit + 1) - q) * packing.ones
         guard = packing.guard
-
-        def mul(a, b):
-            _check_product(len(a), len(b))
-            out = {}
-            get = out.get
-            for ma, ca in a.items():
-                for mb, cb in b.items():
-                    m = ma + mb
-                    if not (m + bias) & guard:
-                        out[m] = get(m, 0) + ca * cb
-            return {m: v for m, c in out.items() if (v := c % p)}
-
         base = {m: c for m, c in packing.pack_terms(self.terms).items()
                 if not (m + bias) & guard}
         result = {0: 1}  # the constant 1 packs to 0
         while k:
             if k & 1:
-                result = mul(result, base)
+                result = _mul(result, base, p, bias, guard)
             k >>= 1
             if k:
-                base = mul(base, base)
+                base = _mul(base, base, p, bias, guard)
         return MultiPoly._raw(ring, packing.unpack_terms(result))
 
     # -- grevlex views ------------------------------------------------------
@@ -803,36 +796,15 @@ def power_ideal_gens(gens, r: int):
 
 
 # ---------------------------------------------------------------------------
-# Dimension of the initial ideal; regular-sequence certification.
-
-def initial_ideal_dimension(gb) -> int:
-    """Krull dimension of R/in(I) for the nonempty Groebner basis ``gb`` of I.
-
-    Computed combinatorially: the largest size of a variable subset S such
-    that no leading monomial is supported inside S.  Returns -1 for the unit
-    ideal.
-    """
-    gb = list(gb)
-    if not gb:
-        raise PreconditionError("the basis is empty")
-    nv = _common_ring(gb).nvars
-    supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-                for g in gb]
-    if any(not s for s in supports):
-        return -1  # a unit leading term: the whole ring
-    for size in range(nv, -1, -1):
-        for subset in itertools.combinations(range(nv), size):
-            chosen = set(subset)
-            if all(not s <= chosen for s in supports):
-                return size
-
+# Regular sequences from the Hilbert series.
 
 def is_regular_sequence(gens) -> bool:
     """Certify that homogeneous ``gens`` form a regular sequence.
 
-    Exact criterion in a polynomial ring: s homogeneous forms of positive
-    degree are a regular sequence iff the quotient has Krull dimension
-    nvars - s, read off the initial ideal.
+    Exact criterion in a polynomial ring in N variables (Stanley, Adv. Math.
+    28, 1978): forms of positive degrees d_1..d_s are a regular sequence iff
+    the quotient has Hilbert series prod (1 - t^d_i) / (1 - t)^N.  The series
+    is read off the initial ideal (:func:`_hilbert_numerator`).
     """
     gens = list(gens)
     if not gens:
@@ -845,5 +817,14 @@ def is_regular_sequence(gens) -> bool:
             )
     if len(gens) > ring.nvars:
         return False
-    gb = groebner_basis(gens)
-    return initial_ideal_dimension(gb) == ring.nvars - len(gens)
+    leads = [g.leading_monomial() for g in groebner_basis(gens)]
+    numerator: dict = {}
+    for (i, j), c in _hilbert_numerator(leads, ring.m).items():
+        numerator[i + j] = numerator.get(i + j, 0) + c
+    expected = {0: 1}
+    for g in gens:
+        d = g.total_degree()
+        for i, c in list(expected.items()):
+            expected[i + d] = expected.get(i + d, 0) - c
+    return ({i: c for i, c in numerator.items() if c}
+            == {i: c for i, c in expected.items() if c})

@@ -2,8 +2,8 @@
 
 Provides the Frobenius-power F-purity test for hypersurfaces, positive
 F-regularity certificates via socle non-membership against Frobenius powers
-of a parameter ideal (for graded and bigraded hypersurfaces), constructors
-for the standard witness polynomials, and a seeded dense-form sampler.
+of a parameter ideal (for graded and bigraded hypersurfaces), the graded
+witness polynomial, and a seeded dense-form sampler.
 
 Certificates are one-sided: a non-membership at some power q proves
 F-regularity for forms satisfying the recorded hypotheses; exhausting the
@@ -205,7 +205,7 @@ def recheck_certificate(cert: FrobeniusCertificate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Witness polynomials and the dense-form sampler.
+# The graded witness polynomial and the dense-form sampler.
 
 def witness_graded(d: int, m: int, p: int) -> MultiPoly:
     """x1^d + x2*...*x_{d+1} in m variables over F_p."""
@@ -218,48 +218,6 @@ def witness_graded(d: int, m: int, p: int) -> MultiPoly:
     for i in range(2, d + 2):
         tail = tail * ring.x(i)
     return ring.x(1) ** d + tail
-
-
-def witness_bigraded(d: int, e: int, m: int, n: int, p: int) -> MultiPoly:
-    """x1^d*y1^e + x2*...*x_{d+1} * y2*...*y_{e+1} over F_p."""
-    if d < 1 or e < 1:
-        raise PreconditionError(f"need d, e >= 1: ({d}, {e})")
-    if m < d + 1 or n < e + 1:
-        raise PreconditionError(
-            f"need m >= d + 1 and n >= e + 1: m={m}, d={d}, n={n}, e={e}"
-        )
-    ring = PolyRing(p, m, n)
-    tail = ring.one()
-    for i in range(2, d + 2):
-        tail = tail * ring.x(i)
-    for j in range(2, e + 2):
-        tail = tail * ring.y(j)
-    return ring.x(1) ** d * ring.y(1) ** e + tail
-
-
-def witness_fpure(d: int, m: int, p: int, e: int | None = None,
-                  n: int = 0) -> MultiPoly:
-    """The standard F-pure witness: x1*(x1+x2)*...*(x1+x_d) in the graded
-    case, or the squarefree monomial x1..x_d*y1..y_e in the bigraded case."""
-    if d < 1:
-        raise PreconditionError(f"need d >= 1: {d}")
-    if m < d:
-        raise PreconditionError(f"need m >= d variables: m={m}, d={d}")
-    if e is None:
-        ring = PolyRing(p, m, n)
-        f = ring.x(1)
-        for i in range(2, d + 1):
-            f = f * (ring.x(1) + ring.x(i))
-        return f
-    if e < 1 or n < e:
-        raise PreconditionError(f"need n >= e >= 1: n={n}, e={e}")
-    ring = PolyRing(p, m, n)
-    f = ring.one()
-    for i in range(1, d + 1):
-        f = f * ring.x(i)
-    for j in range(1, e + 1):
-        f = f * ring.y(j)
-    return f
 
 
 def random_biform(m: int, n: int, d: int, e: int, p: int, seed: int) -> MultiPoly:

@@ -197,28 +197,6 @@ def is_f_regular_type_generic(spec: HypersurfaceSpec) -> bool:
     return spec.d < spec.m and spec.e < spec.n
 
 
-def dim2_rational(d: int, e: int, diag: DiagonalSpec) -> bool:
-    """The m = n = 2 case, where rational singularities and F-regular type
-    coincide: (d = 1 and e <= h + 1) or (e = 1 and d <= g + 1)."""
-    if d < 1 or e < 1:
-        raise PreconditionError(f"need d, e >= 1: ({d}, {e})")
-    return (d == 1 and e <= diag.h + 1) or (e == 1 and d <= diag.g + 1)
-
-
-def rees_to_product_diagonal(delta: int, g: int, h: int) -> DiagonalSpec:
-    """Convert a diagonal taken in the Rees-style bigrading (x of degree
-    (1, 0), y of degree (delta, 1)) into the product bigrading (y of degree
-    (0, 1)): (g, h) maps to (g - delta*h, h)."""
-    if delta < 0 or g < 1 or h < 1:
-        raise PreconditionError(f"need delta >= 0 and g, h >= 1: ({delta}, {g}, {h})")
-    if g <= delta * h:
-        raise PreconditionError(
-            f"diagonal not ample for product grading: need g > delta*h, "
-            f"got g={g}, delta*h={delta * h}"
-        )
-    return DiagonalSpec(g - delta * h, h)
-
-
 def classify(spec: HypersurfaceSpec, diag: DiagonalSpec) -> ClassificationReport:
     """Assemble all flags, the canonical shift, the a-invariant, the smallest
     CM obstruction, and applicable caveats into one report."""

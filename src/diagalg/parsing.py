@@ -19,9 +19,10 @@ from .exactalg import MultiPoly, PolyRing
 # Only the grammar's ASCII alphabet forms tokens; any other non-space
 # character is an error.
 _TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)([0-9]*)|([-+*^()])|(\S)")
-# Longer digit runs are refused: 640 is the lowest limit Python may set on
-# int() of a digit string (sys.set_int_max_str_digits), so every run that
-# passes converts under any setting.
+# Longer digit runs, and powers of higher degree, are refused: 640 is the
+# lowest limit Python may set on int() of a digit string and on str() of an
+# int (sys.set_int_max_str_digits), so every run that passes converts and
+# every exponent prints under any setting.
 _MAX_DIGITS = 640
 
 
@@ -106,6 +107,10 @@ class _Parser:
             if kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer", pos)
             self.advance()
+            # Nested powers multiply degrees; keep every exponent printable.
+            if base.total_degree() * value >= 10 ** _MAX_DIGITS:
+                raise PolyParseError(
+                    f"a power of degree over {_MAX_DIGITS} digits", pos)
             return base ** value
         return base
 

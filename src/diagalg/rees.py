@@ -4,9 +4,8 @@ regular sequence of equal-degree forms.
 Covers: a-invariants of the quotients by powers of the ideal, the
 non-vanishing window for the first interesting local cohomology of the
 diagonal, Cohen-Macaulay criteria in both the "window" and the classical
-complete-intersection normalizations, exact dimension counts when the base is
-a polynomial ring, and the blow-up parameter range where the degree-0 piece
-of H^2 vanishes while the degree-1 piece does not.
+complete-intersection normalizations, and exact dimension counts when the
+base is a polynomial ring.
 """
 
 from __future__ import annotations
@@ -87,12 +86,6 @@ def rigidity_is_cm(a: int, k: int, s: int, g: int) -> bool:
     if g < 1:
         raise PreconditionError(f"need g >= 1: {g}")
     return g > a + k * s - k
-
-
-def rigidity_vanishing(q: int, dimA: int, s: int) -> bool:
-    """True when the q-th local cohomology of the diagonal is forced to
-    vanish, i.e. q is outside {dimA - s + 1, dimA}."""
-    return q not in (dimA - s + 1, dimA)
 
 
 def ci_diagonal_is_cm(ci: CISpec, g: int, h: int) -> bool:
@@ -181,15 +174,3 @@ def dim_lc_rees_diag(spec: ReesSpec, g: int, h: int, i: int) -> int:
     return dim_lc_ci_quotient_power(
         spec.m, spec.k, spec.s, h * i, g * i + spec.k * h * i
     )
-
-
-def blowup_example_range(degf: int, k: int, dimA: int) -> range:
-    """Range of diagonal parameters g for which the blow-up of a degree-degf
-    hypersurface of dimension dimA along a complete intersection of
-    (dimA - 1) general k-forms has H^2 vanishing in degree 0 but not in
-    degree 1: the integers 1 <= g <= degf + k*(dimA - 2) - (dimA + 1)."""
-    if dimA < 3:
-        raise PreconditionError(f"need dimA >= 3: {dimA}")
-    if degf < 1 or k < 1:
-        raise PreconditionError(f"need degf, k >= 1: ({degf}, {k})")
-    return range(1, degf + k * (dimA - 2) - (dimA + 1) + 1)

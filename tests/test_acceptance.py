@@ -19,7 +19,6 @@ from diagalg.frobenius import (
     f_regular_certificate_graded,
     fedder_is_f_pure,
     random_biform,
-    witness_bigraded,
     witness_graded,
 )
 from diagalg.gradedcomb import DiagonalSpec, dim_poly, dim_top_lc
@@ -31,7 +30,6 @@ from diagalg.hypersurface import (
     dim_piece,
     is_cohen_macaulay,
     lc_support_window,
-    rees_to_product_diagonal,
 )
 from diagalg.rees import (
     ReesSpec,
@@ -40,6 +38,7 @@ from diagalg.rees import (
     dim_lc_rees_diag,
     rigidity_window,
 )
+from oracles import rees_to_product_diagonal, witness_bigraded
 from test_rees import sample_regular_forms
 
 D11 = DiagonalSpec(1, 1)

@@ -14,14 +14,13 @@ from diagalg.exactalg import (
     PolyRing,
     grevlex_key,
     groebner_basis,
-    initial_ideal_dimension,
     is_regular_sequence,
     normal_form,
     power_ideal_gens,
     s_polynomial,
     standard_monomial_count,
 )
-from oracles import mono_divides
+from oracles import initial_ideal_dimension, mono_divides
 
 
 def ring3(p=5):

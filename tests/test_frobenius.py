@@ -16,11 +16,10 @@ from diagalg.frobenius import (
     fedder_is_f_pure,
     random_biform,
     recheck_certificate,
-    witness_bigraded,
-    witness_fpure,
     witness_graded,
 )
 from diagalg.hypersurface import HypersurfaceSpec, is_f_regular_type_generic
+from oracles import witness_bigraded, witness_fpure
 
 
 def squarefree(ring, d):

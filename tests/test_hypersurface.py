@@ -18,7 +18,6 @@ from diagalg.hypersurface import (
     classify,
     cm_no_integer_window,
     cm_obstruction,
-    dim2_rational,
     dim_lc_piece,
     dim_piece,
     has_rational_singularities_generic,
@@ -27,9 +26,9 @@ from diagalg.hypersurface import (
     is_gorenstein,
     lc_dim_table,
     lc_support_window,
-    rees_to_product_diagonal,
     validate_generic_normal,
 )
+from oracles import dim2_rational, rees_to_product_diagonal
 
 D11 = DiagonalSpec(1, 1)
 

@@ -1,13 +1,16 @@
-"""The package's export list matches what it actually exposes, and README's
-Python quickstart runs and prints what its comments say."""
+"""The package's export list matches what it actually exposes, every name
+on it is used outside the tests, and README's Python quickstart runs and
+prints what its comments say."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
 import diagalg
 
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 def test_all_lists_every_public_name_once_sorted():
@@ -19,6 +22,20 @@ def test_all_lists_every_public_name_once_sorted():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(exported) == public
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # Uses are the library's other modules (not a name's own def or class,
+    # not the export list), the benchmark harness, README and docs/.
+    paths = [path for path in (ROOT / "src" / "diagalg").glob("*.py")
+             if path.name != "__init__.py"]
+    paths += [*(ROOT / "perfbench").glob("*.py"), README,
+              *(path for path in (ROOT / "docs").rglob("*") if path.is_file())]
+    text = "\n".join(path.read_text() for path in paths)
+    text = re.sub(r"\b(?:def|class)\s+\w+", "", text)
+    unused = [name for name in diagalg.__all__
+              if not re.search(rf"\b{name}\b", text)]
+    assert unused == []
 
 
 def test_readme_quickstart_values():

@@ -80,14 +80,23 @@ def test_long_digit_runs_are_parse_errors():
     # int() refuses digit strings over a limit the interpreter sets (4300
     # digits by default), so runs over 640 digits, the lowest limit it may
     # set, are parse errors at the run's position, as coefficients, as
-    # variable indices and as exponents.
+    # variable indices and as exponents.  str() refuses ints over the same
+    # limit, and nested powers multiply degrees, so a power whose degree
+    # would have over 640 digits is one at the first exponent that does so.
+    nines = "9" * 640
     for text, position in [("1" * 5000 + "*x1", 0), ("x" + "1" * 641, 1),
-                           ("x1^" + "2" * 641, 3), ("1" * 641, 0)]:
+                           ("x1^" + "2" * 641, 3), ("1" * 641, 0),
+                           (f"(x1^{nines})^{nines}", 646),
+                           ("(x1^2)^5" + "0" * 639, 7),
+                           (f"x2*(((x1)^{nines})^{nines})^{nines}", 652)]:
         with pytest.raises(PolyParseError) as err:
             parse_polynomial(text, 2, 0, 5)
         assert err.value.position == position, text[:8]
-    # 640 digits still parse: 10^640 - 1 is 4 mod 5.
-    assert parse_polynomial("9" * 640 + "*x2", 2, 0, 5) == 4 * PolyRing(5, 2).x(2)
+    # 640 digits still parse: 10^640 - 1 is 4 mod 5.  So does a power of
+    # degree 10^640 - 2, and it prints.
+    assert parse_polynomial(nines + "*x2", 2, 0, 5) == 4 * PolyRing(5, 2).x(2)
+    half = "4" + "9" * 639
+    assert str(parse_polynomial(f"(x1^2)^{half}", 1, 0, 5)) == f"x1^{2 * int(half)}"
 
 
 def test_zero_and_constant():

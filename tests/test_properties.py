@@ -1,7 +1,9 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials,
-the lead of a form containing x1^d (x1^d*y1^e), reduced Groebner bases
-(independent of generator order and repetition), normal forms, standard
-monomial counts against enumeration and the parse/print round trip."""
+products against the loop on exponent tuples, the lead of a form containing
+x1^d (x1^d*y1^e), reduced Groebner bases (independent of generator order
+and repetition), normal forms, standard monomial counts against
+enumeration, regular sequences against the dimension of the initial ideal
+and the parse/print round trip."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,17 @@ from diagalg.exactalg import (
     exponent_vectors,
     grevlex_key,
     groebner_basis,
-    mono_mul,
+    is_regular_sequence,
     normal_form,
     standard_monomial_count,
 )
 from diagalg.parsing import parse_polynomial
-from oracles import enumerated_standard_count, mono_divides
+from oracles import (
+    enumerated_standard_count,
+    initial_ideal_dimension,
+    mono_divides,
+    tuple_product,
+)
 
 # Derandomized and without an example database, so every run checks the
 # same examples and writes nothing.
@@ -139,7 +146,36 @@ def test_packed_monomials_agree_with_tuples(drawn):
             assert (u < v) == (grevlex_key(a) < grevlex_key(b))
             assert packing.divides(u, v) == mono_divides(a, b)
             if sum(a) + sum(b) <= packing.limit:
-                assert u + v == packing.pack(mono_mul(a, b))
+                assert u + v == packing.pack(tuple(x + y for x, y in zip(a, b)))
+
+
+@st.composite
+def operands(draw):
+    """Two polynomials of one ring with m, n in 0..3 (either block may be
+    empty); each may be zero or constant.  Small primes make coefficients
+    of the product cancel often."""
+    m = draw(st.integers(0, 3))
+    ring = PolyRing(draw(st.sampled_from([2, 3, 5])), m,
+                    draw(st.integers(1 if m == 0 else 0, 3)))
+    return draw(polys(ring)), draw(polys(ring))
+
+
+_Y2 = PolyRing(2, 0, 2)
+_X3 = PolyRing(5, 3)
+_XY = PolyRing(5, 2, 1)
+
+
+@SETTINGS
+@given(operands())
+@example((_Y2.y(1) + _Y2.y(2), _Y2.y(1) + _Y2.y(2)))
+@example((_X3.const(3), _X3.x(1) + _X3.x(2)))
+@example((_X3.zero(), _X3.x(1)))
+@example((_XY.x(1) + _XY.y(1), _XY.x(1) - _XY.y(1)))
+def test_product_matches_tuple_loop(pair):
+    f, g = pair
+    expected = tuple_product(f, g)
+    assert f * g == expected
+    assert g * f == expected
 
 
 @SETTINGS
@@ -227,6 +263,34 @@ def test_standard_count_matches_enumeration(gens):
         for b in range(-1, 6):
             assert (standard_monomial_count(gens, (a, b))
                     == enumerated_standard_count(gens, (a, b))), (a, b)
+
+
+@st.composite
+def sequences(draw):
+    """One to N sparse forms of degree 1..3 in N = 2..4 variables, split
+    into x- and y-blocks in every way."""
+    nvars = draw(st.integers(2, 4))
+    m = draw(st.integers(0, nvars))
+    ring = PolyRing(draw(st.sampled_from([5, 7])), m, nvars - m)
+    return draw(st.lists(forms(ring), min_size=1, max_size=nvars))
+
+
+def test_regular_sequence_matches_initial_ideal_dimension():
+    # Forms are a regular sequence exactly when the quotient has dimension
+    # N - s, read off the initial ideal by the subset search.
+    outcomes = set()
+
+    @SETTINGS
+    @given(sequences())
+    def check(gens):
+        nvars = gens[0].ring.nvars
+        dimension = initial_ideal_dimension(groebner_basis(gens))
+        regular = is_regular_sequence(gens)
+        assert regular == (dimension == nvars - len(gens))
+        outcomes.add(regular)
+
+    check()
+    assert outcomes == {True, False}
 
 
 @SETTINGS

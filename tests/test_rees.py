@@ -16,16 +16,15 @@ from diagalg.rees import (
     CISpec,
     ReesSpec,
     a_inv_quotient_power,
-    blowup_example_range,
     ci_diagonal_is_cm,
     ci_quotient_hilbert,
     cm_criteria_consistent,
     dim_lc_ci_quotient_power,
     dim_lc_rees_diag,
     rigidity_is_cm,
-    rigidity_vanishing,
     rigidity_window,
 )
+from oracles import blowup_example_range
 
 
 def sample_regular_forms(m, k, s, seed=0):
@@ -92,13 +91,6 @@ def test_window_empty_iff_cm():
                 for g in range(1, 7):
                     empty = len(rigidity_window(a, k, s, g)) == 0
                     assert empty == rigidity_is_cm(a, k, s, g)
-
-
-def test_rigidity_vanishing():
-    assert not rigidity_vanishing(2, 3, 2)
-    assert not rigidity_vanishing(3, 3, 2)
-    assert rigidity_vanishing(1, 3, 2)
-    assert rigidity_vanishing(0, 3, 2)
 
 
 def test_ci_criterion_examples():
