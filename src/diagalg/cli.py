@@ -6,6 +6,12 @@ table), ``frobenius`` (characteristic-p certificates on explicit or sampled
 polynomials), ``rees`` (Rees-diagonal criteria and exact dimensions), and
 ``figure`` (flag grid over a (d, e) rectangle at diagonal (1, 1)).
 
+Each ``cmd_*`` computes its result once and returns ``(doc, table, lines)``:
+the JSON document without its ``schema`` key, the CSV ``(header, rows)`` (or
+None where ``--format csv`` is not offered), and the text lines.  ``main``
+alone renders one of them and writes it to stdout in one piece, after the
+computation, so an error leaves stdout empty.
+
 Output formats: json (single versioned document), csv (header plus one row
 per cell or table entry), text.  Exit codes: 0 success, 1 stdout closed
 before the output was written, 2 precondition or parse error, 3 internal
@@ -36,22 +42,6 @@ EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
 
 
-def _schema(command: str) -> str:
-    return f"diagalg/{command}/{SCHEMA_VERSION}"
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _emit_csv(header, rows) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    print(buffer.getvalue(), end="")
-
-
 # ---------------------------------------------------------------------------
 # classify
 
@@ -62,115 +52,88 @@ def _hyp_spec(args) -> tuple[hyp.HypersurfaceSpec, DiagonalSpec]:
     )
 
 
-def cmd_classify(args) -> None:
+def _hyp_inputs(args) -> dict:
+    return {"m": args.m, "n": args.n, "d": args.d, "e": args.e,
+            "g": args.g, "h": args.h}
+
+
+def cmd_classify(args):
     spec, diag = _hyp_spec(args)
     report = hyp.classify(spec, diag)
-    inputs = {"m": args.m, "n": args.n, "d": args.d, "e": args.e,
-              "g": args.g, "h": args.h}
-    if args.format == "json":
-        _emit_json({"schema": _schema("classify"), "inputs": inputs,
-                    "report": report.to_dict()})
-    elif args.format == "csv":
-        _emit_csv(
-            ["m", "n", "d", "e", "g", "h", "cohen_macaulay", "gorenstein",
-             "rational_singularities", "f_regular_type", "a_invariant",
-             "canonical_shift_x", "canonical_shift_y", "cm_obstruction"],
-            [[args.m, args.n, args.d, args.e, args.g, args.h,
-              report.cohen_macaulay, report.gorenstein,
-              report.rational_singularities_generic,
-              report.f_regular_type_generic, report.a_invariant,
-              report.canonical_shift[0], report.canonical_shift[1],
-              "" if report.cm_obstruction is None else report.cm_obstruction]],
-        )
-    else:
-        print(f"diagonal subalgebra of a bidegree-({args.d},{args.e}) "
-              f"hypersurface in {args.m}+{args.n} variables, "
-              f"diagonal ({args.g},{args.h}):")
-        print(f"  Cohen-Macaulay:         {report.cohen_macaulay}")
-        if report.cm_obstruction is not None:
-            print(f"  CM obstruction index:   {report.cm_obstruction}")
-        print(f"  Gorenstein:             {report.gorenstein}")
-        print(f"  rational singularities: {report.rational_singularities_generic}")
-        print(f"  F-regular type:         {report.f_regular_type_generic}")
-        print(f"  canonical shift:        {report.canonical_shift}")
-        print(f"  a-invariant:            {report.a_invariant}")
-        for caveat in report.caveats:
-            print(f"  caveat: {caveat}")
+    inputs = _hyp_inputs(args)
+    obstruction = report.cm_obstruction
+    table = (["m", "n", "d", "e", "g", "h", "cohen_macaulay", "gorenstein",
+              "rational_singularities", "f_regular_type", "a_invariant",
+              "canonical_shift_x", "canonical_shift_y", "cm_obstruction"],
+             [[*inputs.values(), report.cohen_macaulay, report.gorenstein,
+               report.rational_singularities_generic,
+               report.f_regular_type_generic, report.a_invariant,
+               *report.canonical_shift,
+               "" if obstruction is None else obstruction]])
+    lines = [f"diagonal subalgebra of a bidegree-({args.d},{args.e}) "
+             f"hypersurface in {args.m}+{args.n} variables, "
+             f"diagonal ({args.g},{args.h}):",
+             f"  Cohen-Macaulay:         {report.cohen_macaulay}"]
+    if obstruction is not None:
+        lines.append(f"  CM obstruction index:   {obstruction}")
+    lines += [f"  Gorenstein:             {report.gorenstein}",
+              f"  rational singularities: {report.rational_singularities_generic}",
+              f"  F-regular type:         {report.f_regular_type_generic}",
+              f"  canonical shift:        {report.canonical_shift}",
+              f"  a-invariant:            {report.a_invariant}"]
+    lines += [f"  caveat: {caveat}" for caveat in report.caveats]
+    return {"inputs": inputs, "report": report.to_dict()}, table, lines
 
 
 # ---------------------------------------------------------------------------
 # hilbert
 
-def cmd_hilbert(args) -> None:
+def cmd_hilbert(args):
     spec, diag = _hyp_spec(args)
     values = [(k, hyp.dim_piece(spec, diag, k)) for k in range(args.k_max + 1)]
-    if args.format == "json":
-        _emit_json({
-            "schema": _schema("hilbert"),
-            "inputs": {"m": args.m, "n": args.n, "d": args.d, "e": args.e,
-                       "g": args.g, "h": args.h, "k_max": args.k_max},
-            "values": [{"k": k, "dim": dim} for k, dim in values],
-        })
-    elif args.format == "csv":
-        _emit_csv(["k", "dim"], values)
-    else:
-        print("k    dim")
-        for k, dim in values:
-            print(f"{k:<4} {dim}")
+    doc = {"inputs": _hyp_inputs(args) | {"k_max": args.k_max},
+           "values": [{"k": k, "dim": dim} for k, dim in values]}
+    return doc, (["k", "dim"], values), [
+        "k    dim", *(f"{k:<4} {dim}" for k, dim in values)]
 
 
 # ---------------------------------------------------------------------------
 # lcdim
 
-def cmd_lcdim(args) -> None:
+def cmd_lcdim(args):
     spec, diag = _hyp_spec(args)
-    table = hyp.lc_dim_table(spec, diag, k_lo=args.k_min, k_hi=args.k_max)
-    entries = sorted(table.items())
+    dims = hyp.lc_dim_table(spec, diag, k_lo=args.k_min, k_hi=args.k_max)
+    rows = [(q, k, dim) for (q, k), dim in sorted(dims.items())]
     a_inv = hyp.a_invariant(spec, diag)
-    if args.format == "json":
-        _emit_json({
-            "schema": _schema("lcdim"),
-            "inputs": {"m": args.m, "n": args.n, "d": args.d, "e": args.e,
-                       "g": args.g, "h": args.h,
-                       "k_min": args.k_min, "k_max": args.k_max},
-            "a_invariant": a_inv,
-            "top_q": spec.m + spec.n - 2,
-            "entries": [{"q": q, "k": k, "dim": dim}
-                        for (q, k), dim in entries],
-        })
-    elif args.format == "csv":
-        _emit_csv(["q", "k", "dim"], [(q, k, dim) for (q, k), dim in entries])
-    else:
-        top = spec.m + spec.n - 2
-        print(f"nonzero local-cohomology dimensions (top q = {top}, "
-              f"a-invariant = {a_inv}):")
-        if not entries:
-            print("  (none in range)")
-        for (q, k), dim in entries:
-            print(f"  q={q:<3} k={k:<5} dim={dim}")
-        print(f"note: the q={top} row is nonzero for every k <= {a_inv}; "
-              "rows shown are truncated to the requested range")
+    top = spec.m + spec.n - 2
+    doc = {"inputs": _hyp_inputs(args) | {"k_min": args.k_min,
+                                          "k_max": args.k_max},
+           "a_invariant": a_inv,
+           "top_q": top,
+           "entries": [{"q": q, "k": k, "dim": dim} for q, k, dim in rows]}
+    lines = [f"nonzero local-cohomology dimensions (top q = {top}, "
+             f"a-invariant = {a_inv}):",
+             *([f"  q={q:<3} k={k:<5} dim={dim}" for q, k, dim in rows]
+               or ["  (none in range)"]),
+             f"note: the q={top} row is nonzero for every k <= {a_inv}; "
+             "rows shown are truncated to the requested range"]
+    return doc, (["q", "k", "dim"], rows), lines
 
 
 # ---------------------------------------------------------------------------
 # frobenius
 
-def cmd_frobenius(args) -> None:
+def cmd_frobenius(args):
     p = args.p
     if args.mode == "fpure":
         if args.poly is None:
             raise PreconditionError("--poly is required for --mode fpure")
         f = parse_polynomial(args.poly, args.m, args.n, p)
         result = frob.fedder_is_f_pure(f)
-        if args.format == "json":
-            _emit_json({"schema": _schema("frobenius"), "mode": "fpure",
-                        "inputs": {"m": args.m, "n": args.n, "p": p,
-                                   "poly": str(f)},
-                        "f_pure": result})
-        else:
-            print(f"f = {f}")
-            print(f"F-pure over F_{p}: {result}")
-        return
+        doc = {"mode": "fpure",
+               "inputs": {"m": args.m, "n": args.n, "p": p, "poly": str(f)},
+               "f_pure": result}
+        return doc, None, [f"f = {f}", f"F-pure over F_{p}: {result}"]
 
     if args.mode == "graded":
         if args.n:
@@ -201,21 +164,16 @@ def cmd_frobenius(args) -> None:
         cert = frob.f_regular_certificate_bigraded(
             f, d, e, args.m, args.n, p, args.q_max)
 
-    if args.format == "json":
-        _emit_json({"schema": _schema("frobenius"), "mode": args.mode,
-                    "f": str(f), "certificate": cert.to_dict()})
-    else:
-        print(f"f = {f}")
-        print(f"verdict: {cert.verdict}")
-        if cert.q_used is not None:
-            print(f"q used: {cert.q_used}")
-        if cert.normal_form is not None:
-            print(f"socle: {cert.socle}")
-            print(f"normal form: {cert.normal_form}")
-        if cert.details:
-            print(f"details: {cert.details}")
-        for assumption in cert.assumptions:
-            print(f"assumption: {assumption}")
+    lines = [f"f = {f}", f"verdict: {cert.verdict}"]
+    if cert.q_used is not None:
+        lines.append(f"q used: {cert.q_used}")
+    if cert.normal_form is not None:
+        lines += [f"socle: {cert.socle}", f"normal form: {cert.normal_form}"]
+    if cert.details:
+        lines.append(f"details: {cert.details}")
+    lines += [f"assumption: {assumption}" for assumption in cert.assumptions]
+    return ({"mode": args.mode, "f": str(f), "certificate": cert.to_dict()},
+            None, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +190,21 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def cmd_rees(args) -> None:
+def cmd_rees(args):
     if args.degrees is not None:
         degrees = _parse_degrees(args.degrees)
         if args.m is None:
             raise PreconditionError("--m is required with --degrees")
         ci = rees.CISpec(args.m, degrees)
         result = rees.ci_diagonal_is_cm(ci, args.g, args.h)
-        if args.format == "json":
-            _emit_json({"schema": _schema("rees"), "mode": "ci",
-                        "inputs": {"m": args.m, "degrees": list(degrees),
-                                   "g": args.g, "h": args.h},
-                        "cohen_macaulay": result})
-        else:
-            print(f"complete intersection of degrees {degrees} in "
-                  f"{args.m} variables, diagonal ({args.g},{args.h}):")
-            print(f"  Cohen-Macaulay: {result}")
-        return
+        doc = {"mode": "ci",
+               "inputs": {"m": args.m, "degrees": list(degrees),
+                          "g": args.g, "h": args.h},
+               "cohen_macaulay": result}
+        return doc, None, [
+            f"complete intersection of degrees {degrees} in "
+            f"{args.m} variables, diagonal ({args.g},{args.h}):",
+            f"  Cohen-Macaulay: {result}"]
 
     if args.k is None or args.s is None:
         raise PreconditionError("rigidity mode requires --k and --s")
@@ -269,19 +225,26 @@ def cmd_rees(args) -> None:
     is_cm = rees.rigidity_is_cm(spec.a, spec.k, spec.s, args.g)
     powers = [{"r": r, "a_invariant": rees.a_inv_quotient_power(
         spec.a, spec.k, spec.s, r)} for r in range(1, 4)]
-    payload = {
-        "schema": _schema("rees"),
+    lo, hi = window.start, window.stop - 1
+    doc = {
         "mode": "rigidity",
         "inputs": {"a": spec.a, "dim": spec.dimA, "s": spec.s, "k": spec.k,
                    "g": args.g, "h": args.h, "m": spec.m},
         "cohen_macaulay": is_cm,
-        "nonvanishing_window": {"lo": window.start,
-                                "hi": window.stop - 1},
+        "nonvanishing_window": {"lo": lo, "hi": hi},
         "possibly_nonzero_q": [spec.dimA - spec.s + 1, spec.dimA],
         "power_a_invariants": powers,
     }
+    lines = [f"Rees diagonal: a={spec.a}, dim={spec.dimA}, s={spec.s}, "
+             f"k={spec.k}, diagonal ({args.g},{args.h})",
+             f"  Cohen-Macaulay: {is_cm}",
+             f"  nonvanishing window for q={spec.dimA - spec.s + 1}: "
+             + ("empty" if lo > hi else f"[{lo}, {hi}]"),
+             f"  possibly nonzero q: {doc['possibly_nonzero_q']}",
+             *(f"  a-invariant of power r={entry['r']}: {entry['a_invariant']}"
+               for entry in powers)]
     if spec.m is not None:
-        payload["dims"] = [
+        doc["dims"] = [
             {"i": i, "dim": rees.dim_lc_rees_diag(spec, args.g, args.h, i)}
             for i in range(1, args.i_max + 1)
         ]
@@ -290,24 +253,11 @@ def cmd_rees(args) -> None:
             raise InternalDefectError(
                 f"Rees Cohen-Macaulay criteria disagree for {spec} at "
                 f"diagonal ({args.g},{args.h}); please report")
-        payload["criteria_consistent"] = True
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"Rees diagonal: a={spec.a}, dim={spec.dimA}, s={spec.s}, "
-              f"k={spec.k}, diagonal ({args.g},{args.h})")
-        print(f"  Cohen-Macaulay: {is_cm}")
-        lo, hi = window.start, window.stop - 1
-        shown = "empty" if lo > hi else f"[{lo}, {hi}]"
-        print(f"  nonvanishing window for q={spec.dimA - spec.s + 1}: {shown}")
-        print(f"  possibly nonzero q: {payload['possibly_nonzero_q']}")
-        for entry in powers:
-            print(f"  a-invariant of power r={entry['r']}: "
-                  f"{entry['a_invariant']}")
-        if spec.m is not None:
-            for entry in payload["dims"]:
-                print(f"  dim at i={entry['i']}: {entry['dim']}")
-            print(f"  criteria consistent: {payload['criteria_consistent']}")
+        doc["criteria_consistent"] = True
+        lines += [f"  dim at i={entry['i']}: {entry['dim']}"
+                  for entry in doc["dims"]]
+        lines.append("  criteria consistent: True")
+    return doc, None, lines
 
 
 # ---------------------------------------------------------------------------
@@ -337,40 +287,28 @@ def _figure_cell(report: hyp.ClassificationReport) -> str:
     return symbol + ("*" if report.gorenstein else " ")
 
 
-def cmd_figure(args) -> None:
+def cmd_figure(args):
     grid = figure_grid(args.m, args.n, args.d_max, args.e_max)
-    if args.format == "json":
-        _emit_json({
-            "schema": _schema("figure"),
-            "inputs": {"m": args.m, "n": args.n, "d_max": args.d_max,
-                       "e_max": args.e_max, "g": 1, "h": 1},
-            "cells": [{"d": d, "e": e,
-                       "cohen_macaulay": rep.cohen_macaulay,
-                       "gorenstein": rep.gorenstein,
-                       "rational_singularities": rep.rational_singularities_generic,
-                       "f_regular_type": rep.f_regular_type_generic}
-                      for (d, e), rep in sorted(grid.items())],
-        })
-    elif args.format == "csv":
-        _emit_csv(
-            ["d", "e", "cohen_macaulay", "gorenstein",
-             "rational_singularities", "f_regular_type"],
-            [(d, e, rep.cohen_macaulay, rep.gorenstein,
-              rep.rational_singularities_generic, rep.f_regular_type_generic)
-             for (d, e), rep in sorted(grid.items())],
-        )
-    else:
-        print(f"flags over d in [1,{args.d_max}], e in [1,{args.e_max}] "
-              f"for m={args.m}, n={args.n}, diagonal (1,1)")
-        width = max(2, len(str(args.e_max)))
-        for e in range(args.e_max, 0, -1):
-            row = " ".join(_figure_cell(grid[(d, e)])
-                           for d in range(1, args.d_max + 1))
-            print(f"e={e:<{width}} {row}")
-        labels = " ".join(f"{d:<2}" for d in range(1, args.d_max + 1))
-        print(f"  d={' ' * (width - 2)} {labels}")
-        print("legend: F = F-regular type, R = rational singularities, "
-              "C = Cohen-Macaulay, . = none; * marks Gorenstein")
+    header = ["d", "e", "cohen_macaulay", "gorenstein",
+              "rational_singularities", "f_regular_type"]
+    rows = [(d, e, rep.cohen_macaulay, rep.gorenstein,
+             rep.rational_singularities_generic, rep.f_regular_type_generic)
+            for (d, e), rep in sorted(grid.items())]
+    doc = {"inputs": {"m": args.m, "n": args.n, "d_max": args.d_max,
+                      "e_max": args.e_max, "g": 1, "h": 1},
+           "cells": [dict(zip(header, row)) for row in rows]}
+    width = max(2, len(str(args.e_max)))
+    lines = [f"flags over d in [1,{args.d_max}], e in [1,{args.e_max}] "
+             f"for m={args.m}, n={args.n}, diagonal (1,1)"]
+    for e in range(args.e_max, 0, -1):
+        row = " ".join(_figure_cell(grid[(d, e)])
+                       for d in range(1, args.d_max + 1))
+        lines.append(f"e={e:<{width}} {row}")
+    labels = " ".join(f"{d:<2}" for d in range(1, args.d_max + 1))
+    lines += [f"  d={' ' * (width - 2)} {labels}",
+              "legend: F = F-regular type, R = rational singularities, "
+              "C = Cohen-Macaulay, . = none; * marks Gorenstein"]
+    return doc, (header, rows), lines
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +405,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        doc, table, lines = args.func(args)
+        if args.format == "json":
+            out = json.dumps({"schema": f"diagalg/{args.command}/{SCHEMA_VERSION}",
+                              **doc}, indent=2) + "\n"
+        elif args.format == "csv":
+            header, rows = table
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+            out = buffer.getvalue()
+        else:
+            out = "\n".join(lines) + "\n"
+        sys.stdout.write(out)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (``| head``).  Send what is still buffered

@@ -29,6 +29,7 @@ module is safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -570,13 +571,7 @@ def groebner_basis(gens):
         raise PreconditionError("zero polynomial among the ideal generators")
     p = ring.p
 
-    inputs = []
-    seen = set()
-    for g in map(MultiPoly.monic, gens):
-        fp = frozenset(g.terms.items())
-        if fp not in seen:
-            seen.add(fp)
-            inputs.append(g)
+    inputs = list(dict.fromkeys(map(MultiPoly.monic, gens)))
     # Twice the top degree bounds the lcm of every pair of inputs.
     packing = _Packing(ring.nvars, 2 * max(g.total_degree() for g in inputs))
     basis = []     # monic reducers (lead, 1, tail) in insertion order
@@ -782,17 +777,9 @@ def power_ideal_gens(gens, r: int):
     if not gens:
         return []
     _common_ring(gens)
-    out = []
-    seen = set()
-    for combo in itertools.combinations_with_replacement(range(len(gens)), r):
-        prod = gens[combo[0]]
-        for idx in combo[1:]:
-            prod = prod * gens[idx]
-        fp = frozenset(prod.terms.items())
-        if fp not in seen:
-            seen.add(fp)
-            out.append(prod)
-    return out
+    return list(dict.fromkeys(
+        functools.reduce(operator.mul, combo)
+        for combo in itertools.combinations_with_replacement(gens, r)))
 
 
 # ---------------------------------------------------------------------------

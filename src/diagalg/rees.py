@@ -149,9 +149,13 @@ def dim_lc_ci_quotient_power(m: int, k: int, s: int, r: int, t: int) -> int:
     """
     if r < 1:
         raise PreconditionError(f"need power r >= 1: {r}")
+    if m < 1 or k < 1:
+        raise PreconditionError(f"need m >= 1 and k >= 1: m={m}, k={k}")
     dual_top = k * s - m
     total = 0
-    for rho in range(r):
+    # The Hilbert function is 0 in negative degrees, so every rho below
+    # (t - dual_top) / k adds 0: start at the first one that may not.
+    for rho in range(max(0, -((dual_top - t) // k)), r):
         total += comb(s - 1 + rho, rho) * ci_quotient_hilbert(
             m, (k,) * s, dual_top - (t - rho * k)
         )

@@ -2,10 +2,12 @@
 statements of the paper that only the tests evaluate."""
 
 import itertools
+from math import comb
 
 from diagalg.errors import PreconditionError
 from diagalg.exactalg import MultiPoly, PolyRing, _common_ring, exponent_vectors
 from diagalg.gradedcomb import DiagonalSpec
+from diagalg.rees import ci_quotient_hilbert
 
 
 def mono_divides(a, b):
@@ -93,6 +95,15 @@ def blowup_example_range(degf: int, k: int, dimA: int) -> range:
     if degf < 1 or k < 1:
         raise PreconditionError(f"need degf, k >= 1: ({degf}, {k})")
     return range(1, degf + k * (dimA - 2) - (dimA + 1) + 1)
+
+
+def full_sum_dim_lc_ci_quotient_power(m: int, k: int, s: int, r: int,
+                                      t: int) -> int:
+    """``rees.dim_lc_ci_quotient_power`` as the plain sum over every
+    rho < r, the terms in negative Hilbert degrees included."""
+    return sum(comb(s - 1 + rho, rho)
+               * ci_quotient_hilbert(m, (k,) * s, k * s - m - (t - rho * k))
+               for rho in range(r))
 
 
 def witness_bigraded(d: int, e: int, m: int, n: int, p: int) -> MultiPoly:

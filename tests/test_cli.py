@@ -1,4 +1,4 @@
-"""CLI surface: golden JSON/CSV documents, exit codes, figure boundaries."""
+"""CLI surface: golden JSON/CSV/text documents, exit codes, figure boundaries."""
 
 import json
 import os
@@ -6,6 +6,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from diagalg import cli
 from diagalg.errors import InternalDefectError
@@ -70,6 +72,28 @@ def test_golden_rees(capsys):
 def test_golden_figure_csv(capsys):
     check_golden(capsys, "figure.csv", "figure", "--m", "3", "--n", "3",
                  "--d-max", "4", "--e-max", "3", "--format", "csv")
+
+
+# The text output of the README commands, each recorded as
+# `python -m diagalg <command> > tests/golden/<name>`.
+TEXT_GOLDENS = {
+    "classify.txt": "classify --m 3 --n 3 --d 4 --e 2 --g 1 --h 1",
+    "lcdim.txt": "lcdim --m 3 --n 2 --d 5 --e 1",
+    "frobenius_graded.txt":
+        "frobenius --mode graded --m 3 --p 5 --poly 'x1^2 + x2*x3'",
+    "frobenius_bigraded.txt":
+        "frobenius --mode bigraded --m 3 --n 3 --d 2 --e 2 --p 7 --seed 1",
+    "frobenius_fpure.txt":
+        "frobenius --mode fpure --m 3 --n 0 --p 3 --poly 'x1*x2*x3'",
+    "rees.txt": "rees --m 3 --k 4 --s 2 --g 1 --h 1 --i-max 4",
+    "rees_ci.txt": "rees --m 4 --degrees 2,2 --g 3 --h 1",
+    "figure.txt": "figure --m 3 --n 3 --d-max 12 --e-max 12",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_GOLDENS))
+def test_golden_text(capsys, name):
+    check_golden(capsys, name, *shlex.split(TEXT_GOLDENS[name]))
 
 
 def test_json_documents_are_versioned(capsys):
@@ -253,6 +277,37 @@ def test_exit_code_internal_defect(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL
     assert "internal defect" in captured.err
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["classify", "--m", "3", "--n", "3", "--d", "4", "--e", "2"],
+     cli.hyp, "classify"),
+    (["hilbert", "--m", "2", "--n", "2", "--d", "1", "--e", "1"],
+     cli.hyp, "dim_piece"),
+    (["lcdim", "--m", "3", "--n", "2", "--d", "5", "--e", "1"],
+     cli.hyp, "a_invariant"),
+    (["frobenius", "--mode", "graded", "--m", "3", "--p", "5",
+      "--poly", "x1^2 + x2*x3"], cli.frob, "f_regular_certificate_graded"),
+    (["rees", "--m", "3", "--k", "4", "--s", "2"],
+     cli.rees, "cm_criteria_consistent"),
+    (["figure", "--m", "3", "--n", "3", "--d-max", "3", "--e-max", "3"],
+     cli.hyp, "classify"),
+])
+def test_exit_code_internal_defect_leaves_stdout_empty(capsys, monkeypatch,
+                                                       argv, module, name):
+    # A defect raised by the last library call of a subcommand writes
+    # nothing to stdout, in every format.
+    def boom(*args, **kwargs):
+        raise InternalDefectError("synthetic defect")
+
+    monkeypatch.setattr(module, name, boom)
+    formats = ("json", "csv", "text") if argv[0] in (
+        "classify", "hilbert", "lcdim", "figure") else ("json", "text")
+    for fmt in formats:
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == cli.EXIT_INTERNAL, fmt
+        assert out == ""
+        assert err == "internal defect: synthetic defect\n"
 
 
 def test_exit_code_rees_criteria_inconsistent(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from diagalg.rees import (
     rigidity_is_cm,
     rigidity_window,
 )
-from oracles import blowup_example_range
+from oracles import blowup_example_range, full_sum_dim_lc_ci_quotient_power
 
 
 def sample_regular_forms(m, k, s, seed=0):
@@ -222,6 +222,22 @@ def test_dim_lc_ci_quotient_power_artinian_case():
         for t in range(0, a_inv_quotient_power(-m, k, s, r) + 3):
             assert dim_lc_ci_quotient_power(m, k, s, r, t) == \
                 standard_monomial_count(gb, t), (r, t)
+
+
+def test_dim_lc_ci_quotient_power_full_sum_oracle():
+    # The sum skips the rho whose Hilbert degree is negative; the plain sum
+    # over every rho < r must agree, also where every term is skipped.
+    for m in range(1, 5):
+        for s in range(1, 5):
+            for k in range(1, 5):
+                for r in range(1, 6):
+                    for t in range(-4, 30):
+                        assert dim_lc_ci_quotient_power(m, k, s, r, t) == \
+                            full_sum_dim_lc_ci_quotient_power(m, k, s, r, t), (
+                                m, k, s, r, t)
+    for m, k in [(0, 2), (2, 0), (2, -1)]:
+        with pytest.raises(PreconditionError):
+            dim_lc_ci_quotient_power(m, k, 2, 1, 0)
 
 
 def test_blowup_example_range():
