@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -323,7 +324,12 @@ def _add_hyp_flags(sub):
     sub.add_argument("--h", type=int, default=1, help="diagonal y-step (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built on the first main() call and kept for the process: parsing does
+    # not change the parser, and no caller may.  main() looks up each
+    # subcommand's function by name at dispatch, so a replaced cmd_* still
+    # takes effect.
     parser = argparse.ArgumentParser(
         prog="diagalg",
         description="Exact calculators for diagonal subalgebras of bigraded "
@@ -335,14 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="flag report for one hypersurface diagonal")
     _add_hyp_flags(sub)
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.set_defaults(func=cmd_classify)
 
     sub = subparsers.add_parser(
         "hilbert", help="graded piece dimensions of the diagonal subalgebra")
     _add_hyp_flags(sub)
     sub.add_argument("--k-max", type=int, default=8, dest="k_max")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.set_defaults(func=cmd_hilbert)
 
     sub = subparsers.add_parser(
         "lcdim", help="local-cohomology dimension table of the diagonal")
@@ -350,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k-min", type=int, default=None, dest="k_min")
     sub.add_argument("--k-max", type=int, default=None, dest="k_max")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.set_defaults(func=cmd_lcdim)
 
     sub = subparsers.add_parser(
         "frobenius", help="characteristic-p F-purity / F-regularity certificates")
@@ -368,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the sampled form (default 0)")
     sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.set_defaults(func=cmd_frobenius)
 
     sub = subparsers.add_parser(
         "rees", help="Rees-diagonal criteria, windows, and exact dimensions")
@@ -387,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated degrees: run the complete-"
                           "intersection criterion instead")
     sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.set_defaults(func=cmd_rees)
 
     sub = subparsers.add_parser(
         "figure", help="flag grid over a (d, e) rectangle at diagonal (1, 1)")
@@ -396,16 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--d-max", type=int, default=12, dest="d_max")
     sub.add_argument("--e-max", type=int, default=12, dest="e_max")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.set_defaults(func=cmd_figure)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        doc, table, lines = args.func(args)
+        doc, table, lines = globals()["cmd_" + args.command](args)
         if args.format == "json":
             out = json.dumps({"schema": f"diagalg/{args.command}/{SCHEMA_VERSION}",
                               **doc}, indent=2) + "\n"

@@ -217,7 +217,7 @@ class MultiPoly:
     must be treated as immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         normalized = {}
@@ -230,6 +230,7 @@ class MultiPoly:
                 normalized[exps] = c
         self.ring = ring
         self.terms = normalized
+        self._lead = None
 
     @staticmethod
     def _raw(ring: PolyRing, terms: dict) -> "MultiPoly":
@@ -237,6 +238,7 @@ class MultiPoly:
         obj = object.__new__(MultiPoly)
         obj.ring = ring
         obj.terms = terms
+        obj._lead = None
         return obj
 
     # -- basic structure ----------------------------------------------------
@@ -381,9 +383,12 @@ class MultiPoly:
     # -- grevlex views ------------------------------------------------------
 
     def leading_monomial(self):
-        if not self.terms:
-            raise PreconditionError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        # Found on the first call and kept, since the terms never change.
+        if self._lead is None:
+            if not self.terms:
+                raise PreconditionError("zero polynomial has no leading monomial")
+            self._lead = max(self.terms, key=grevlex_key)
+        return self._lead
 
     def monic(self) -> "MultiPoly":
         lc = self.terms[self.leading_monomial()]

@@ -1,4 +1,5 @@
-"""CLI surface: golden JSON/CSV/text documents, exit codes, figure boundaries."""
+"""CLI surface: golden JSON/CSV/text documents and --help, the shared parser,
+exit codes, figure boundaries."""
 
 import json
 import os
@@ -94,6 +95,72 @@ TEXT_GOLDENS = {
 @pytest.mark.parametrize("name", sorted(TEXT_GOLDENS))
 def test_golden_text(capsys, name):
     check_golden(capsys, name, *shlex.split(TEXT_GOLDENS[name]))
+
+
+# Every golden document with the command that prints it.
+GOLDEN_COMMANDS = {
+    "classify.json": "classify --m 3 --n 3 --d 4 --e 2 --g 1 --h 1 --format json",
+    "hilbert.json": "hilbert --m 2 --n 2 --d 1 --e 1 --k-max 4 --format json",
+    "lcdim.json": "lcdim --m 3 --n 2 --d 5 --e 1 --format json",
+    "frobenius.json":
+        "frobenius --mode graded --m 3 --p 5 --poly 'x1^2 + x2*x3' --format json",
+    "frobenius_bigraded.json": "frobenius --mode bigraded --m 3 --n 3 --d 2 "
+                               "--e 2 --p 7 --seed 1 --format json",
+    "rees.json": "rees --m 3 --k 4 --s 2 --g 1 --h 1 --i-max 3 --format json",
+    "figure.csv": "figure --m 3 --n 3 --d-max 4 --e-max 3 --format csv",
+    **TEXT_GOLDENS,
+}
+
+
+def test_shared_parser_keeps_calls_apart(capsys):
+    # One parser serves every main() call of a process.  No call may see a
+    # value of an earlier one, in either order, and hilbert and lcdim keep
+    # their own default for the --k-max they share (8 and None).
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert set(GOLDEN_COMMANDS) == {
+        path.name for path in GOLDEN.iterdir()} - {"help.txt"}
+    names = sorted(GOLDEN_COMMANDS)
+    for name in names + names[::-1]:
+        check_golden(capsys, name, *shlex.split(GOLDEN_COMMANDS[name]))
+    hyp_flags = ["--m", "3", "--n", "2", "--d", "5", "--e", "1"]
+    for _ in range(2):
+        assert parser.parse_args(["hilbert", *hyp_flags]).k_max == 8
+        assert parser.parse_args(["lcdim", *hyp_flags]).k_max is None
+    # A usage error (argparse exits 2) leaves nothing behind either.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hilbert", "--n", "2", "--d", "1", "--e", "1"])
+    assert exc.value.code == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: the following arguments are required: --m\n")
+    check_golden(capsys, "hilbert.json",
+                 *shlex.split(GOLDEN_COMMANDS["hilbert.json"]))
+
+
+def test_golden_help(capsys, monkeypatch):
+    # `diagalg --help` and each subcommand's --help, one section each after
+    # a `$ diagalg ... --help` line.  argparse wraps to the terminal width,
+    # which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    sections = []
+    for command in ([], ["classify"], ["hilbert"], ["lcdim"], ["frobenius"],
+                    ["rees"], ["figure"]):
+        argv = [*command, "--help"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        sections.append(f"$ diagalg {' '.join(argv)}\n{captured.out}")
+    assert "".join(sections) == (GOLDEN / "help.txt").read_text()
+
+
+def test_import_does_not_build_the_parser():
+    check = ("import diagalg.cli as cli; "
+             "assert cli.build_parser.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", check], env=_cli_env(), check=True)
 
 
 def test_json_documents_are_versioned(capsys):
@@ -321,14 +388,19 @@ def test_exit_code_rees_criteria_inconsistent(capsys, monkeypatch):
     assert "internal defect" in err
 
 
-def _cli_process(stdout, *argv):
-    # A whole `python -m diagalg` process with block-buffered stdout, as in a
-    # shell pipeline.
+def _cli_env():
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_process(stdout, *argv):
+    # A whole `python -m diagalg` process with block-buffered stdout, as in a
+    # shell pipeline.
     return subprocess.Popen([sys.executable, "-m", "diagalg", *argv],
-                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+                            stdout=stdout, stderr=subprocess.PIPE,
+                            env=_cli_env())
 
 
 def test_exit_code_closed_stdout():

@@ -1,13 +1,16 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials,
-products against the loop on exponent tuples, the lead of a form containing
-x1^d (x1^d*y1^e), reduced Groebner bases (independent of generator order
-and repetition), normal forms, standard monomial counts against
-enumeration, regular sequences against the dimension of the initial ideal
-and the parse/print round trip."""
+products against the loop on exponent tuples, the kept leading monomial of
+arithmetic results, the lead of a form containing x1^d (x1^d*y1^e),
+reduced Groebner bases (independent of generator order and repetition),
+normal forms, standard monomial counts against enumeration, regular
+sequences against the dimension of the initial ideal and the parse/print
+round trip."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diagalg.errors import PreconditionError
 from diagalg.exactalg import (
     PolyRing,
     _Packing,
@@ -176,6 +179,30 @@ def test_product_matches_tuple_loop(pair):
     expected = tuple_product(f, g)
     assert f * g == expected
     assert g * f == expected
+
+
+@SETTINGS
+@given(operands(), st.integers(0, 3))
+@example((_X3.x(1) + _X3.x(2), _X3.zero()), 2)
+def test_kept_lead_is_the_grevlex_max(pair, k):
+    # leading_monomial() keeps its first answer.  Asking the operands first
+    # checks that no result inherits their lead, asking twice that the kept
+    # answer is the one computed.
+    f, g = pair
+    for h in (f, g):
+        if h:
+            h.leading_monomial()
+    results = [f * g, f - g, g - f, f ** k, pow(f, k, 2)]
+    results += [h.monic() for h in results if h]
+    for h in results:
+        if not h:
+            for _ in range(2):
+                with pytest.raises(PreconditionError):
+                    h.leading_monomial()
+            continue
+        expected = max(h.terms, key=grevlex_key)
+        assert h.leading_monomial() == expected
+        assert h.leading_monomial() == expected
 
 
 @SETTINGS
