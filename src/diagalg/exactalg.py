@@ -21,10 +21,18 @@ factors' degrees in ``*``, the degree of f in ``normal_form`` (reduction
 never raises it), of the lcm in ``s_polynomial``, and of the power (or q,
 if larger) in ``__pow__``;
 ``groebner_basis`` starts from twice its top input degree and widens when a
-pair's lcm outgrows the fields.
+pair's lcm outgrows the fields.  Packings are shared: one per number of
+variables and field width.  Because integer order is grevlex, the kernel
+takes the lead of a packed polynomial with an integer ``max``, and each
+polynomial ``groebner_basis`` returns keeps its lead.
 
-All values are immutable after construction, so every operation in this
-module is safe for concurrent use.
+Standard-monomial counts and the regular-sequence test read the Hilbert
+numerator of a lead ideal (:func:`_hilbert_numerator`) from one bounded
+LRU cache, so the degrees asked of one basis share one numerator.
+
+All values are immutable after construction, the cached packings and
+numerators included, so every operation in this module is safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -104,19 +112,19 @@ class _Packing:
         ones = ((1 << (width * nvars)) - 1) // ((1 << width) - 1)
         self.ones = ones
         self.guard = ones << (width - 1)
-        self._shifts = [width * (nvars - 1 - k) for k in range(nvars)]
+        self._shifts = tuple(width * (nvars - 1 - k) for k in range(nvars))
         # Exponent k adds 1 to its own field and to prefix sums k..nvars-1.
-        self._weights = [
+        self._weights = tuple(
             (1 << shift) + (ones >> (width * k) << (width * (nvars + k)))
             for k, shift in enumerate(self._shifts)
-        ]
+        )
 
     def pack(self, exps) -> int:
         return sum(map(operator.mul, exps, self._weights))
 
     def unpack(self, v: int) -> tuple:
         mask = (1 << self.width) - 1
-        return tuple(v >> shift & mask for shift in self._shifts)
+        return tuple([v >> shift & mask for shift in self._shifts])
 
     def divides(self, u: int, v: int) -> bool:
         d = v - u
@@ -127,6 +135,22 @@ class _Packing:
 
     def unpack_terms(self, terms: dict) -> dict:
         return {self.unpack(v): c for v, c in terms.items()}
+
+
+# Packings kept for reuse, one per (number of variables, field width).
+_PACKINGS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_PACKINGS_KEPT)
+def _packing_of_width(nvars: int, width: int) -> _Packing:
+    return _Packing(nvars, (1 << (width - 1)) - 1)
+
+
+def _packing(nvars: int, degree: int) -> _Packing:
+    """The shared :class:`_Packing` for total degree at most ``degree``.
+    A packing is never changed after construction and depends only on
+    nvars and its field width, so calls of one width share one."""
+    return _packing_of_width(nvars, max(degree, 0).bit_length() + 1)
 
 
 def _mul(a: dict, b: dict, p: int, bias: int, guard: int) -> dict:
@@ -233,12 +257,13 @@ class MultiPoly:
         self._lead = None
 
     @staticmethod
-    def _raw(ring: PolyRing, terms: dict) -> "MultiPoly":
-        # Internal fast path: terms already normalized.
+    def _raw(ring: PolyRing, terms: dict, lead=None) -> "MultiPoly":
+        # Internal fast path: terms already normalized, and ``lead``, when
+        # given, is their grevlex-largest monomial.
         obj = object.__new__(MultiPoly)
         obj.ring = ring
         obj.terms = terms
-        obj._lead = None
+        obj._lead = lead
         return obj
 
     # -- basic structure ----------------------------------------------------
@@ -326,7 +351,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        packing = _Packing(self.ring.nvars,
+        packing = _packing(self.ring.nvars,
                            self.total_degree() + other.total_degree())
         product = _mul(packing.pack_terms(self.terms),
                        packing.pack_terms(other.terms), self.ring.p, 0, 0)
@@ -362,7 +387,7 @@ class MultiPoly:
         if q is not None and (not isinstance(q, int) or q < 1):
             raise PreconditionError(f"q must be an integer >= 1: {q!r}")
         p = ring.p
-        packing = _Packing(nv, top if q is None else max(top, q))
+        packing = _packing(nv, top if q is None else max(top, q))
         if q is None:
             q = packing.limit + 1  # no exponent reaches it
         # Adding 2^(width-1) - q to every exponent field sets the field's
@@ -512,7 +537,7 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """The S-polynomial of f and g (cancels the leading terms)."""
     ring = _common_ring([f, g])
     lcm = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
-    packing = _Packing(ring.nvars, sum(lcm))
+    packing = _packing(ring.nvars, sum(lcm))
     a = _reducer(packing.pack_terms(f.terms), ring.p)
     b = _reducer(packing.pack_terms(g.terms), ring.p)
     return MultiPoly._raw(
@@ -537,7 +562,7 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
     # Reduction never raises the degree, so a reducer of higher degree than
     # f divides no term it meets.
     top = f.total_degree()
-    packing = _Packing(ring.nvars, top)
+    packing = _packing(ring.nvars, top)
     reducers = [_reducer(packing.pack_terms(g.terms), ring.p)
                 for g in gb if g.total_degree() <= top]
     remainder = _reduce(packing.pack_terms(f.terms), reducers, packing.guard,
@@ -566,7 +591,9 @@ def groebner_basis(gens):
     so it does not depend on the order of the input generators.  Pair
     processing uses the normal selection strategy with the coprimality and
     chain criteria.  The generators are packed once (see :class:`_Packing`);
-    the fields widen when a pair's lcm outgrows them.
+    the fields widen when a pair's lcm outgrows them.  Every lead is read
+    off the packed terms, and each returned polynomial keeps its lead, so
+    ``leading_monomial()`` on it costs nothing.
     """
     gens = list(gens)
     if not gens:
@@ -576,9 +603,8 @@ def groebner_basis(gens):
         raise PreconditionError("zero polynomial among the ideal generators")
     p = ring.p
 
-    inputs = list(dict.fromkeys(map(MultiPoly.monic, gens)))
     # Twice the top degree bounds the lcm of every pair of inputs.
-    packing = _Packing(ring.nvars, 2 * max(g.total_degree() for g in inputs))
+    packing = _packing(ring.nvars, 2 * max(g.total_degree() for g in gens))
     basis = []     # monic reducers (lead, 1, tail) in insertion order
     leads = []     # their leading exponent tuples, for the pair lcms
     heap = []      # (packed lcm, i, j) of every pending pair
@@ -593,7 +619,7 @@ def groebner_basis(gens):
         if top > packing.limit:
             # Widen the fields.  Repacking keeps the order of packed values,
             # so the heap stays a heap.
-            old, packing = packing, _Packing(ring.nvars, 2 * top)
+            old, packing = packing, _packing(ring.nvars, 2 * top)
 
             def move(m):
                 return packing.pack(old.unpack(m))
@@ -608,8 +634,12 @@ def groebner_basis(gens):
             heappush(heap, (packing.pack(lcm), t, new))
             pending.add((t, new))
 
-    for g in inputs:
-        include(_reducer(packing.pack_terms(g.terms), p))
+    # Each generator scaled to lead coefficient 1.  A generator repeated up
+    # to a constant only adds a pair that reduces to zero, and
+    # minimalization drops the copy.
+    for g in gens:
+        lt, inv, tail = _reducer(packing.pack_terms(g.terms), p)
+        include((lt, 1, [(m, c * inv % p) for m, c in tail]))
     while heap:
         lcm_ij, i, j = heappop(heap)
         pending.remove((i, j))
@@ -637,7 +667,8 @@ def groebner_basis(gens):
     for a, (lt, _, tail) in enumerate(kept):
         tail = _reduce(dict(tail), reduced + kept[a + 1:], packing.guard, p)
         reduced.append((lt, 1, list(tail.items())))
-    return [MultiPoly._raw(ring, packing.unpack_terms(dict([(lt, 1), *tail])))
+    return [MultiPoly._raw(ring, packing.unpack_terms(dict([(lt, 1), *tail])),
+                           packing.unpack(lt))
             for lt, _, tail in reduced]
 
 
@@ -685,16 +716,25 @@ def _minimal(gens: list) -> list:
     return kept
 
 
-def _hilbert_numerator(leads, m: int) -> dict:
-    """The bigraded Hilbert-Poincare numerator of S/(leads): ``{(i, j): c}``
-    with HS(S/(leads)) = sum c * s^i * t^j / ((1 - s)^m * (1 - t)^n).
+# Lead ideals whose Hilbert numerator is kept for reuse.
+_NUMERATORS_KEPT = 64
 
-    ``leads`` are exponent tuples; the first ``m`` positions are the x-block
-    (degree (1, 0)), the rest the y-block (degree (0, 1)).  Pivot recursion
-    (Bayer & Stillman 1992; Bigatti 1997): for a variable v that divides at
-    least two minimal generators and a pivot v^e that is not in I,
-    HN(I) = HN(I + (v^e)) + s^a * t^b * HN(I : v^e), where (a, b) is the
-    bidegree of v^e.  Pairwise coprime generators are the base case,
+
+@functools.lru_cache(maxsize=_NUMERATORS_KEPT)
+def _hilbert_numerator(leads: tuple, m: int) -> tuple:
+    """The bigraded Hilbert-Poincare numerator of S/(leads), as the
+    nonzero items ``((i, j), c)`` of HS(S/(leads)) = sum c * s^i * t^j /
+    ((1 - s)^m * (1 - t)^n).  The numerator depends only on the lead
+    ideal, so it is kept for the last ``_NUMERATORS_KEPT`` distinct
+    arguments and every degree asked of one basis reuses it; the value is
+    a tuple of tuples, so no caller can change a kept one.
+
+    ``leads`` is a tuple of exponent tuples; the first ``m`` positions are
+    the x-block (degree (1, 0)), the rest the y-block (degree (0, 1)).
+    Pivot recursion (Bayer & Stillman 1992; Bigatti 1997): for a variable v
+    that divides at least two minimal generators and a pivot v^e that is
+    not in I, HN(I) = HN(I + (v^e)) + s^a * t^b * HN(I : v^e), where (a, b)
+    is the bidegree of v^e.  Pairwise coprime generators are the base case,
     HN = prod (1 - s^a * t^b), and the unit ideal has HN = 0.  An explicit
     stack of (generators, shift) replaces the call stack, so deep
     staircases cannot overflow it.
@@ -734,7 +774,7 @@ def _hilbert_numerator(leads, m: int) -> dict:
         high = [g for g in high if not any(_divides(u, g) for u in low)]
         a, b = (e, 0) if v < m else (0, e)
         stack.append((low + high, si + a, sj + b))
-    return {key: c for key, c in out.items() if c}
+    return tuple((key, c) for key, c in out.items() if c)
 
 
 def standard_monomial_count(gb, degree) -> int:
@@ -764,14 +804,15 @@ def standard_monomial_count(gb, degree) -> int:
         if not bigraded and not g.is_homogeneous():
             raise PreconditionError(f"basis element not homogeneous: {g}")
 
-    numerator = _hilbert_numerator([g.leading_monomial() for g in gb], ring.m)
+    numerator = _hilbert_numerator(tuple(g.leading_monomial() for g in gb),
+                                   ring.m)
     if bigraded:
         a, b = degree
         return sum(c * _monomial_count(a - i, ring.m)
                    * _monomial_count(b - j, ring.n)
-                   for (i, j), c in numerator.items())
+                   for (i, j), c in numerator)
     return sum(c * _monomial_count(degree - i - j, ring.nvars)
-               for (i, j), c in numerator.items())
+               for (i, j), c in numerator)
 
 
 def power_ideal_gens(gens, r: int):
@@ -809,9 +850,9 @@ def is_regular_sequence(gens) -> bool:
             )
     if len(gens) > ring.nvars:
         return False
-    leads = [g.leading_monomial() for g in groebner_basis(gens)]
+    leads = tuple(g.leading_monomial() for g in groebner_basis(gens))
     numerator: dict = {}
-    for (i, j), c in _hilbert_numerator(leads, ring.m).items():
+    for (i, j), c in _hilbert_numerator(leads, ring.m):
         numerator[i + j] = numerator.get(i + j, 0) + c
     expected = {0: 1}
     for g in gens:

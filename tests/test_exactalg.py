@@ -12,6 +12,7 @@ from diagalg.errors import (
 )
 from diagalg.exactalg import (
     PolyRing,
+    _hilbert_numerator,
     grevlex_key,
     groebner_basis,
     is_regular_sequence,
@@ -480,6 +481,31 @@ def test_count_deep_staircase():
     assert standard_monomial_count(leads, (top, 7)) == 0
     assert standard_monomial_count(leads, top - 1) == comb(top + 1, 2)
     assert standard_monomial_count(leads, 10) == comb(12, 2)
+
+
+def test_count_reuses_one_numerator_per_basis():
+    # The Hilbert numerator depends only on the lead ideal: every degree
+    # asked of one basis reads one cached numerator.
+    ring = PolyRing(101, 3)
+    x1, x2, x3 = ring.gens()
+    gb = groebner_basis([x1 ** 2 + 3 * x2 * x3, x2 ** 3 - x1 * x3 ** 2])
+    _hilbert_numerator.cache_clear()
+    top = 9
+    counts = [standard_monomial_count(gb, j) for j in range(top + 1)]
+    info = _hilbert_numerator.cache_info()
+    assert (info.misses, info.hits) == (1, top)
+    assert counts == [standard_monomial_count(gb, j) for j in range(top + 1)]
+    # Bounded: more distinct lead ideals than it keeps.
+    for k in range(1, info.maxsize + 10):
+        assert standard_monomial_count([x1 ** k], k) == comb(k + 2, 2) - 1
+    assert _hilbert_numerator.cache_info().currsize <= info.maxsize
+    # A kept value is a tuple of tuples of integers: hashable, so no part
+    # of it can be changed by a caller.
+    value = _hilbert_numerator(tuple(g.leading_monomial() for g in gb), ring.m)
+    assert isinstance(value, tuple)
+    hash(value)
+    with pytest.raises(TypeError):
+        value[0] = ((0, 0), 1)
 
 
 # ---------------------------------------------------------------------------

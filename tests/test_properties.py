@@ -1,10 +1,11 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials,
 products against the loop on exponent tuples, the kept leading monomial of
-arithmetic results, the lead of a form containing x1^d (x1^d*y1^e),
-reduced Groebner bases (independent of generator order and repetition),
-normal forms, standard monomial counts against enumeration, regular
-sequences against the dimension of the initial ideal and the parse/print
-round trip."""
+arithmetic results and of Groebner bases, the lead of a form containing
+x1^d (x1^d*y1^e), reduced Groebner bases (independent of generator order,
+repetition and scaling), normal forms, standard monomial counts against
+enumeration and with a cold or warm numerator cache, regular sequences
+against the dimension of the initial ideal and the parse/print round
+trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from diagalg.errors import PreconditionError
 from diagalg.exactalg import (
     PolyRing,
+    _hilbert_numerator,
     _Packing,
     exponent_vectors,
     grevlex_key,
@@ -232,16 +234,30 @@ def test_reduced_basis_ignores_generator_order(ideal, rng):
 
 
 @SETTINGS
+@given(ideals())
+def test_basis_is_monic_with_kept_grevlex_lead(ideal):
+    # groebner_basis reads each lead off the packed terms and keeps it.
+    _, gens = ideal
+    for g in groebner_basis(gens):
+        expected = max(g.terms, key=grevlex_key)
+        assert g._lead == expected
+        assert g.leading_monomial() == expected
+        assert g.terms[expected] == 1
+
+
+@SETTINGS
 @given(st.data())
 def test_reduced_basis_ignores_duplicate_generators(data):
     # groebner_basis does not sort its inputs; the basis, down to the order
-    # of its terms, must still not depend on their order or repetitions.
+    # of its terms, must still not depend on their order, on their
+    # repetitions or on scaling any of them by a nonzero constant.
     ring, gens = data.draw(ideals())
     repeats = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+    inputs = gens + repeats
     scales = data.draw(st.lists(st.integers(1, ring.p - 1),
-                                min_size=len(repeats), max_size=len(repeats)))
+                                min_size=len(inputs), max_size=len(inputs)))
     noisy = data.draw(st.permutations(
-        gens + [c * g for c, g in zip(scales, repeats)]))
+        [c * g for c, g in zip(scales, inputs)]))
     gb, noisy_gb = groebner_basis(gens), groebner_basis(noisy)
     assert noisy_gb == gb
     assert [list(g.terms.items()) for g in noisy_gb] == [
@@ -290,6 +306,20 @@ def test_standard_count_matches_enumeration(gens):
         for b in range(-1, 6):
             assert (standard_monomial_count(gens, (a, b))
                     == enumerated_standard_count(gens, (a, b))), (a, b)
+
+
+@SETTINGS
+@given(ideals())
+def test_standard_count_is_the_same_cold_and_warm(ideal):
+    # Each cold value is computed right after the numerator cache was
+    # emptied; the warm ones all read the numerator it then kept.
+    _, gens = ideal
+    gb = groebner_basis(gens)
+    cold = []
+    for degree in range(8):
+        _hilbert_numerator.cache_clear()
+        cold.append(standard_monomial_count(gb, degree))
+    assert [standard_monomial_count(gb, degree) for degree in range(8)] == cold
 
 
 @st.composite
