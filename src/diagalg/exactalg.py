@@ -19,12 +19,21 @@ monomials is adding integers, and divisibility is one subtraction and one
 mask.  The width comes from the call's degree bound: the sum of the
 factors' degrees in ``*``, the degree of f in ``normal_form`` (reduction
 never raises it), of the lcm in ``s_polynomial``, and of the power (or q,
-if larger) in ``__pow__``;
-``groebner_basis`` starts from twice its top input degree and widens when a
-pair's lcm outgrows the fields.  Packings are shared: one per number of
-variables and field width.  Because integer order is grevlex, the kernel
-takes the lead of a packed polynomial with an integer ``max``, and each
-polynomial ``groebner_basis`` returns keeps its lead.
+if larger) in ``__pow__``; Buchberger's algorithm (:func:`_buchberger`)
+takes its degree limit if it has one, else it starts from twice its top
+input degree and widens when a pair's lcm outgrows the fields.  Packings
+are shared: one per number of variables and field width.  Because integer
+order is grevlex, the kernel takes the lead of a packed polynomial with an
+integer ``max``, and each polynomial ``groebner_basis`` returns keeps its
+lead.
+
+Callers inside the package that only need a yes/no or one remainder stay
+packed: Fedder's test reads whether the packed power of :func:`_power` is
+empty, and the certificates' membership test reduces the packed socle by
+the packed, unreduced basis of :func:`_buchberger`, truncated at the
+socle's degree.  ``groebner_basis`` and ``normal_form`` stay the public,
+independent route to the same remainder.  A square forms each cross term
+once (:func:`_mul`).
 
 Standard-monomial counts and the regular-sequence test read the Hilbert
 numerator of a lead ideal (:func:`_hilbert_numerator`) from one bounded
@@ -156,16 +165,75 @@ def _packing(nvars: int, degree: int) -> _Packing:
 def _mul(a: dict, b: dict, p: int, bias: int, guard: int) -> dict:
     """Product of the packed polynomials a and b (see :class:`_Packing`)
     without the monomials u that have ``(u + bias) & guard`` set; a guard
-    of 0 keeps them all."""
+    of 0 keeps them all.  A square (``a is b``) forms each cross term once,
+    with its coefficient doubled, and each diagonal term once."""
     _check_product(len(a), len(b))
     out = {}
     get = out.get
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = ma + mb
+    if a is b:
+        items = list(a.items())
+        for i, (ma, ca) in enumerate(items):
+            m = ma + ma
             if not (m + bias) & guard:
-                out[m] = get(m, 0) + ca * cb
+                out[m] = get(m, 0) + ca * ca
+            ca += ca
+            for mb, cb in items[i + 1:]:
+                m = ma + mb
+                if not (m + bias) & guard:
+                    out[m] = get(m, 0) + ca * cb
+    else:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                if not (m + bias) & guard:
+                    out[m] = get(m, 0) + ca * cb
     return {m: v for m, c in out.items() if (v := c % p)}
+
+
+def _power(f: "MultiPoly", k: int, q: int | None):
+    """``pow(f, k, q)`` as (packing, packed terms): f^k without its terms
+    that have an exponent >= q (with no ``q``, all of f^k).
+
+    Computed by square and multiply on packed monomials, dropping such
+    terms as soon as they appear, which is exact: every product with
+    such a term has one too.  f^k has at most comb(t + k - 1, k) terms
+    (multisets of k of f's t terms) and at most comb(k * deg + nvars,
+    nvars) (monomials of degree <= k * deg); it is refused before any
+    work when both exceed the monomial cap, with or without ``q``.  Like
+    ``*``, each product it forms is refused when it would form more
+    candidate monomials than the cap.
+    """
+    if not isinstance(k, int) or k < 0:
+        raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
+    ring = f.ring
+    t, nv = len(f.terms), ring.nvars
+    top = k * f.total_degree()
+    if (t >= 2 and comb(top + nv, nv) > MONOMIAL_CAP
+            and comb(t + k - 1, k) > MONOMIAL_CAP):
+        raise DegreeCapError(
+            f"power {k} of a {t}-term polynomial may exceed the "
+            f"monomial cap {MONOMIAL_CAP}"
+        )
+    if q is not None and (not isinstance(q, int) or q < 1):
+        raise PreconditionError(f"q must be an integer >= 1: {q!r}")
+    p = ring.p
+    packing = _packing(nv, top if q is None else max(top, q))
+    if q is None:
+        q = packing.limit + 1  # no exponent reaches it
+    # Adding 2^(width-1) - q to every exponent field sets the field's
+    # guard bit exactly when the exponent is >= q.
+    bias = ((packing.limit + 1) - q) * packing.ones
+    guard = packing.guard
+    base = {m: c for m, c in packing.pack_terms(f.terms).items()
+            if not (m + bias) & guard}
+    result = {0: 1}  # the constant 1 packs to 0
+    while k:
+        if k & 1:
+            result = _mul(result, base, p, bias, guard)
+        k >>= 1
+        if k:
+            base = _mul(base, base, p, bias, guard)
+    return packing, result
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,48 +430,10 @@ class MultiPoly:
     def __pow__(self, k: int, q: int | None = None):
         """f ** k, or with ``q`` (``pow(f, k, q)``) the image of f^k modulo
         the monomial ideal (v^q : v each variable): f^k without its terms
-        that have an exponent >= q.
-
-        Computed by square and multiply on packed monomials, dropping such
-        terms as soon as they appear, which is exact: every product with
-        such a term has one too.  f^k has at most comb(t + k - 1, k) terms
-        (multisets of k of f's t terms) and at most comb(k * deg + nvars,
-        nvars) (monomials of degree <= k * deg); it is refused before any
-        work when both exceed the monomial cap, with or without ``q``.  Like
-        ``*``, each product it forms is refused when it would form more
-        candidate monomials than the cap.
-        """
-        if not isinstance(k, int) or k < 0:
-            raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
-        ring = self.ring
-        t, nv = len(self.terms), ring.nvars
-        top = k * self.total_degree()
-        if (t >= 2 and comb(top + nv, nv) > MONOMIAL_CAP
-                and comb(t + k - 1, k) > MONOMIAL_CAP):
-            raise DegreeCapError(
-                f"power {k} of a {t}-term polynomial may exceed the "
-                f"monomial cap {MONOMIAL_CAP}"
-            )
-        if q is not None and (not isinstance(q, int) or q < 1):
-            raise PreconditionError(f"q must be an integer >= 1: {q!r}")
-        p = ring.p
-        packing = _packing(nv, top if q is None else max(top, q))
-        if q is None:
-            q = packing.limit + 1  # no exponent reaches it
-        # Adding 2^(width-1) - q to every exponent field sets the field's
-        # guard bit exactly when the exponent is >= q.
-        bias = ((packing.limit + 1) - q) * packing.ones
-        guard = packing.guard
-        base = {m: c for m, c in packing.pack_terms(self.terms).items()
-                if not (m + bias) & guard}
-        result = {0: 1}  # the constant 1 packs to 0
-        while k:
-            if k & 1:
-                result = _mul(result, base, p, bias, guard)
-            k >>= 1
-            if k:
-                base = _mul(base, base, p, bias, guard)
-        return MultiPoly._raw(ring, packing.unpack_terms(result))
+        that have an exponent >= q.  See :func:`_power`, which refuses the
+        powers and products over the monomial cap."""
+        packing, terms = _power(self, k, q)
+        return MultiPoly._raw(self.ring, packing.unpack_terms(terms))
 
     # -- grevlex views ------------------------------------------------------
 
@@ -584,27 +614,29 @@ def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending, packing) -> bool:
     return False
 
 
-def groebner_basis(gens):
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+def _buchberger(gens, ring: PolyRing, limit: int | None = None):
+    """Buchberger's algorithm on the nonzero polynomials ``gens`` of
+    ``ring``, as (packing, basis): a Groebner basis of monic reducers
+    (lead, 1, tail) in the packing, in insertion order, neither minimal nor
+    reduced.
 
-    Deterministic: the output is the reduced basis sorted by leading monomial,
-    so it does not depend on the order of the input generators.  Pair
-    processing uses the normal selection strategy with the coprimality and
-    chain criteria.  The generators are packed once (see :class:`_Packing`);
-    the fields widen when a pair's lcm outgrows them.  Every lead is read
-    off the packed terms, and each returned polynomial keeps its lead, so
-    ``leading_monomial()`` on it costs nothing.
+    Pair processing uses the normal selection strategy with the coprimality
+    and chain criteria.  With a ``limit``, no pair whose lcm has a higher
+    total degree is ever pushed, so for homogeneous ``gens`` the result is
+    a ``limit``-truncated Groebner basis: it gives every form of degree at
+    most ``limit`` its normal form modulo the ideal (Becker & Weispfenning,
+    GTM 141, 1993).  The chain criterion stays sound under the limit: when
+    the lead of t divides lcm(i, j), the lcms of (i, t) and (j, t) divide
+    it, so both pairs were pushed.  The packing then holds every monomial
+    of degree at most ``limit``; without one the fields widen when a pair's
+    lcm outgrows them.
     """
-    gens = list(gens)
-    if not gens:
-        return []
-    ring = _common_ring(gens)
-    if any(g.is_zero for g in gens):
-        raise PreconditionError("zero polynomial among the ideal generators")
     p = ring.p
-
-    # Twice the top degree bounds the lcm of every pair of inputs.
-    packing = _packing(ring.nvars, 2 * max(g.total_degree() for g in gens))
+    top = max(g.total_degree() for g in gens)
+    # Without a limit, twice the top degree bounds the lcm of every pair of
+    # inputs; with one, no pushed lcm and no generator exceeds the packing.
+    packing = _packing(ring.nvars,
+                       2 * top if limit is None else max(top, limit))
     basis = []     # monic reducers (lead, 1, tail) in insertion order
     leads = []     # their leading exponent tuples, for the pair lcms
     heap = []      # (packed lcm, i, j) of every pending pair
@@ -614,8 +646,10 @@ def groebner_basis(gens):
         nonlocal packing
         new = len(basis)
         lt = packing.unpack(g[0])
-        lcms = [tuple(map(max, e, lt)) for e in leads]
-        top = max(map(sum, lcms), default=0)
+        lcms = {t: tuple(map(max, e, lt)) for t, e in enumerate(leads)}
+        if limit is not None:
+            lcms = {t: lcm for t, lcm in lcms.items() if sum(lcm) <= limit}
+        top = max(map(sum, lcms.values()), default=0)
         if top > packing.limit:
             # Widen the fields.  Repacking keeps the order of packed values,
             # so the heap stays a heap.
@@ -630,7 +664,7 @@ def groebner_basis(gens):
             g = (move(g[0]), 1, [(move(m), c) for m, c in g[2]])
         basis.append(g)
         leads.append(lt)
-        for t, lcm in enumerate(lcms):
+        for t, lcm in lcms.items():
             heappush(heap, (packing.pack(lcm), t, new))
             pending.add((t, new))
 
@@ -654,6 +688,27 @@ def groebner_basis(gens):
             lt, lc = next(terms)
             inv = pow(lc, -1, p)
             include((lt, 1, [(m, c * inv % p) for m, c in terms]))
+    return packing, basis
+
+
+def groebner_basis(gens):
+    """Reduced Groebner basis of the ideal generated by ``gens``.
+
+    Deterministic: the output is the reduced basis sorted by leading monomial,
+    so it does not depend on the order of the input generators.  The basis
+    comes from :func:`_buchberger` on the packed generators (see
+    :class:`_Packing`) and is then minimalized and interreduced.  Every lead
+    is read off the packed terms, and each returned polynomial keeps its
+    lead, so ``leading_monomial()`` on it costs nothing.
+    """
+    gens = list(gens)
+    if not gens:
+        return []
+    ring = _common_ring(gens)
+    if any(g.is_zero for g in gens):
+        raise PreconditionError("zero polynomial among the ideal generators")
+    p = ring.p
+    packing, basis = _buchberger(gens, ring)
 
     # Minimalize: drop elements whose lead is divisible by another kept lead.
     kept = []
@@ -662,11 +717,14 @@ def groebner_basis(gens):
             kept.append(g)
 
     # Interreduce tails for the unique reduced basis, still sorted by lead;
-    # the leads are mutually indivisible, so each keeps coefficient 1.
+    # the leads are mutually indivisible, so each keeps coefficient 1.  A
+    # lone element has nothing to reduce its tail by.
     reduced = []
     for a, (lt, _, tail) in enumerate(kept):
-        tail = _reduce(dict(tail), reduced + kept[a + 1:], packing.guard, p)
-        reduced.append((lt, 1, list(tail.items())))
+        reducers = reduced + kept[a + 1:]
+        if reducers:
+            tail = list(_reduce(dict(tail), reducers, packing.guard, p).items())
+        reduced.append((lt, 1, tail))
     return [MultiPoly._raw(ring, packing.unpack_terms(dict([(lt, 1), *tail])),
                            packing.unpack(lt))
             for lt, _, tail in reduced]

@@ -20,6 +20,9 @@ from .errors import PreconditionError, RingContextError
 from .exactalg import (
     MultiPoly,
     PolyRing,
+    _buchberger,
+    _power,
+    _reduce,
     exponent_vectors,
     groebner_basis,
     normal_form,
@@ -75,13 +78,14 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
     That ideal is monomial, so membership is termwise: ``pow(f, p - 1, p)``,
     the image of f^(p-1) modulo it, is nonzero exactly when f is F-pure.  No
     Groebner basis is needed, and the power drops every term with an
-    exponent >= p as soon as it appears."""
+    exponent >= p as soon as it appears.  The test reads only whether the
+    packed power is empty; its terms are never unpacked."""
     if f.is_zero:
         raise PreconditionError("f must be nonzero")
     if not f.is_homogeneous():
         raise PreconditionError("f must be homogeneous")
     p = f.ring.p
-    return not pow(f, p - 1, p).is_zero
+    return bool(_power(f, p - 1, p)[1])
 
 
 def _distinguished(m: int, n: int, d: int, e: int = 0) -> tuple:
@@ -92,8 +96,16 @@ def _distinguished(m: int, n: int, d: int, e: int = 0) -> tuple:
 def _membership_search(f: MultiPoly, degree, e_max: int):
     """Search q = p, p^2, ..., p^e_max for a socle outside J_q, where
     J_q = (x1^q - y1^q (only when n >= 1), x2^q, ..., xm^q, y2^q, ..., yn^q,
-    f) and the socle is x1^((sum(degree) - 1) q + 1); p, m and n are those
-    of f's ring, and ``degree`` is (d,) or (d, e)."""
+    f) and the socle is x1^delta with delta = (sum(degree) - 1) q + 1; p, m
+    and n are those of f's ring, and ``degree`` is (d,) or (d, e).
+
+    J_q is homogeneous, so the normal form of the degree-delta socle needs
+    only a delta-truncated Groebner basis: Buchberger's algorithm skips
+    every pair whose lcm has degree above delta, and the socle is reduced
+    in the basis's own packing.  Any Groebner basis gives the same normal
+    form, so the basis is neither minimalized nor interreduced, and the
+    remainder equals ``normal_form(socle, groebner_basis(gens))``, which
+    :func:`recheck_certificate` computes independently."""
     ring = f.ring
     p, m, n = ring.p, ring.m, ring.n
     # The socle argument needs the distinguished variables to stay a system
@@ -119,20 +131,33 @@ def _membership_search(f: MultiPoly, degree, e_max: int):
         )
     assumptions = [ASSUMPTION_F_PURE, ASSUMPTION_REGULAR_LOCUS]
     tested: list[int] = []
+    nvars = ring.nvars
+
+    def pure(var: int, k: int) -> tuple:
+        # The exponent vector of the k-th power of the variable numbered var.
+        return tuple(k if i == var else 0 for i in range(nvars))
+
     for e in range(1, e_max + 1):
         q = p ** e
-        gens = [ring.x(1) ** q - ring.y(1) ** q] if n else []
-        gens += [ring.x(i) ** q for i in range(2, m + 1)]
-        gens += [ring.y(j) ** q for j in range(2, n + 1)] + [f]
-        socle = ring.x(1) ** ((sum(degree) - 1) * q + 1)
-        remainder = normal_form(socle, groebner_basis(gens))
+        # x1^q - y1^q (y1 is variable m), then x2^q, ..., xm^q, y2^q, ...
+        gens = ([MultiPoly._raw(ring, {pure(0, q): 1, pure(m, q): p - 1})]
+                if n else [])
+        gens += [MultiPoly._raw(ring, {pure(i, q): 1})
+                 for i in range(1, nvars) if i != m]
+        gens.append(f)
+        delta = (sum(degree) - 1) * q + 1
+        socle = pure(0, delta)
+        packing, basis = _buchberger(gens, ring, delta)
+        remainder = _reduce({packing.pack(socle): 1}, basis, packing.guard, p)
         tested.append(q)
-        if not remainder.is_zero:
+        if remainder:
             return FrobeniusCertificate(
                 verdict=VERDICT_F_REGULAR, p=p, m=m, n=n, degree=degree,
                 q_used=q, tested_powers=tested,
                 ideal_generators=[str(g) for g in gens],
-                socle=str(socle), normal_form=str(remainder),
+                socle=str(MultiPoly._raw(ring, {socle: 1})),
+                normal_form=str(MultiPoly._raw(
+                    ring, packing.unpack_terms(remainder))),
                 assumptions=assumptions,
                 details=f"socle excluded from the Frobenius-power ideal at q={q}",
             )

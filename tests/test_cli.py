@@ -111,6 +111,23 @@ GOLDEN_COMMANDS = {
     **TEXT_GOLDENS,
 }
 
+# Golden documents that take seconds to print, with their commands.  CI
+# diffs each through the console script under a time limit instead of this
+# suite: the bigraded (4,4,2,2) certificate at p = 5 has S-pairs above the
+# socle degree, which the certificate's truncated basis skips.
+CI_GOLDENS = {
+    "frobenius_bigraded_4422.json": "frobenius --mode bigraded --m 4 --n 4 "
+                                    "--d 2 --e 2 --p 5 --seed 0 --format json",
+}
+WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def test_ci_diffs_every_slow_golden():
+    workflow = WORKFLOW.read_text()
+    for name, command in CI_GOLDENS.items():
+        assert (f"timeout 60 diagalg {command} | diff - tests/golden/{name}"
+                in workflow), name
+
 
 def test_shared_parser_keeps_calls_apart(capsys):
     # One parser serves every main() call of a process.  No call may see a
@@ -118,7 +135,7 @@ def test_shared_parser_keeps_calls_apart(capsys):
     # their own default for the --k-max they share (8 and None).
     parser = cli.build_parser()
     assert cli.build_parser() is parser
-    assert set(GOLDEN_COMMANDS) == {
+    assert set(GOLDEN_COMMANDS) | set(CI_GOLDENS) == {
         path.name for path in GOLDEN.iterdir()} - {"help.txt"}
     names = sorted(GOLDEN_COMMANDS)
     for name in names + names[::-1]:

@@ -1,5 +1,6 @@
 """Characteristic-p certificate tests: F-purity, membership searches, witnesses."""
 
+import itertools
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from diagalg.frobenius import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_F_PURE,
     VERDICT_NOT_F_REGULAR,
+    _membership_search,
     f_regular_certificate_bigraded,
     f_regular_certificate_graded,
     fedder_is_f_pure,
@@ -178,6 +180,39 @@ def test_graded_membership_monotone_on_witnesses():
             gens = [ring.x(i) ** q for i in range(2, m + 1)] + [f]
             socle = ring.x(1) ** ((d - 1) * q + 1)
             assert not normal_form(socle, groebner_basis(gens)).is_zero, (d, m, p, q)
+
+
+def test_truncated_membership_matches_full_basis():
+    # The search reduces the socle by a basis truncated at the socle degree
+    # delta; the full reduced basis is the oracle at every tested q.  The
+    # grid has graded and bigraded forms, D = d + e = 1 (delta = 1 is below
+    # the generators' degree q), p = 2 and, where q = p leaves the socle in
+    # the ideal, q = p^2.
+    shapes = [(3, 0, 1, 0), (3, 0, 2, 0), (4, 0, 3, 0), (3, 2, 1, 0),
+              (2, 2, 0, 1), (2, 2, 1, 1), (2, 3, 1, 2), (3, 2, 2, 1)]
+    seen = set()
+    for (m, n, d, e), p, seed in itertools.product(shapes, (2, 3, 5), range(3)):
+        f = random_biform(m, n, d, e, p, seed).monic()
+        ring = f.ring
+        degree = (d, e) if n else (d,)
+        cert = _membership_search(f, degree, 2)
+        found = ["0"] * len(cert.tested_powers)
+        if cert.verdict == VERDICT_F_REGULAR:
+            found[-1] = cert.normal_form
+        for q, remainder in zip(cert.tested_powers, found):
+            gens = [ring.x(1) ** q - ring.y(1) ** q] if n else []
+            gens += [ring.x(i) ** q for i in range(2, m + 1)]
+            gens += [ring.y(j) ** q for j in range(2, n + 1)] + [f]
+            socle = ring.x(1) ** ((d + e - 1) * q + 1)
+            expected = normal_form(socle, groebner_basis(gens))
+            assert remainder == str(expected), ((m, n, d, e), p, seed, q)
+            seen.add("zero" if expected.is_zero else "nonzero")
+            seen.add(("D", d + e))
+            seen.add("q = p" if q == p else "q = p^2")
+            seen.add(("p", p))
+            seen.add("bigraded" if n else "graded")
+    assert {"zero", "nonzero", ("D", 1), "q = p", "q = p^2", ("p", 2),
+            "graded", "bigraded"} <= seen
 
 
 def test_certificate_reproducible():

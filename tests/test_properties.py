@@ -1,11 +1,11 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials,
-products against the loop on exponent tuples, the kept leading monomial of
-arithmetic results and of Groebner bases, the lead of a form containing
-x1^d (x1^d*y1^e), reduced Groebner bases (independent of generator order,
-repetition and scaling), normal forms, standard monomial counts against
-enumeration and with a cold or warm numerator cache, regular sequences
-against the dimension of the initial ideal and the parse/print round
-trip."""
+products against the loop on exponent tuples, truncated powers against
+repeated products, the kept leading monomial of arithmetic results and of
+Groebner bases, the lead of a form containing x1^d (x1^d*y1^e), reduced
+Groebner bases (independent of generator order, repetition and scaling),
+normal forms, standard monomial counts against enumeration and with a cold
+or warm numerator cache, regular sequences against the dimension of the
+initial ideal and the parse/print round trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -181,6 +181,39 @@ def test_product_matches_tuple_loop(pair):
     expected = tuple_product(f, g)
     assert f * g == expected
     assert g * f == expected
+
+
+@st.composite
+def power_cases(draw):
+    """A polynomial over F_p, p in {2, 3, 5, 7}, an exponent k and a bound
+    q on the exponents kept (None keeps all)."""
+    ring = PolyRing(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3)))
+    return (draw(polys(ring, max_degree=2)), draw(st.integers(0, 6)),
+            draw(st.none() | st.integers(1, 7)))
+
+
+_X2 = PolyRing(3, 2)
+_X3_7 = PolyRing(7, 3)
+
+
+@SETTINGS
+@given(power_cases())
+# Squaring: 2*x1^2*x2^2 (cross) and x1^2*x2^2 (diagonal) cancel mod 3.
+@example((_X2.poly({(2, 0): 1, (1, 1): 1, (0, 2): 1}), 2, None))
+# Squaring: the two cross terms 2*x1^2*x2*x3 and 2*6*x1^2*x2*x3 cancel mod 7.
+@example((_X3_7.poly({(2, 0, 0): 1, (0, 1, 1): 1, (1, 1, 0): 1, (1, 0, 1): 6}),
+          2, 3))
+# Characteristic 2: every cross term of a square vanishes.
+@example((_Y2.y(1) + _Y2.y(2), 4, 4))
+def test_truncated_power_matches_repeated_product(case):
+    f, k, q = case
+    expected = f.ring.one()
+    for _ in range(k):
+        expected = expected * f
+    if q is not None:
+        expected = expected.ring.poly(
+            {e: c for e, c in expected.terms.items() if max(e) < q})
+    assert pow(f, k, q) == expected
 
 
 @SETTINGS
