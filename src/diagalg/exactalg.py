@@ -28,20 +28,22 @@ integer ``max``, and each polynomial ``groebner_basis`` returns keeps its
 lead.
 
 Callers inside the package that only need a yes/no or one remainder stay
-packed: Fedder's test reads whether the packed power of :func:`_power` is
-empty, and the certificates' membership test reduces the packed socle by
-the packed, unreduced basis of :func:`_buchberger`, truncated at the
-socle's degree.  ``groebner_basis`` and ``normal_form`` stay the public,
-independent route to the same remainder.  A square forms each cross term
-once (:func:`_mul`).
+packed: Fedder's test asks :func:`_power` only whether the power is
+nonzero, and decides its last product one coefficient at a time
+(:func:`_product_is_nonzero`) instead of forming it; the certificates'
+membership test reduces the packed socle by the packed, unreduced basis
+of :func:`_buchberger`, truncated at the socle's degree.  ``__pow__``,
+``groebner_basis`` and ``normal_form`` stay the public, independent route
+to the same answers.  A square forms each cross term once (:func:`_mul`).
 
 Standard-monomial counts and the regular-sequence test read the Hilbert
 numerator of a lead ideal (:func:`_hilbert_numerator`) from one bounded
 LRU cache, so the degrees asked of one basis share one numerator.
 
-All values are immutable after construction, the cached packings and
-numerators included, so every operation in this module is safe for
-concurrent use.
+All values are immutable after construction, the cached packings,
+numerators and variable names included, so every operation in this module
+is safe for concurrent use.  A polynomial keeps its lead and its
+(bi)degrees once found; two threads that find them store equal values.
 """
 
 from __future__ import annotations
@@ -190,7 +192,44 @@ def _mul(a: dict, b: dict, p: int, bias: int, guard: int) -> dict:
     return {m: v for m, c in out.items() if (v := c % p)}
 
 
-def _power(f: "MultiPoly", k: int, q: int | None):
+def _product_is_nonzero(a: dict, b: dict, p: int, bias: int,
+                        guard: int) -> bool:
+    """Whether ``_mul(a, b, p, bias, guard)`` has a term, deciding it one
+    coefficient at a time instead of forming the product.
+
+    The product is refused as ``_mul`` refuses it.  Then each surviving
+    monomial u = ma + mb, in the order the pairs find it and once each,
+    gets its coefficient sum(a[v] * b[u - v] for v in a) mod p.  When v
+    does not divide u, u - v is negative or has a guard bit set
+    (:class:`_Packing`), so it is no key of b: one dict lookup is both the
+    divisor test and the read of b.  The first nonzero
+    coefficient answers True.  After ``len(b) // 4`` zero coefficients
+    (a is the smaller factor), ``_mul`` forms the product instead, which
+    caps the extra work at about a quarter of the product's pair loop."""
+    _check_product(len(a), len(b))
+    if len(a) > len(b):
+        a, b = b, a
+    terms, get = list(a.items()), b.get
+    budget = len(b) // 4
+    seen = set()
+    keys = list(b)
+    for i, ma in enumerate(a):
+        # A square meets every monomial among the pairs with mb at or
+        # after ma.
+        for mb in keys[i:] if a is b else keys:
+            u = ma + mb
+            if (u + bias) & guard or u in seen:
+                continue
+            if not budget:
+                return bool(_mul(a, b, p, bias, guard))
+            budget -= 1
+            seen.add(u)
+            if sum([c * get(u - v, 0) for v, c in terms]) % p:
+                return True
+    return False
+
+
+def _power(f: "MultiPoly", k: int, q: int | None, last=_mul):
     """``pow(f, k, q)`` as (packing, packed terms): f^k without its terms
     that have an exponent >= q (with no ``q``, all of f^k).
 
@@ -202,6 +241,12 @@ def _power(f: "MultiPoly", k: int, q: int | None):
     work when both exceed the monomial cap, with or without ``q``.  Like
     ``*``, each product it forms is refused when it would form more
     candidate monomials than the cap.
+
+    No product by the constant 1 is formed.  The last product, result *
+    base or, while the result is still 1, the final square, is
+    ``last(a, b, p, bias, guard)``, and its value takes the place of the
+    terms; Fedder's test passes :func:`_product_is_nonzero`.  With no
+    product at all (k <= 1) the terms are returned.
     """
     if not isinstance(k, int) or k < 0:
         raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
@@ -226,14 +271,27 @@ def _power(f: "MultiPoly", k: int, q: int | None):
     guard = packing.guard
     base = {m: c for m, c in packing.pack_terms(f.terms).items()
             if not (m + bias) & guard}
-    result = {0: 1}  # the constant 1 packs to 0
+    result = None  # the constant 1, until the first factor is taken
     while k:
-        if k & 1:
-            result = _mul(result, base, p, bias, guard)
-        k >>= 1
+        bit, k = k & 1, k >> 1
+        if bit:
+            result = base if result is None else (_mul if k else last)(
+                result, base, p, bias, guard)
         if k:
-            base = _mul(base, base, p, bias, guard)
-    return packing, result
+            square = last if k == 1 and result is None else _mul
+            base = square(base, base, p, bias, guard)
+    return packing, {0: 1} if result is None else result  # 1 packs to 0
+
+
+# Rings whose variable names are kept for reuse.
+_NAMES_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_NAMES_KEPT)
+def _var_names(m: int, n: int) -> tuple:
+    """The names x1..xm, y1..yn of the variables, in index order."""
+    return (tuple(f"x{i}" for i in range(1, m + 1))
+            + tuple(f"y{j}" for j in range(1, n + 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,9 +320,7 @@ class PolyRing:
         return self.m + self.n
 
     def var_name(self, idx: int) -> str:
-        if idx < self.m:
-            return f"x{idx + 1}"
-        return f"y{idx - self.m + 1}"
+        return _var_names(self.m, self.n)[idx]
 
     def zero(self) -> "MultiPoly":
         return MultiPoly._raw(self, {})
@@ -309,7 +365,7 @@ class MultiPoly:
     must be treated as immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_lead", "_degrees")
 
     def __init__(self, ring: PolyRing, terms: dict):
         normalized = {}
@@ -323,6 +379,7 @@ class MultiPoly:
         self.ring = ring
         self.terms = normalized
         self._lead = None
+        self._degrees = None
 
     @staticmethod
     def _raw(ring: PolyRing, terms: dict, lead=None) -> "MultiPoly":
@@ -332,6 +389,7 @@ class MultiPoly:
         obj.ring = ring
         obj.terms = terms
         obj._lead = lead
+        obj._degrees = None
         return obj
 
     # -- basic structure ----------------------------------------------------
@@ -353,12 +411,16 @@ class MultiPoly:
         return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len({i + j for i, j in self._bidegrees()}) <= 1
 
-    def _bidegrees(self):
-        m = self.ring.m
-        return {(sum(e[:m]), sum(e[m:])) for e in self.terms}
+    def _bidegrees(self) -> frozenset:
+        # The (x-degree, y-degree) of every term, found on the first call
+        # and kept, since the terms never change.
+        if self._degrees is None:
+            m = self.ring.m
+            self._degrees = frozenset(
+                (sum(e[:m]), sum(e[m:])) for e in self.terms)
+        return self._degrees
 
     def is_bihomogeneous(self) -> bool:
         return len(self._bidegrees()) <= 1
@@ -469,21 +531,20 @@ class MultiPoly:
     def __str__(self):
         if not self.terms:
             return "0"
+        names = _var_names(self.ring.m, self.ring.n)
         parts = []
-        for mon in sorted(self.terms, key=grevlex_key, reverse=True):
+        # Descending grevlex: the monomials are distinct, so this key orders
+        # them as sorted(..., key=grevlex_key, reverse=True) does.
+        for mon in sorted(self.terms, key=lambda e: (-sum(e), e[::-1])):
             c = self.terms[mon]
-            factors = []
-            for idx, e in enumerate(mon):
-                if e == 0:
-                    continue
-                name = self.ring.var_name(idx)
-                factors.append(name if e == 1 else f"{name}^{e}")
+            factors = "*".join([name if e == 1 else f"{name}^{e}"
+                                for name, e in zip(names, mon) if e])
             if not factors:
                 parts.append(str(c))
             elif c == 1:
-                parts.append("*".join(factors))
+                parts.append(factors)
             else:
-                parts.append(f"{c}*" + "*".join(factors))
+                parts.append(f"{c}*{factors}")
         return " + ".join(parts)
 
     def __repr__(self):

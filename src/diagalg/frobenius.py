@@ -22,6 +22,7 @@ from .exactalg import (
     PolyRing,
     _buchberger,
     _power,
+    _product_is_nonzero,
     _reduce,
     exponent_vectors,
     groebner_basis,
@@ -78,14 +79,19 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
     That ideal is monomial, so membership is termwise: ``pow(f, p - 1, p)``,
     the image of f^(p-1) modulo it, is nonzero exactly when f is F-pure.  No
     Groebner basis is needed, and the power drops every term with an
-    exponent >= p as soon as it appears.  The test reads only whether the
-    packed power is empty; its terms are never unpacked."""
+    exponent >= p as soon as it appears.  Only whether the power is
+    nonzero matters, so its last product goes to
+    :func:`_product_is_nonzero`: after the same monomial-cap check as the
+    product, that computes the product's coefficients one monomial at a
+    time and stops at the first nonzero one; it forms the product only
+    when a quarter as many coefficients as the larger factor has terms
+    all cancel."""
     if f.is_zero:
         raise PreconditionError("f must be nonzero")
     if not f.is_homogeneous():
         raise PreconditionError("f must be homogeneous")
     p = f.ring.p
-    return bool(_power(f, p - 1, p)[1])
+    return bool(_power(f, p - 1, p, last=_product_is_nonzero)[1])
 
 
 def _distinguished(m: int, n: int, d: int, e: int = 0) -> tuple:

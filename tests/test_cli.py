@@ -108,6 +108,17 @@ GOLDEN_COMMANDS = {
                                "--e 2 --p 7 --seed 1 --format json",
     "rees.json": "rees --m 3 --k 4 --s 2 --g 1 --h 1 --i-max 3 --format json",
     "figure.csv": "figure --m 3 --n 3 --d-max 4 --e-max 3 --format csv",
+    # Fedder's test on the printed random_biform(3, 3, 1, 1, 13, 0), which
+    # is F-pure, and on random_biform(3, 0, 3, 0, 7, 0), a supersingular
+    # cubic whose last product has a surviving monomial that cancels.
+    "frobenius_fpure_dense.json": (
+        "frobenius --mode fpure --m 3 --n 3 --p 13 --poly 'x1*y1 + x2*y1 + "
+        "8*x3*y1 + 7*x1*y2 + 5*x2*y2 + 7*x3*y2 + 7*x1*y3 + 9*x2*y3 + 5*x3*y3' "
+        "--format json"),
+    "frobenius_not_fpure_dense.json": (
+        "frobenius --mode fpure --m 3 --n 0 --p 7 --poly 'x1^3 + 4*x1^2*x2 + "
+        "x1*x2^2 + 4*x2^3 + 4*x1^2*x3 + 3*x1*x2*x3 + 4*x2^2*x3 + 5*x1*x3^2 + "
+        "3*x2*x3^2 + 4*x3^3' --format json"),
     **TEXT_GOLDENS,
 }
 
@@ -347,6 +358,24 @@ def test_exit_code_fedder_power_over_monomial_cap(capsys):
     assert code == cli.EXIT_PRECONDITION
     assert out == ""
     assert "monomial cap" in err
+
+
+def test_exit_code_fedder_last_product_over_monomial_cap(capsys):
+    # The printed random_biform(4, 0, 2, 0, 31, 0) and random_biform(3, 0,
+    # 2, 0, 101, 0): every product of their Fedder power but the last stays
+    # under the cap, and the last one, which the test decides without
+    # forming it, is refused with the same message as when it was formed.
+    for p, m, poly, product in [
+            ("31", "4", "x1^2 + 28*x1*x2 + 29*x2^2 + 13*x1*x3 + 14*x2*x3 + "
+             "9*x3^2 + 25*x1*x4 + 2*x2*x4 + 17*x3*x4 + 16*x4^2", "4350 by 6324"),
+            ("101", "3", "x1^2 + 50*x1*x2 + 54*x2^2 + 98*x1*x3 + 6*x2*x3 + "
+             "34*x3^2", "2674 by 7096")]:
+        code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure",
+                                 "--m", m, "--p", p, "--poly", poly)
+        assert code == cli.EXIT_PRECONDITION, p
+        assert out == ""
+        assert err == (f"error: a product of {product} terms exceeds the "
+                       "monomial cap 10000000\n")
 
 
 def test_exit_code_internal_defect(capsys, monkeypatch):

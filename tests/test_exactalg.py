@@ -464,6 +464,27 @@ def test_count_rejects_inhomogeneous():
         standard_monomial_count([], 3)  # no ring to count in
 
 
+def test_count_refuses_inhomogeneous_on_every_call():
+    # Each polynomial keeps its (bi)degrees after the first scan, so a
+    # refused basis element is refused again, with the same message, and a
+    # homogeneous one that is not bihomogeneous is still counted by degree.
+    ring = PolyRing(5, 2, 2)
+    g = ring.x(1) + ring.y(1)
+    h = ring.x(1) + ring.x(1) ** 2
+    for _ in range(3):
+        with pytest.raises(PreconditionError) as exc:
+            standard_monomial_count([g], (1, 0))
+        assert str(exc.value) == "basis element not bihomogeneous: x1 + y1"
+        assert standard_monomial_count([g], 1) == 3
+        with pytest.raises(PreconditionError) as exc:
+            standard_monomial_count([h], 2)
+        assert str(exc.value) == "basis element not homogeneous: x1^2 + x1"
+        with pytest.raises(PreconditionError):
+            h.bidegree()
+    assert g.is_homogeneous() and not g.is_bihomogeneous()
+    assert (ring.x(2) * ring.y(1)).bidegree() == (1, 1)
+
+
 def test_count_degree_cap():
     # Over 4 * 10^10 monomials: the enumeration refused this degree; the
     # Hilbert series counts it exactly.

@@ -1,11 +1,12 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials,
 products against the loop on exponent tuples, truncated powers against
-repeated products, the kept leading monomial of arithmetic results and of
-Groebner bases, the lead of a form containing x1^d (x1^d*y1^e), reduced
-Groebner bases (independent of generator order, repetition and scaling),
-normal forms, standard monomial counts against enumeration and with a cold
-or warm numerator cache, regular sequences against the dimension of the
-initial ideal and the parse/print round trip."""
+repeated products, Fedder's test against the truncated power, the kept
+leading monomial of arithmetic results and of Groebner bases, the lead of
+a form containing x1^d (x1^d*y1^e), reduced Groebner bases (independent
+of generator order, repetition and scaling), normal forms, standard
+monomial counts against enumeration and with a cold or warm numerator
+cache, regular sequences against the dimension of the initial ideal and
+the parse/print round trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from diagalg.exactalg import (
     normal_form,
     standard_monomial_count,
 )
+from diagalg.frobenius import fedder_is_f_pure
 from diagalg.parsing import parse_polynomial
 from oracles import (
     enumerated_standard_count,
@@ -214,6 +216,49 @@ def test_truncated_power_matches_repeated_product(case):
         expected = expected.ring.poly(
             {e: c for e, c in expected.terms.items() if max(e) < q})
     assert pow(f, k, q) == expected
+
+
+@st.composite
+def fedder_forms(draw):
+    """A nonzero form over F_p, p in {2, 3, 5, 7, 11}, in 1..4 variables
+    split into x- and y-blocks in every way: sparse (1..4 monomials of
+    degree 1..3) or dense (every monomial of its degree)."""
+    nvars = draw(st.integers(1, 4))
+    m = draw(st.integers(0, nvars))
+    ring = PolyRing(draw(st.sampled_from([2, 3, 5, 7, 11])), m, nvars - m)
+    if draw(st.booleans()):
+        return draw(forms(ring))
+    monos = list(exponent_vectors(draw(st.integers(1, 3)), nvars))
+    coeffs = draw(st.lists(st.integers(1, ring.p - 1),
+                           min_size=len(monos), max_size=len(monos)))
+    return ring.poly(dict(zip(monos, coeffs)))
+
+
+def test_fedder_matches_the_truncated_power():
+    # Fedder's test decides its last product one coefficient at a time; the
+    # whole truncated power stays the reference.
+    outcomes = set()
+
+    @SETTINGS
+    @given(fedder_forms())
+    # F-pure, and the first coefficient of the last product cancels mod 5.
+    @example(_X3.poly({(2, 0, 0): 4, (1, 1, 0): 4, (0, 1, 1): 1, (0, 0, 2): 3}))
+    # Not F-pure: every coefficient of (x1 + 2*x2 + 3*x3)^8 with exponents
+    # below 5 is a multinomial coefficient that vanishes mod 5: the last
+    # square's surviving monomials cancel until the test forms the square.
+    @example((_X3.x(1) + 2 * _X3.x(2) + 3 * _X3.x(3)) ** 2)
+    # p = 2: f^(p-1) is f, with no product at all.
+    @example(_Y2.y(1) * _Y2.y(2))
+    # A p-th power: no term survives the truncation of f itself.
+    @example((_X3.x(1) + _X3.x(2) + 3 * _X3.x(3)) ** 5)
+    def check(f):
+        p = f.ring.p
+        f_pure = fedder_is_f_pure(f)
+        assert f_pure == (not pow(f, p - 1, p).is_zero)
+        outcomes.add(f_pure)
+
+    check()
+    assert outcomes == {True, False}
 
 
 @SETTINGS
