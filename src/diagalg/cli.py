@@ -126,42 +126,39 @@ def cmd_lcdim(args):
 
 def cmd_frobenius(args):
     p = args.p
-    if args.mode == "fpure":
-        if args.poly is None:
-            raise PreconditionError("--poly is required for --mode fpure")
+    if args.mode == "graded" and args.n:
+        raise PreconditionError("graded mode takes --n 0")
+    if args.poly is not None:
         f = parse_polynomial(args.poly, args.m, args.n, p)
+    elif args.mode == "fpure":
+        raise PreconditionError("--poly is required for --mode fpure")
+    elif args.mode == "graded" and args.d is None:
+        raise PreconditionError("--d is required when sampling a form")
+    elif args.mode == "bigraded" and (args.d is None or args.e is None):
+        raise PreconditionError("--d and --e are required when sampling a form")
+    else:
+        f = frob.random_biform(args.m, args.n, args.d, args.e or 0, p,
+                               args.seed)
+
+    if args.mode == "fpure":
         result = frob.fedder_is_f_pure(f)
         doc = {"mode": "fpure",
                "inputs": {"m": args.m, "n": args.n, "p": p, "poly": str(f)},
                "f_pure": result}
         return doc, None, [f"f = {f}", f"F-pure over F_{p}: {result}"]
 
+    # With n = 0, bihomogeneous means homogeneous and the bidegree is (d, 0).
+    if f.is_zero or not f.is_bihomogeneous():
+        kind = "homogeneous" if args.mode == "graded" else "bihomogeneous"
+        raise PreconditionError(f"--poly must be nonzero {kind}")
+    d, e = f.bidegree()
+    for flag, given, degree in (("--d", args.d, d), ("--e", args.e, e)):
+        if given is not None and given != degree:
+            raise PreconditionError(
+                f"{flag} {given} differs from the form's bidegree ({d}, {e})")
     if args.mode == "graded":
-        if args.n:
-            raise PreconditionError("graded mode takes --n 0")
-        if args.poly is not None:
-            f = parse_polynomial(args.poly, args.m, 0, p)
-            if f.is_zero or not f.is_homogeneous():
-                raise PreconditionError("--poly must be nonzero homogeneous")
-            d = f.total_degree()
-        else:
-            if args.d is None:
-                raise PreconditionError("--d is required when sampling a form")
-            d = args.d
-            f = frob.random_biform(args.m, 0, d, 0, p, args.seed)
         cert = frob.f_regular_certificate_graded(f, d, args.m, p, args.q_max)
-    else:  # bigraded
-        if args.poly is not None:
-            f = parse_polynomial(args.poly, args.m, args.n, p)
-            if f.is_zero or not f.is_bihomogeneous():
-                raise PreconditionError("--poly must be nonzero bihomogeneous")
-            d, e = f.bidegree()
-        else:
-            if args.d is None or args.e is None:
-                raise PreconditionError(
-                    "--d and --e are required when sampling a form")
-            d, e = args.d, args.e
-            f = frob.random_biform(args.m, args.n, d, e, p, args.seed)
+    else:
         cert = frob.f_regular_certificate_bigraded(
             f, d, e, args.m, args.n, p, args.q_max)
 

@@ -27,6 +27,10 @@ order is grevlex, the kernel takes the lead of a packed polynomial with an
 integer ``max``, and each polynomial ``groebner_basis`` returns keeps its
 lead.
 
+Division and Buchberger's algorithm reduce by monic pairs (lead, tail),
+all made by :func:`_reducer`.  Products and powers drop the monomials whose
+biased fields set a guard bit; guard 0 means no truncation.
+
 Callers inside the package that only need a yes/no or one remainder stay
 packed: Fedder's test asks :func:`_power` only whether the power is
 nonzero, and decides its last product one coefficient at a time
@@ -204,13 +208,14 @@ def _product_is_nonzero(a: dict, b: dict, p: int, bias: int,
     (:class:`_Packing`), so it is no key of b: one dict lookup is both the
     divisor test and the read of b.  The first nonzero
     coefficient answers True.  After ``len(b) // 4`` zero coefficients
-    (a is the smaller factor), ``_mul`` forms the product instead, which
+    (a is the smaller factor; ``len(b) // 8`` for a square, whose cross
+    terms ``_mul`` forms once), ``_mul`` forms the product instead, which
     caps the extra work at about a quarter of the product's pair loop."""
     _check_product(len(a), len(b))
     if len(a) > len(b):
         a, b = b, a
     terms, get = list(a.items()), b.get
-    budget = len(b) // 4
+    budget = len(b) // (8 if a is b else 4)
     seen = set()
     keys = list(b)
     for i, ma in enumerate(a):
@@ -231,7 +236,8 @@ def _product_is_nonzero(a: dict, b: dict, p: int, bias: int,
 
 def _power(f: "MultiPoly", k: int, q: int | None, last=_mul):
     """``pow(f, k, q)`` as (packing, packed terms): f^k without its terms
-    that have an exponent >= q (with no ``q``, all of f^k).
+    that have an exponent >= q (with no ``q``, all of f^k: bias and guard
+    0, as in ``*``).
 
     Computed by square and multiply on packed monomials, dropping such
     terms as soon as they appear, which is exact: every product with
@@ -263,12 +269,10 @@ def _power(f: "MultiPoly", k: int, q: int | None, last=_mul):
         raise PreconditionError(f"q must be an integer >= 1: {q!r}")
     p = ring.p
     packing = _packing(nv, top if q is None else max(top, q))
-    if q is None:
-        q = packing.limit + 1  # no exponent reaches it
     # Adding 2^(width-1) - q to every exponent field sets the field's
     # guard bit exactly when the exponent is >= q.
-    bias = ((packing.limit + 1) - q) * packing.ones
-    guard = packing.guard
+    bias, guard = (0, 0) if q is None else (
+        ((packing.limit + 1) - q) * packing.ones, packing.guard)
     base = {m: c for m, c in packing.pack_terms(f.terms).items()
             if not (m + bias) & guard}
     result = None  # the constant 1, until the first factor is taken
@@ -318,9 +322,6 @@ class PolyRing:
     @property
     def nvars(self) -> int:
         return self.m + self.n
-
-    def var_name(self, idx: int) -> str:
-        return _var_names(self.m, self.n)[idx]
 
     def zero(self) -> "MultiPoly":
         return MultiPoly._raw(self, {})
@@ -562,22 +563,24 @@ def _common_ring(polys) -> PolyRing:
 
 
 def _reducer(terms: dict, p: int):
-    """A packed polynomial as (leading monomial, inverse of the leading
-    coefficient mod p, other terms as (monomial, coefficient) pairs)."""
+    """A packed polynomial g as the monic pair (leading monomial, other
+    terms of g / lc(g) as (monomial, coefficient) pairs), which reduces
+    as g does."""
     lt = max(terms)
-    return lt, pow(terms[lt], -1, p), [(m, c) for m, c in terms.items() if m != lt]
+    inv = pow(terms[lt], -1, p)
+    return lt, [(m, c * inv % p) for m, c in terms.items() if m != lt]
 
 
 def _s_poly(a, b, lcm: int, p: int) -> dict:
-    # Packed S-polynomial of the reducers a and b whose leads divide lcm:
-    # the leading terms cancel, so only the tails are shifted.
-    lta, inva, taila = a
-    ltb, invb, tailb = b
+    # Packed S-polynomial of the monic reducers a and b whose leads divide
+    # lcm: the leading terms cancel, so only the tails are shifted.
+    lta, taila = a
+    ltb, tailb = b
     sa, sb = lcm - lta, lcm - ltb
-    out = {m + sa: c * inva % p for m, c in taila}
+    out = {m + sa: c for m, c in taila}
     for m, c in tailb:
         m += sb
-        v = (out.get(m, 0) - c * invb) % p
+        v = (out.get(m, 0) - c) % p
         if v:
             out[m] = v
         else:
@@ -587,7 +590,8 @@ def _s_poly(a, b, lcm: int, p: int) -> dict:
 
 def _reduce(work: dict, reducers, guard: int, p: int) -> dict:
     """Remainder of the packed polynomial ``work`` (consumed) under full
-    reduction by ``reducers``, as {monomial: coefficient} in descending order.
+    reduction by the pairs ``reducers`` (:func:`_reducer`), as {monomial:
+    coefficient} in descending order.
 
     Each step takes the largest remaining term and reduces it by the first
     reducer whose lead divides it.  A max-heap holds every monomial of
@@ -605,14 +609,14 @@ def _reduce(work: dict, reducers, guard: int, p: int) -> dict:
         c = work.pop(u) % p
         if not c:
             continue
-        for lt, lcinv, tail in reducers:
+        for lt, tail in reducers:
             shift = u - lt
             if shift >= 0 and not shift & guard:
                 break
         else:
             remainder[u] = c
             continue
-        factor = p - c * lcinv % p
+        factor = p - c
         for mon, cc in tail:
             mm = mon + shift
             v = get(mm)
@@ -664,7 +668,7 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
 def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending, packing) -> bool:
     # Buchberger's chain criterion: skip (i, j) when some other basis element
     # divides the lcm and both mixed pairs were already handled.
-    for t, (lt, _, _) in enumerate(basis):
+    for t, (lt, _) in enumerate(basis):
         if t == i or t == j:
             continue
         if packing.divides(lt, lcm_ij):
@@ -677,9 +681,9 @@ def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending, packing) -> bool:
 
 def _buchberger(gens, ring: PolyRing, limit: int | None = None):
     """Buchberger's algorithm on the nonzero polynomials ``gens`` of
-    ``ring``, as (packing, basis): a Groebner basis of monic reducers
-    (lead, 1, tail) in the packing, in insertion order, neither minimal nor
-    reduced.
+    ``ring``, as (packing, basis): a Groebner basis in the packing, in
+    insertion order, neither minimal nor reduced, of the monic pairs
+    (:func:`_reducer`) of the generators and of each nonzero remainder.
 
     Pair processing uses the normal selection strategy with the coprimality
     and chain criteria.  With a ``limit``, no pair whose lcm has a higher
@@ -698,7 +702,7 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
     # inputs; with one, no pushed lcm and no generator exceeds the packing.
     packing = _packing(ring.nvars,
                        2 * top if limit is None else max(top, limit))
-    basis = []     # monic reducers (lead, 1, tail) in insertion order
+    basis = []     # monic reducers (lead, tail) in insertion order
     leads = []     # their leading exponent tuples, for the pair lcms
     heap = []      # (packed lcm, i, j) of every pending pair
     pending = set()
@@ -719,22 +723,20 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
             def move(m):
                 return packing.pack(old.unpack(m))
 
-            basis[:] = [(move(lm), 1, [(move(m), c) for m, c in tail])
-                        for lm, _, tail in basis]
+            basis[:] = [(move(lm), [(move(m), c) for m, c in tail])
+                        for lm, tail in basis]
             heap[:] = [(move(lcm), i, j) for lcm, i, j in heap]
-            g = (move(g[0]), 1, [(move(m), c) for m, c in g[2]])
+            g = (move(g[0]), [(move(m), c) for m, c in g[1]])
         basis.append(g)
         leads.append(lt)
         for t, lcm in lcms.items():
             heappush(heap, (packing.pack(lcm), t, new))
             pending.add((t, new))
 
-    # Each generator scaled to lead coefficient 1.  A generator repeated up
-    # to a constant only adds a pair that reduces to zero, and
-    # minimalization drops the copy.
+    # A generator repeated up to a constant only adds a pair that reduces
+    # to zero, and minimalization drops the copy.
     for g in gens:
-        lt, inv, tail = _reducer(packing.pack_terms(g.terms), p)
-        include((lt, 1, [(m, c * inv % p) for m, c in tail]))
+        include(_reducer(packing.pack_terms(g.terms), p))
     while heap:
         lcm_ij, i, j = heappop(heap)
         pending.remove((i, j))
@@ -745,10 +747,7 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
         r = _reduce(_s_poly(basis[i], basis[j], lcm_ij, p), basis,
                     packing.guard, p)
         if r:
-            terms = iter(r.items())  # descending: the lead comes first
-            lt, lc = next(terms)
-            inv = pow(lc, -1, p)
-            include((lt, 1, [(m, c * inv % p) for m, c in terms]))
+            include(_reducer(r, p))
     return packing, basis
 
 
@@ -781,33 +780,32 @@ def groebner_basis(gens):
     # the leads are mutually indivisible, so each keeps coefficient 1.  A
     # lone element has nothing to reduce its tail by.
     reduced = []
-    for a, (lt, _, tail) in enumerate(kept):
+    for a, (lt, tail) in enumerate(kept):
         reducers = reduced + kept[a + 1:]
         if reducers:
             tail = list(_reduce(dict(tail), reducers, packing.guard, p).items())
-        reduced.append((lt, 1, tail))
+        reduced.append((lt, tail))
     return [MultiPoly._raw(ring, packing.unpack_terms(dict([(lt, 1), *tail])),
                            packing.unpack(lt))
-            for lt, _, tail in reduced]
+            for lt, tail in reduced]
 
 
 # ---------------------------------------------------------------------------
 # Hilbert series of monomial ideals; standard-monomial counts.
 
 def exponent_vectors(total: int, length: int):
-    """Yield all exponent tuples of the given length summing to ``total``."""
+    """Yield all exponent tuples of the given length summing to ``total``,
+    in descending lex order: each counts the positions of one multiset of
+    ``total`` positions, and the multisets come in ascending lex order."""
     if total < 0:
         return
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in exponent_vectors(total - first, length - 1):
-            yield (first,) + rest
+    zero = [0] * length
+    for positions in itertools.combinations_with_replacement(range(length),
+                                                             total):
+        exps = zero[:]
+        for i in positions:
+            exps[i] += 1
+        yield tuple(exps)
 
 
 def _monomial_count(degree: int, nvars: int) -> int:

@@ -336,6 +336,30 @@ def test_exit_code_precondition(capsys):
         assert "degree" in err and "exponent" not in err
 
 
+def test_exit_code_degree_flags_differ_from_poly(capsys):
+    # A given --d or --e must match the parsed form's (bi)degree; with
+    # n = 0 the bidegree is (degree, 0).  A matching flag is accepted.
+    for argv, part in [
+        (["--mode", "bigraded", "--m", "3", "--n", "3", "--d", "1", "--e", "1",
+          "--poly", "x1^2*y1+x2*x3*y2"], "--d 1 differs"),
+        (["--mode", "bigraded", "--m", "3", "--n", "3", "--e", "2",
+          "--poly", "x1^2*y1+x2*x3*y2"], "--e 2 differs"),
+        (["--mode", "graded", "--m", "3", "--d", "3", "--e", "5",
+          "--poly", "x1^2+x2*x3"], "--d 3 differs"),
+        (["--mode", "graded", "--m", "3", "--e", "1",
+          "--poly", "x1^2+x2*x3"], "--e 1 differs"),
+    ]:
+        code, out, err = run_cli(capsys, "frobenius", *argv, "--p", "5")
+        assert code == cli.EXIT_PRECONDITION, argv
+        assert out == ""
+        assert part in err and "bidegree" in err
+    code, out, _ = run_cli(capsys, "frobenius", "--mode", "graded", "--m", "3",
+                           "--d", "2", "--e", "0", "--p", "5",
+                           "--poly", "x1^2 + x2*x3", "--format", "json")
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN / "frobenius.json").read_text()
+
+
 def test_exit_code_power_over_monomial_cap(capsys):
     # The first power is refused before any work.  The other two pass that
     # check but form a product of more than 10^7 candidate monomials: at

@@ -1,5 +1,6 @@
 """Kernel tests: fields, polynomials, Groebner bases, normal forms, counts."""
 
+import itertools
 import random
 from math import comb
 
@@ -13,6 +14,7 @@ from diagalg.errors import (
 from diagalg.exactalg import (
     PolyRing,
     _hilbert_numerator,
+    exponent_vectors,
     grevlex_key,
     groebner_basis,
     is_regular_sequence,
@@ -49,7 +51,7 @@ def test_prime_field_validation():
 
 def test_ring_accessors():
     ring = PolyRing(7, 2, 2)
-    assert [ring.var_name(i) for i in range(4)] == ["x1", "x2", "y1", "y2"]
+    assert [str(ring.gen(i)) for i in range(4)] == ["x1", "x2", "y1", "y2"]
     assert ring.x(1) * ring.y(2) == ring.poly({(1, 0, 0, 1): 1})
     with pytest.raises(PreconditionError):
         ring.x(3)
@@ -439,8 +441,18 @@ def test_count_equal_degree_ci_series():
 
 
 def _exponents(total, length):
-    from diagalg.exactalg import exponent_vectors
     return list(exponent_vectors(total, length))
+
+
+def test_exponent_vectors_descend_in_lex_order():
+    # random_biform draws its coefficients in this order, so seeded forms
+    # depend on it.  Length 0 and negative totals included.
+    for length in range(6):
+        for total in range(-2, 7):
+            expected = sorted((e for e in itertools.product(
+                range(total + 1), repeat=length) if sum(e) == total),
+                reverse=True)
+            assert _exponents(total, length) == expected, (total, length)
 
 
 def test_count_bidegree():
