@@ -128,6 +128,9 @@ def cmd_frobenius(args):
     p = args.p
     if args.mode == "graded" and args.n:
         raise PreconditionError("graded mode takes --n 0")
+    if args.mode == "fpure" and (args.d is not None or args.e is not None):
+        # Fedder's test takes any form: there is no degree to match.
+        raise PreconditionError("fpure mode takes no --d or --e")
     if args.poly is not None:
         f = parse_polynomial(args.poly, args.m, args.n, p)
     elif args.mode == "fpure":

@@ -31,12 +31,11 @@ Division and Buchberger's algorithm reduce by monic pairs (lead, tail),
 all made by :func:`_reducer`.  Products and powers drop the monomials whose
 biased fields set a guard bit; guard 0 means no truncation.
 
-Callers inside the package that only need a yes/no or one remainder stay
-packed: Fedder's test asks :func:`_power` only whether the power is
-nonzero, and decides its last product one coefficient at a time
-(:func:`_product_is_nonzero`) instead of forming it; the certificates'
-membership test reduces the packed socle by the packed, unreduced basis
-of :func:`_buchberger`, truncated at the socle's degree.  ``__pow__``,
+Callers inside the package that only need a yes/no or one remainder leave
+the packing to this module: Fedder's test asks :func:`_power` only whether
+the power is nonzero, and decides its last product one coefficient at a
+time (:func:`_product_is_nonzero`); the certificates take the socle's
+remainder from :func:`_truncated_normal_form`.  ``__pow__``,
 ``groebner_basis`` and ``normal_form`` stay the public, independent route
 to the same answers.  A square forms each cross term once (:func:`_mul`).
 
@@ -65,12 +64,14 @@ from .errors import (
     RingContextError,
 )
 
-# Refuse products that would form more candidate monomials than this.
+# Refuse products that would form more candidate monomials than this.  A
+# square of an N-term polynomial counts as N * N, a conservative bound.
 MONOMIAL_CAP = 10_000_000
 
 
 def _check_product(ta: int, tb: int) -> None:
-    # A product of a ta-term by a tb-term polynomial forms ta * tb monomials.
+    # A product of ta by tb terms forms ta * tb candidate monomials; the
+    # square of N terms forms N * (N + 1) / 2 but is counted as N * N.
     if ta * tb > MONOMIAL_CAP:
         raise DegreeCapError(f"a product of {ta} by {tb} terms exceeds the "
                              f"monomial cap {MONOMIAL_CAP}")
@@ -790,6 +791,16 @@ def groebner_basis(gens):
             for lt, tail in reduced]
 
 
+def _truncated_normal_form(f: MultiPoly, gens) -> MultiPoly:
+    """``normal_form(f, groebner_basis(gens))`` for homogeneous ``gens``, by
+    the unreduced basis of :func:`_buchberger` truncated at f's degree: any
+    Groebner basis gives the same normal form."""
+    packing, basis = _buchberger(gens, f.ring, f.total_degree())
+    remainder = _reduce(packing.pack_terms(f.terms), basis, packing.guard,
+                        f.ring.p)
+    return MultiPoly._raw(f.ring, packing.unpack_terms(remainder))
+
+
 # ---------------------------------------------------------------------------
 # Hilbert series of monomial ideals; standard-monomial counts.
 
@@ -953,8 +964,9 @@ def is_regular_sequence(gens) -> bool:
 
     Exact criterion in a polynomial ring in N variables (Stanley, Adv. Math.
     28, 1978): forms of positive degrees d_1..d_s are a regular sequence iff
-    the quotient has Hilbert series prod (1 - t^d_i) / (1 - t)^N.  The series
-    is read off the initial ideal (:func:`_hilbert_numerator`).
+    the quotient has Hilbert series prod (1 - t^d_i) / (1 - t)^N, that of
+    S/(x_1^d_1, ..., x_s^d_s).  Both numerators come from lead ideals
+    (:func:`_hilbert_numerator`), the quotient's from :func:`_buchberger`.
     """
     gens = list(gens)
     if not gens:
@@ -967,14 +979,10 @@ def is_regular_sequence(gens) -> bool:
             )
     if len(gens) > ring.nvars:
         return False
-    leads = tuple(g.leading_monomial() for g in groebner_basis(gens))
-    numerator: dict = {}
-    for (i, j), c in _hilbert_numerator(leads, ring.m):
-        numerator[i + j] = numerator.get(i + j, 0) + c
-    expected = {0: 1}
-    for g in gens:
-        d = g.total_degree()
-        for i, c in list(expected.items()):
-            expected[i + d] = expected.get(i + d, 0) - c
-    return ({i: c for i, c in numerator.items() if c}
-            == {i: c for i, c in expected.items() if c})
+    nvars = ring.nvars
+    packing, basis = _buchberger(gens, ring)
+    leads = tuple(packing.unpack(lt) for lt, _ in basis)
+    pure = tuple(tuple(g.total_degree() if k == i else 0 for k in range(nvars))
+                 for i, g in enumerate(gens))
+    return (dict(_hilbert_numerator(leads, nvars))
+            == dict(_hilbert_numerator(pure, nvars)))

@@ -20,10 +20,9 @@ from .errors import PreconditionError, RingContextError
 from .exactalg import (
     MultiPoly,
     PolyRing,
-    _buchberger,
     _power,
     _product_is_nonzero,
-    _reduce,
+    _truncated_normal_form,
     exponent_vectors,
     groebner_basis,
     normal_form,
@@ -105,13 +104,9 @@ def _membership_search(f: MultiPoly, degree, e_max: int):
     f) and the socle is x1^delta with delta = (sum(degree) - 1) q + 1; p, m
     and n are those of f's ring, and ``degree`` is (d,) or (d, e).
 
-    J_q is homogeneous, so the normal form of the degree-delta socle needs
-    only a delta-truncated Groebner basis: Buchberger's algorithm skips
-    every pair whose lcm has degree above delta, and the socle is reduced
-    in the basis's own packing.  Any Groebner basis gives the same normal
-    form, so the basis is neither minimalized nor interreduced, and the
-    remainder equals ``normal_form(socle, groebner_basis(gens))``, which
-    :func:`recheck_certificate` computes independently."""
+    J_q is homogeneous, so the socle's remainder is read off a basis
+    truncated at its degree; :func:`recheck_certificate` recomputes it as
+    ``normal_form(socle, groebner_basis(gens))``."""
     ring = f.ring
     p, m, n = ring.p, ring.m, ring.n
     # The socle argument needs the distinguished variables to stay a system
@@ -151,19 +146,16 @@ def _membership_search(f: MultiPoly, degree, e_max: int):
         gens += [MultiPoly._raw(ring, {pure(i, q): 1})
                  for i in range(1, nvars) if i != m]
         gens.append(f)
-        delta = (sum(degree) - 1) * q + 1
-        socle = pure(0, delta)
-        packing, basis = _buchberger(gens, ring, delta)
-        remainder = _reduce({packing.pack(socle): 1}, basis, packing.guard, p)
+        socle = MultiPoly._raw(ring, {pure(0, (sum(degree) - 1) * q + 1): 1})
+        remainder = _truncated_normal_form(socle, gens)
         tested.append(q)
         if remainder:
             return FrobeniusCertificate(
                 verdict=VERDICT_F_REGULAR, p=p, m=m, n=n, degree=degree,
                 q_used=q, tested_powers=tested,
                 ideal_generators=[str(g) for g in gens],
-                socle=str(MultiPoly._raw(ring, {socle: 1})),
-                normal_form=str(MultiPoly._raw(
-                    ring, packing.unpack_terms(remainder))),
+                socle=str(socle),
+                normal_form=str(remainder),
                 assumptions=assumptions,
                 details=f"socle excluded from the Frobenius-power ideal at q={q}",
             )

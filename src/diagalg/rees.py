@@ -82,10 +82,8 @@ def rigidity_window(a: int, k: int, s: int, g: int) -> range:
 
 
 def rigidity_is_cm(a: int, k: int, s: int, g: int) -> bool:
-    """Cohen-Macaulay exactly when g > a + k*s - k (empty window)."""
-    if g < 1:
-        raise PreconditionError(f"need g >= 1: {g}")
-    return g > a + k * s - k
+    """Cohen-Macaulay exactly when the window is empty, i.e. g > a + k*s - k."""
+    return not rigidity_window(a, k, s, g)
 
 
 def ci_diagonal_is_cm(ci: CISpec, g: int, h: int) -> bool:

@@ -360,6 +360,18 @@ def test_exit_code_degree_flags_differ_from_poly(capsys):
     assert out == (GOLDEN / "frobenius.json").read_text()
 
 
+def test_exit_code_fpure_refuses_degree_flags(capsys):
+    # Fedder's test has no degree to match, so --d and --e are refused
+    # rather than ignored, alone or together.
+    for flags in (["--d", "5", "--e", "4"], ["--d", "3"], ["--e", "0"]):
+        code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure",
+                                 "--m", "3", "--p", "3", *flags,
+                                 "--poly", "x1*x2*x3")
+        assert code == cli.EXIT_PRECONDITION, flags
+        assert out == ""
+        assert err == "error: fpure mode takes no --d or --e\n"
+
+
 def test_exit_code_power_over_monomial_cap(capsys):
     # The first power is refused before any work.  The other two pass that
     # check but form a product of more than 10^7 candidate monomials: at

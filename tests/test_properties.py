@@ -3,10 +3,11 @@ products against the loop on exponent tuples, truncated powers against
 repeated products, Fedder's test against the truncated power, the kept
 leading monomial of arithmetic results and of Groebner bases, the lead of
 a form containing x1^d (x1^d*y1^e), reduced Groebner bases (independent
-of generator order, repetition and scaling), normal forms, standard
-monomial counts against enumeration and with a cold or warm numerator
-cache, regular sequences against the dimension of the initial ideal and
-the parse/print round trip."""
+of generator order, repetition and scaling), normal forms, truncated
+normal forms against the reduced basis, standard monomial counts against
+enumeration and with a cold or warm numerator cache, regular sequences
+against the dimension of the initial ideal and the parse/print round
+trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from diagalg.exactalg import (
     PolyRing,
     _hilbert_numerator,
     _Packing,
+    _truncated_normal_form,
     exponent_vectors,
     grevlex_key,
     groebner_basis,
@@ -353,6 +355,45 @@ def test_normal_form_is_idempotent_and_ideal_invariant(data):
     assert normal_form(r, gb) == r
     for g in gb:
         assert normal_form(f + h * g, gb) == r
+
+
+@st.composite
+def truncation_cases(draw):
+    """Homogeneous generators in a ring with or without a y-block, and a
+    form f of two or more terms: drawn freely, or a multiple of a
+    generator so that its remainder is zero."""
+    ring = PolyRing(draw(st.sampled_from([5, 7])), draw(st.integers(2, 3)),
+                    draw(st.integers(0, 2)))
+    gens = draw(st.lists(forms(ring), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(gens)) * draw(forms(ring, max_degree=2))
+    else:
+        monos = list(exponent_vectors(draw(st.integers(1, 4)), ring.nvars))
+        monos = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=5,
+                              unique=True))
+        coeffs = draw(st.lists(st.integers(1, ring.p - 1),
+                               min_size=len(monos), max_size=len(monos)))
+        f = ring.poly(dict(zip(monos, coeffs)))
+    return f, gens
+
+
+def test_truncated_normal_form_matches_full_basis():
+    # The basis truncated at f's degree gives f the normal form of the
+    # reduced basis, also when some generator has a higher degree than f.
+    outcomes = set()
+
+    @SETTINGS
+    @given(truncation_cases())
+    def check(case):
+        f, gens = case
+        remainder = _truncated_normal_form(f, gens)
+        assert remainder == normal_form(f, groebner_basis(gens))
+        outcomes.add(remainder.is_zero)
+        if any(g.total_degree() > f.total_degree() for g in gens):
+            outcomes.add("lower")
+
+    check()
+    assert outcomes == {True, False, "lower"}
 
 
 def monomials(ring, exps):
