@@ -131,6 +131,11 @@ def cmd_frobenius(args):
     if args.mode == "fpure" and (args.d is not None or args.e is not None):
         # Fedder's test takes any form: there is no degree to match.
         raise PreconditionError("fpure mode takes no --d or --e")
+    if args.mode == "fpure" and args.q_max is not None:
+        raise PreconditionError("fpure mode takes no --q-max")
+    if args.poly is not None and args.seed is not None:
+        raise PreconditionError(
+            "--poly takes no --seed, which seeds a sampled form")
     if args.poly is not None:
         f = parse_polynomial(args.poly, args.m, args.n, p)
     elif args.mode == "fpure":
@@ -141,7 +146,7 @@ def cmd_frobenius(args):
         raise PreconditionError("--d and --e are required when sampling a form")
     else:
         f = frob.random_biform(args.m, args.n, args.d, args.e or 0, p,
-                               args.seed)
+                               args.seed or 0)
 
     if args.mode == "fpure":
         result = frob.fedder_is_f_pure(f)
@@ -159,11 +164,12 @@ def cmd_frobenius(args):
         if given is not None and given != degree:
             raise PreconditionError(
                 f"{flag} {given} differs from the form's bidegree ({d}, {e})")
+    q_max = 4 if args.q_max is None else args.q_max
     if args.mode == "graded":
-        cert = frob.f_regular_certificate_graded(f, d, args.m, p, args.q_max)
+        cert = frob.f_regular_certificate_graded(f, d, args.m, p, q_max)
     else:
         cert = frob.f_regular_certificate_bigraded(
-            f, d, e, args.m, args.n, p, args.q_max)
+            f, d, e, args.m, args.n, p, q_max)
 
     lines = [f"f = {f}", f"verdict: {cert.verdict}"]
     if cert.q_used is not None:
@@ -366,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=int, required=True, help="prime characteristic")
     sub.add_argument("--poly", type=str, default=None,
                      help="explicit polynomial; omit to sample a dense form")
-    sub.add_argument("--q-max", type=int, default=4, dest="q_max",
+    sub.add_argument("--q-max", type=int, default=None, dest="q_max",
                      help="test Frobenius powers up to p^q_max (default 4)")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=int, default=None,
                      help="seed for the sampled form (default 0)")
     sub.add_argument("--format", choices=("json", "text"), default="text")
 

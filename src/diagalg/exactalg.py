@@ -33,11 +33,11 @@ biased fields set a guard bit; guard 0 means no truncation.
 
 Callers inside the package that only need a yes/no or one remainder leave
 the packing to this module: Fedder's test asks :func:`_power` only whether
-the power is nonzero, and decides its last product one coefficient at a
-time (:func:`_product_is_nonzero`); the certificates take the socle's
-remainder from :func:`_truncated_normal_form`.  ``__pow__``,
-``groebner_basis`` and ``normal_form`` stay the public, independent route
-to the same answers.  A square forms each cross term once (:func:`_mul`).
+the power of f, or of a coordinate restriction of f, is nonzero; the
+certificates take the socle's remainder from :func:`_truncated_normal_form`.
+``__pow__``, ``groebner_basis`` and ``normal_form`` stay the public,
+independent route to the same answers.  A square forms each cross term
+once (:func:`_mul`).
 
 Standard-monomial counts and the regular-sequence test read the Hilbert
 numerator of a lead ideal (:func:`_hilbert_numerator`) from one bounded
@@ -197,45 +197,7 @@ def _mul(a: dict, b: dict, p: int, bias: int, guard: int) -> dict:
     return {m: v for m, c in out.items() if (v := c % p)}
 
 
-def _product_is_nonzero(a: dict, b: dict, p: int, bias: int,
-                        guard: int) -> bool:
-    """Whether ``_mul(a, b, p, bias, guard)`` has a term, deciding it one
-    coefficient at a time instead of forming the product.
-
-    The product is refused as ``_mul`` refuses it.  Then each surviving
-    monomial u = ma + mb, in the order the pairs find it and once each,
-    gets its coefficient sum(a[v] * b[u - v] for v in a) mod p.  When v
-    does not divide u, u - v is negative or has a guard bit set
-    (:class:`_Packing`), so it is no key of b: one dict lookup is both the
-    divisor test and the read of b.  The first nonzero
-    coefficient answers True.  After ``len(b) // 4`` zero coefficients
-    (a is the smaller factor; ``len(b) // 8`` for a square, whose cross
-    terms ``_mul`` forms once), ``_mul`` forms the product instead, which
-    caps the extra work at about a quarter of the product's pair loop."""
-    _check_product(len(a), len(b))
-    if len(a) > len(b):
-        a, b = b, a
-    terms, get = list(a.items()), b.get
-    budget = len(b) // (8 if a is b else 4)
-    seen = set()
-    keys = list(b)
-    for i, ma in enumerate(a):
-        # A square meets every monomial among the pairs with mb at or
-        # after ma.
-        for mb in keys[i:] if a is b else keys:
-            u = ma + mb
-            if (u + bias) & guard or u in seen:
-                continue
-            if not budget:
-                return bool(_mul(a, b, p, bias, guard))
-            budget -= 1
-            seen.add(u)
-            if sum([c * get(u - v, 0) for v, c in terms]) % p:
-                return True
-    return False
-
-
-def _power(f: "MultiPoly", k: int, q: int | None, last=_mul):
+def _power(f: "MultiPoly", k: int, q: int | None):
     """``pow(f, k, q)`` as (packing, packed terms): f^k without its terms
     that have an exponent >= q (with no ``q``, all of f^k: bias and guard
     0, as in ``*``).
@@ -249,11 +211,7 @@ def _power(f: "MultiPoly", k: int, q: int | None, last=_mul):
     ``*``, each product it forms is refused when it would form more
     candidate monomials than the cap.
 
-    No product by the constant 1 is formed.  The last product, result *
-    base or, while the result is still 1, the final square, is
-    ``last(a, b, p, bias, guard)``, and its value takes the place of the
-    terms; Fedder's test passes :func:`_product_is_nonzero`.  With no
-    product at all (k <= 1) the terms are returned.
+    No product by the constant 1 is formed.
     """
     if not isinstance(k, int) or k < 0:
         raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
@@ -280,11 +238,10 @@ def _power(f: "MultiPoly", k: int, q: int | None, last=_mul):
     while k:
         bit, k = k & 1, k >> 1
         if bit:
-            result = base if result is None else (_mul if k else last)(
+            result = base if result is None else _mul(
                 result, base, p, bias, guard)
         if k:
-            square = last if k == 1 and result is None else _mul
-            base = square(base, base, p, bias, guard)
+            base = _mul(base, base, p, bias, guard)
     return packing, {0: 1} if result is None else result  # 1 packs to 0
 
 

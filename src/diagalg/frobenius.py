@@ -12,6 +12,7 @@ tested powers yields "inconclusive", never "false".
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field
@@ -21,7 +22,6 @@ from .exactalg import (
     MultiPoly,
     PolyRing,
     _power,
-    _product_is_nonzero,
     _truncated_normal_form,
     exponent_vectors,
     groebner_basis,
@@ -78,19 +78,34 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
     That ideal is monomial, so membership is termwise: ``pow(f, p - 1, p)``,
     the image of f^(p-1) modulo it, is nonzero exactly when f is F-pure.  No
     Groebner basis is needed, and the power drops every term with an
-    exponent >= p as soon as it appears.  Only whether the power is
-    nonzero matters, so its last product goes to
-    :func:`_product_is_nonzero`: after the same monomial-cap check as the
-    product, that computes the product's coefficients one monomial at a
-    time and stops at the first nonzero one; it forms the product only
-    when a quarter as many coefficients as the larger factor has terms
-    all cancel."""
+    exponent >= p as soon as it appears.  Setting the variables outside a
+    set V to 0 commutes with the power, (f|V)^(p-1) = (f^(p-1))|V, so a
+    nonzero truncated power of a restriction already answers True.  The
+    test tries the prefixes V = {x1..xk, y1..yl} in order of k + l, the
+    whole ring last, and skips a restriction with no terms or with the
+    terms of one already tried.  It skips k below the least x-degree of a
+    term of f, since every term of f^(p-1) has x-degree at least p - 1
+    times that and a term with all exponents below p on k x-variables has
+    x-degree at most k(p - 1); likewise l and the y-degree."""
     if f.is_zero:
         raise PreconditionError("f must be nonzero")
     if not f.is_homogeneous():
         raise PreconditionError("f must be homogeneous")
-    p = f.ring.p
-    return bool(_power(f, p - 1, p, last=_product_is_nonzero)[1])
+    ring = f.ring
+    p, m, n = ring.p, ring.m, ring.n
+    k_min = min(sum(mono[:m]) for mono in f.terms)
+    l_min = min(sum(mono[m:]) for mono in f.terms)
+    tried = set()
+    for k, l in sorted(itertools.product(range(k_min, m + 1),
+                                         range(l_min, n + 1)), key=sum):
+        part = {mono: c for mono, c in f.terms.items()
+                if not any(mono[k:m]) and not any(mono[m + l:])}
+        key = frozenset(part)
+        if part and key not in tried:
+            tried.add(key)
+            if _power(MultiPoly._raw(ring, part), p - 1, p)[1]:
+                return True
+    return False
 
 
 def _distinguished(m: int, n: int, d: int, e: int = 0) -> tuple:

@@ -12,6 +12,7 @@ import pytest
 
 from diagalg import cli
 from diagalg.errors import InternalDefectError
+from diagalg.frobenius import random_biform
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -109,8 +110,10 @@ GOLDEN_COMMANDS = {
     "rees.json": "rees --m 3 --k 4 --s 2 --g 1 --h 1 --i-max 3 --format json",
     "figure.csv": "figure --m 3 --n 3 --d-max 4 --e-max 3 --format csv",
     # Fedder's test on the printed random_biform(3, 3, 1, 1, 13, 0), which
-    # is F-pure, and on random_biform(3, 0, 3, 0, 7, 0), a supersingular
-    # cubic whose last product has a surviving monomial that cancels.
+    # its first restriction, to x1*y1, shows F-pure, and on
+    # random_biform(3, 0, 3, 0, 7, 0), a supersingular cubic: every term has
+    # x-degree 3, so the whole ring is its only restriction, and the
+    # truncated power is zero.
     "frobenius_fpure_dense.json": (
         "frobenius --mode fpure --m 3 --n 3 --p 13 --poly 'x1*y1 + x2*y1 + "
         "8*x3*y1 + 7*x1*y2 + 5*x2*y2 + 7*x3*y2 + 7*x1*y3 + 9*x2*y3 + 5*x3*y3' "
@@ -375,9 +378,10 @@ def test_exit_code_fpure_refuses_degree_flags(capsys):
 def test_exit_code_power_over_monomial_cap(capsys):
     # The first power is refused before any work.  The other two pass that
     # check but form a product of more than 10^7 candidate monomials: at
-    # p = 1000003, f^(p-1) of the binomial keeps about p/2 terms per power.
+    # p = 1000003, f^(p-1) of the binomial keeps about p/2 terms per power,
+    # and its only restriction with a term, x1^2, is not F-pure.
     for p, poly in [("5", "(x1+x2+x3)^100000"),
-                    ("1000003", "x1*x2+x3^2"),
+                    ("1000003", "x1^2+x2*x3"),
                     ("1000003", "(x1+x2+x3)^200*(x1+x2+x3)^200")]:
         code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure",
                                  "--m", "3", "--p", p, "--poly", poly)
@@ -397,21 +401,54 @@ def test_exit_code_fedder_power_over_monomial_cap(capsys):
 
 
 def test_exit_code_fedder_last_product_over_monomial_cap(capsys):
-    # The printed random_biform(4, 0, 2, 0, 31, 0) and random_biform(3, 0,
-    # 2, 0, 101, 0): every product of their Fedder power but the last stays
-    # under the cap, and the last one, which the test decides without
-    # forming it, is refused with the same message as when it was formed.
-    for p, m, poly, product in [
-            ("31", "4", "x1^2 + 28*x1*x2 + 29*x2^2 + 13*x1*x3 + 14*x2*x3 + "
-             "9*x3^2 + 25*x1*x4 + 2*x2*x4 + 17*x3*x4 + 16*x4^2", "4350 by 6324"),
-            ("101", "3", "x1^2 + 50*x1*x2 + 54*x2^2 + 98*x1*x3 + 6*x2*x3 + "
-             "34*x3^2", "2674 by 7096")]:
+    # The Fermat cubic at p = 227 (2 mod 3): its restrictions x1^3 and
+    # x1^3 + x2^3 are not F-pure, and every product of the whole form's
+    # power but the last, f^98 * f^128 after truncation, stays under the
+    # cap; that one is refused.
+    code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure", "--m", "3",
+                             "--p", "227", "--poly", "x1^3 + x2^3 + x3^3")
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err == ("error: a product of 4122 by 4092 terms exceeds the "
+                   "monomial cap 10000000\n")
+
+
+def test_fedder_restrictions_answer_forms_over_the_cap(capsys):
+    # Each whole form's power is over the monomial cap, before any work or
+    # at a product, but a restriction to a prefix of the variables is
+    # F-pure: the printed random_biform(4, 0, 2, 0, 31, 0),
+    # random_biform(3, 0, 2, 0, 101, 0) and random_biform(3, 3, 2, 2, 13,
+    # 0), and a binomial at p = 1000003.
+    for m, n, p, poly in [
+            ("4", "0", "31", "x1^2 + 28*x1*x2 + 29*x2^2 + 13*x1*x3 + "
+             "14*x2*x3 + 9*x3^2 + 25*x1*x4 + 2*x2*x4 + 17*x3*x4 + 16*x4^2"),
+            ("3", "0", "101", "x1^2 + 50*x1*x2 + 54*x2^2 + 98*x1*x3 + "
+             "6*x2*x3 + 34*x3^2"),
+            ("3", "3", "13", str(random_biform(3, 3, 2, 2, 13, 0))),
+            ("3", "0", "1000003", "x1*x2+x3^2")]:
         code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure",
-                                 "--m", m, "--p", p, "--poly", poly)
-        assert code == cli.EXIT_PRECONDITION, p
+                                 "--m", m, "--n", n, "--p", p, "--poly", poly,
+                                 "--format", "json")
+        assert (code, err) == (cli.EXIT_OK, ""), poly
+        assert json.loads(out)["f_pure"] is True
+
+
+def test_exit_code_frobenius_refuses_unused_flags(capsys):
+    # --q-max bounds the certificates' search, which fpure mode does not
+    # run, and --seed seeds a sampled form, which --poly replaces.
+    for argv, message in [
+            (["--mode", "fpure", "--m", "3", "--p", "3", "--q-max", "9",
+              "--poly", "x1*x2*x3"], "fpure mode takes no --q-max"),
+            (["--mode", "graded", "--m", "3", "--p", "5", "--seed", "4",
+              "--poly", "x1^2+x2*x3"],
+             "--poly takes no --seed, which seeds a sampled form"),
+            (["--mode", "fpure", "--m", "3", "--p", "3", "--seed", "0",
+              "--poly", "x1*x2*x3"],
+             "--poly takes no --seed, which seeds a sampled form")]:
+        code, out, err = run_cli(capsys, "frobenius", *argv)
+        assert code == cli.EXIT_PRECONDITION, argv
         assert out == ""
-        assert err == (f"error: a product of {product} terms exceeds the "
-                       "monomial cap 10000000\n")
+        assert err == f"error: {message}\n"
 
 
 def test_exit_code_internal_defect(capsys, monkeypatch):

@@ -172,6 +172,7 @@ def operands(draw):
 _Y2 = PolyRing(2, 0, 2)
 _X3 = PolyRing(5, 3)
 _XY = PolyRing(5, 2, 1)
+_X1Y1 = PolyRing(5, 1, 1)
 
 
 @SETTINGS
@@ -237,18 +238,27 @@ def fedder_forms(draw):
 
 
 def test_fedder_matches_the_truncated_power():
-    # Fedder's test decides its last product one coefficient at a time; the
-    # whole truncated power stays the reference.
+    # Fedder's test tries restrictions of f to prefixes of the x- and
+    # y-variables before the whole ring and skips prefixes too short for
+    # the least x- or y-degree of a term; the whole truncated power stays
+    # the reference.
     outcomes = set()
 
     @SETTINGS
     @given(fedder_forms())
-    # F-pure, and the first coefficient of the last product cancels mod 5.
+    # F-pure: its restriction to x1, x2 already is, by x1^4*x2^4.
     @example(_X3.poly({(2, 0, 0): 4, (1, 1, 0): 4, (0, 1, 1): 1, (0, 0, 2): 3}))
     # Not F-pure: every coefficient of (x1 + 2*x2 + 3*x3)^8 with exponents
-    # below 5 is a multinomial coefficient that vanishes mod 5: the last
-    # square's surviving monomials cancel until the test forms the square.
+    # below 5 is a multinomial coefficient that vanishes mod 5, on every
+    # restriction too.
     @example((_X3.x(1) + 2 * _X3.x(2) + 3 * _X3.x(3)) ** 2)
+    # F-pure by x1^4*y1^4 only, which needs both blocks: the least x-degree
+    # and the least y-degree of a term are both 0, from different terms.
+    @example(_X1Y1.x(1) ** 2 + _X1Y1.y(1) ** 2)
+    # F-pure by x1^4*x2^2*x3^2, which only the whole ring has.
+    @example(_X3.x(1) ** 2 + _X3.x(2) * _X3.x(3))
+    # Not F-pure: the least x-degree 3 exceeds m = 2, so no prefix is tried.
+    @example(_X2.x(1) ** 2 * _X2.x(2))
     # p = 2: f^(p-1) is f, with no product at all.
     @example(_Y2.y(1) * _Y2.y(2))
     # A p-th power: no term survives the truncation of f itself.

@@ -85,12 +85,14 @@ def test_rigidity_is_cm_examples():
 
 
 def test_window_empty_iff_cm():
+    # The closed inequality g > a + ks - k is the oracle for both.
     for a in range(-6, 3):
         for k in range(1, 6):
             for s in range(2, 5):
                 for g in range(1, 7):
-                    empty = len(rigidity_window(a, k, s, g)) == 0
-                    assert empty == rigidity_is_cm(a, k, s, g)
+                    cm = g > a + k * s - k
+                    assert rigidity_is_cm(a, k, s, g) == cm
+                    assert (len(rigidity_window(a, k, s, g)) == 0) == cm
 
 
 def test_ci_criterion_examples():
