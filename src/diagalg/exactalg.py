@@ -43,10 +43,11 @@ Standard-monomial counts and the regular-sequence test read the Hilbert
 numerator of a lead ideal (:func:`_hilbert_numerator`) from one bounded
 LRU cache, so the degrees asked of one basis share one numerator.
 
-All values are immutable after construction, the cached packings,
-numerators and variable names included, so every operation in this module
-is safe for concurrent use.  A polynomial keeps its lead and its
-(bi)degrees once found; two threads that find them store equal values.
+The two bounded LRU caches, of packings and of Hilbert numerators, hold
+only immutable values, and a ring holds its variable names from its
+construction, so every operation in this module is safe for concurrent
+use.  A polynomial keeps its lead and its (bi)degrees once found; two
+threads that find them store equal values.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import comb
 
@@ -205,20 +206,19 @@ def _power(f: "MultiPoly", k: int, q: int | None):
     Computed by square and multiply on packed monomials, dropping such
     terms as soon as they appear, which is exact: every product with
     such a term has one too.  f^k has at most comb(t + k - 1, k) terms
-    (multisets of k of f's t terms) and at most comb(k * deg + nvars,
-    nvars) (monomials of degree <= k * deg); it is refused before any
-    work when both exceed the monomial cap, with or without ``q``.  Like
-    ``*``, each product it forms is refused when it would form more
-    candidate monomials than the cap.
-
-    No product by the constant 1 is formed.
+    (multisets of k of f's t terms) and at most comb(k * deg + v, v)
+    (monomials of degree <= k * deg in the v variables that occur in f);
+    it is refused before any work when both exceed the monomial cap, with
+    or without ``q``.  Like ``*``, each product it forms is refused when
+    it would form more candidate monomials than the cap.
     """
     if not isinstance(k, int) or k < 0:
         raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
     ring = f.ring
     t, nv = len(f.terms), ring.nvars
     top = k * f.total_degree()
-    if (t >= 2 and comb(top + nv, nv) > MONOMIAL_CAP
+    used = sum(map(any, zip(*f.terms)))
+    if (t >= 2 and comb(top + used, used) > MONOMIAL_CAP
             and comb(t + k - 1, k) > MONOMIAL_CAP):
         raise DegreeCapError(
             f"power {k} of a {t}-term polynomial may exceed the "
@@ -234,26 +234,14 @@ def _power(f: "MultiPoly", k: int, q: int | None):
         ((packing.limit + 1) - q) * packing.ones, packing.guard)
     base = {m: c for m, c in packing.pack_terms(f.terms).items()
             if not (m + bias) & guard}
-    result = None  # the constant 1, until the first factor is taken
+    result = {0: 1}  # the constant 1, which packs to 0
     while k:
         bit, k = k & 1, k >> 1
         if bit:
-            result = base if result is None else _mul(
-                result, base, p, bias, guard)
+            result = _mul(result, base, p, bias, guard)
         if k:
             base = _mul(base, base, p, bias, guard)
-    return packing, {0: 1} if result is None else result  # 1 packs to 0
-
-
-# Rings whose variable names are kept for reuse.
-_NAMES_KEPT = 64
-
-
-@functools.lru_cache(maxsize=_NAMES_KEPT)
-def _var_names(m: int, n: int) -> tuple:
-    """The names x1..xm, y1..yn of the variables, in index order."""
-    return (tuple(f"x{i}" for i in range(1, m + 1))
-            + tuple(f"y{j}" for j in range(1, n + 1)))
+    return packing, result
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,12 +249,14 @@ class PolyRing:
     """The ring F_p[x1..xm, y1..yn] with deg x_i = (1,0) and deg y_j = (0,1).
 
     ``p`` is a prime with 2 <= p < 2**31.  ``n`` may be zero for a
-    single-block (ordinary graded) polynomial ring.
+    single-block (ordinary graded) polynomial ring.  ``_names`` holds the
+    variable names x1..xm, y1..yn, in index order, for printing.
     """
 
     p: int
     m: int
     n: int = 0
+    _names: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, m, n = self.p, self.m, self.n
@@ -276,6 +266,9 @@ class PolyRing:
             raise PreconditionError(f"modulus must be prime: {p}")
         if m < 0 or n < 0 or m + n < 1:
             raise PreconditionError(f"need m, n >= 0 with m + n >= 1: m={m}, n={n}")
+        object.__setattr__(self, "_names",
+                           tuple(f"x{i}" for i in range(1, m + 1))
+                           + tuple(f"y{j}" for j in range(1, n + 1)))
 
     @property
     def nvars(self) -> int:
@@ -365,9 +358,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((i + j for i, j in self._bidegrees()), default=-1)
 
     def is_homogeneous(self) -> bool:
         return len({i + j for i, j in self._bidegrees()}) <= 1
@@ -490,7 +481,7 @@ class MultiPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = _var_names(self.ring.m, self.ring.n)
+        names = self.ring._names
         parts = []
         # Descending grevlex: the monomials are distinct, so this key orders
         # them as sorted(..., key=grevlex_key, reverse=True) does.

@@ -93,8 +93,7 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
         raise PreconditionError("f must be homogeneous")
     ring = f.ring
     p, m, n = ring.p, ring.m, ring.n
-    k_min = min(sum(mono[:m]) for mono in f.terms)
-    l_min = min(sum(mono[m:]) for mono in f.terms)
+    k_min, l_min = map(min, zip(*f._bidegrees()))
     tried = set()
     for k, l in sorted(itertools.product(range(k_min, m + 1),
                                          range(l_min, n + 1)), key=sum):

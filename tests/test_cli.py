@@ -339,6 +339,41 @@ def test_exit_code_precondition(capsys):
         assert "degree" in err and "exponent" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["frobenius", "--mode", "graded", "--m", "3", "--n", "2", "--p", "5",
+      "--poly", "x1^2+x2*x3"], "graded mode takes --n 0"),
+    (["frobenius", "--mode", "fpure", "--m", "3", "--p", "5"],
+     "--poly is required for --mode fpure"),
+    (["frobenius", "--mode", "graded", "--m", "3", "--p", "5"],
+     "--d is required when sampling a form"),
+    (["frobenius", "--mode", "bigraded", "--m", "3", "--n", "3", "--d", "1",
+      "--p", "5"], "--d and --e are required when sampling a form"),
+    (["frobenius", "--mode", "graded", "--m", "3", "--p", "5",
+      "--poly", "x1^2+x2"], "--poly must be nonzero homogeneous"),
+    (["frobenius", "--mode", "bigraded", "--m", "3", "--n", "3", "--p", "5",
+      "--poly", "x1*y1+x2"], "--poly must be nonzero bihomogeneous"),
+    (["frobenius", "--mode", "bigraded", "--m", "3", "--n", "3", "--p", "5",
+      "--poly", "0"], "--poly must be nonzero bihomogeneous"),
+    (["rees", "--degrees", "2,2", "--g", "3", "--h", "1"],
+     "--m is required with --degrees"),
+    (["rees", "--m", "3", "--k", "2"], "rigidity mode requires --k and --s"),
+    (["rees", "--a", "0", "--k", "2", "--s", "2"],
+     "need either --m or both --a and --dim"),
+])
+def test_exit_code_missing_or_mismatched_flags(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_lcdim_empty_range(capsys):
+    code, out, _ = run_cli(capsys, "lcdim", "--m", "3", "--n", "3", "--d", "1",
+                           "--e", "1", "--k-min", "5", "--k-max", "6")
+    assert code == cli.EXIT_OK
+    assert "\n  (none in range)\n" in out
+
+
 def test_exit_code_degree_flags_differ_from_poly(capsys):
     # A given --d or --e must match the parsed form's (bi)degree; with
     # n = 0 the bidegree is (degree, 0).  A matching flag is accepted.
@@ -392,12 +427,26 @@ def test_exit_code_power_over_monomial_cap(capsys):
 
 def test_exit_code_fedder_power_over_monomial_cap(capsys):
     # Fedder's test computes f^(p-1) truncated, yet refuses it as f ** (p-1)
-    # does: a dense cubic in 4 variables at p = 101 exits 2 at once.
+    # does: a dense cubic in 4 variables at p = 101 exits 2, at a product of
+    # its restriction to x1..x3.
     code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure", "--m", "4",
                              "--p", "101", "--poly", "(x1+x2+x3+x4)^3")
     assert code == cli.EXIT_PRECONDITION
     assert out == ""
     assert "monomial cap" in err
+
+
+def test_fedder_power_bound_counts_only_the_variables_of_f(capsys):
+    # A binary cubic in a ring of 3 variables: its power p - 1 has few
+    # enough monomials in x1, x2, so it is computed, not refused as if x3
+    # could occur in it.
+    code, out, err = run_cli(capsys, "frobenius", "--mode", "fpure", "--m", "3",
+                             "--p", "1009",
+                             "--poly", "x1^3+x1^2*x2+x1*x2^2+x2^3")
+    assert code == cli.EXIT_OK
+    assert out == ("f = x1^3 + x1^2*x2 + x1*x2^2 + x2^3\n"
+                   "F-pure over F_1009: False\n")
+    assert err == ""
 
 
 def test_exit_code_fedder_last_product_over_monomial_cap(capsys):

@@ -167,6 +167,8 @@ def test_graded_certificate_context_checks():
     # A constant form would send a negative socle exponent into the search.
     with pytest.raises(PreconditionError, match=r"need degree d >= 1: 0"):
         f_regular_certificate_graded(ring.one(), 0, 3, 5)
+    with pytest.raises(PreconditionError, match=r"need e_max >= 1: 0"):
+        f_regular_certificate_graded(witness_graded(2, 3, 5), 2, 3, 5, e_max=0)
 
 
 def test_graded_membership_monotone_on_witnesses():
@@ -221,6 +223,10 @@ def test_certificate_reproducible():
     certb = f_regular_certificate_bigraded(witness_bigraded(1, 1, 2, 2, 5),
                                            1, 1, 2, 2, 5)
     assert recheck_certificate(certb)
+    not_f_pure = f_regular_certificate_graded(PolyRing(5, 3).x(1) ** 2, 2, 3, 5)
+    with pytest.raises(PreconditionError,
+                       match="only f_regular certificates can be rechecked"):
+        recheck_certificate(not_f_pure)
 
 
 def test_certificate_json_fields():
@@ -269,6 +275,10 @@ def test_bigraded_certificate_context_checks():
     with pytest.raises(PreconditionError,
                        match=r"need bidegree with d \+ e >= 1: \(0, 0\)"):
         f_regular_certificate_bigraded(ring.one(), 0, 0, 2, 2, 5)
+    with pytest.raises(PreconditionError,
+                       match=r"f must be bihomogeneous of bidegree \(2, 1\)"):
+        f_regular_certificate_bigraded(witness_bigraded(1, 1, 2, 2, 5),
+                                       2, 1, 2, 2, 5)
 
 
 def test_bigraded_fpure_witness_is_fpure():
@@ -301,6 +311,8 @@ def test_witness_constructors():
     assert str(witness_fpure(2, 2, 5)) == "x1^2 + x1*x2"
     with pytest.raises(PreconditionError):
         witness_graded(3, 3, 5)
+    with pytest.raises(PreconditionError, match=r"need d >= 1: 0"):
+        witness_graded(0, 3, 5)
     with pytest.raises(PreconditionError):
         witness_bigraded(1, 2, 2, 2, 5)
 
@@ -316,3 +328,10 @@ def test_random_biform_contract():
     single_block = random_biform(3, 0, 2, 0, 7, seed=5)
     assert single_block.total_degree() == 2
     assert len(single_block.terms) == comb(2 + 2, 2)
+    for args, message in [
+        ((0, 2, 1, 1), r"d > 0 needs at least one x-variable"),
+        ((2, 0, 1, 1), r"e > 0 needs at least one y-variable"),
+        ((2, 2, 0, 0), r"bidegree must be >= 0 and not \(0, 0\): \(0, 0\)"),
+    ]:
+        with pytest.raises(PreconditionError, match=message):
+            random_biform(*args, 7, seed=0)
