@@ -46,7 +46,7 @@ LRU cache, so the degrees asked of one basis share one numerator.
 The two bounded LRU caches, of packings and of Hilbert numerators, hold
 only immutable values, and a ring holds its variable names from its
 construction, so every operation in this module is safe for concurrent
-use.  A polynomial keeps its lead and its (bi)degrees once found; two
+use.  A polynomial keeps its lead and its bidegrees once found; two
 threads that find them store equal values.
 """
 
@@ -358,7 +358,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum total degree of a term; -1 for the zero polynomial."""
-        return max((i + j for i, j in self._bidegrees()), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
         return len({i + j for i, j in self._bidegrees()}) <= 1

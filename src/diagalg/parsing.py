@@ -24,6 +24,9 @@ _TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+)([0-9]*)|([-+*^()])|(\S)")
 # int (sys.set_int_max_str_digits), so every run that passes converts and
 # every exponent prints under any setting.
 _MAX_DIGITS = 640
+# Each level of parentheses takes four Python frames; deeper nesting is
+# refused at the "(" that opens it, well before the interpreter's stack.
+_MAX_DEPTH = 100
 
 
 def _tokenize(text: str):
@@ -50,96 +53,88 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, ring: PolyRing):
-        self.tokens = tokens
-        self.ring = ring
-        self.cursor = 0
+def parse_polynomial(text: str, m: int, n: int, p: int) -> MultiPoly:
+    """Parse ``text`` into an exact polynomial over F_p[x1..xm, y1..yn]."""
+    ring = PolyRing(p, m, n)
+    tokens = iter(_tokenize(text))
+    token = next(tokens)
+    depth = 0
 
-    def peek(self):
-        return self.tokens[self.cursor]
+    def accept(op: str) -> bool:
+        # Step past the current token if it is the operator ``op``.
+        nonlocal token
+        if token[0] == "op" and token[1] == op:
+            token = next(tokens)
+            return True
+        return False
 
-    def advance(self):
-        token = self.tokens[self.cursor]
-        self.cursor += 1
-        return token
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise PolyParseError(f"expected {op!r}", pos)
-        return self.advance()
-
-    def parse_expr(self) -> MultiPoly:
-        kind, value, pos = self.peek()
-        negate = False
-        if kind == "op" and value == "-":
-            self.advance()
-            negate = True
-        result = self.parse_term()
-        if negate:
-            result = -result
+    def expr() -> MultiPoly:
+        # The signed terms are added into one dict, so a sum of n terms
+        # costs n merges, not n copies of the running sum.
+        total = {}
+        sign = -1 if accept("-") else 1
         while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                term = self.parse_term()
-                result = result + term if value == "+" else result - term
-            else:
-                return result
+            for exps, c in term().terms.items():
+                v = (total.get(exps, 0) + sign * c) % p
+                if v:
+                    total[exps] = v
+                else:
+                    total.pop(exps, None)
+            sign = 1 if accept("+") else -1 if accept("-") else 0
+            if not sign:
+                return ring.poly(total)
 
-    def parse_term(self) -> MultiPoly:
-        result = self.parse_factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                result = result * self.parse_factor()
-            else:
-                return result
+    def term() -> MultiPoly:
+        result = factor()
+        while accept("*"):
+            result = result * factor()
+        return result
 
-    def parse_factor(self) -> MultiPoly:
-        base = self.parse_base()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "int":
-                raise PolyParseError("exponent must be a nonnegative integer", pos)
-            self.advance()
-            # Nested powers multiply degrees; keep every exponent printable.
-            if base.total_degree() * value >= 10 ** _MAX_DIGITS:
+    def factor() -> MultiPoly:
+        nonlocal token
+        result = base()
+        if not accept("^"):
+            return result
+        kind, value, pos = token
+        if kind != "int":
+            raise PolyParseError("exponent must be a nonnegative integer", pos)
+        token = next(tokens)
+        # Nested powers multiply degrees; keep every exponent printable.
+        if result.total_degree() * value >= 10 ** _MAX_DIGITS:
+            raise PolyParseError(
+                f"a power of degree over {_MAX_DIGITS} digits", pos)
+        return result ** value
+
+    def base() -> MultiPoly:
+        nonlocal token, depth
+        kind, value, pos = token
+        if accept("("):
+            depth += 1
+            if depth > _MAX_DEPTH:
                 raise PolyParseError(
-                    f"a power of degree over {_MAX_DIGITS} digits", pos)
-            return base ** value
-        return base
-
-    def parse_base(self) -> MultiPoly:
-        kind, value, pos = self.advance()
+                    f"parentheses nested deeper than {_MAX_DEPTH}", pos)
+            inner = expr()
+            if not accept(")"):
+                raise PolyParseError("expected ')'", token[2])
+            depth -= 1
+            return inner
         if kind == "int":
-            return self.ring.const(value)
-        if kind == "var":
+            result = ring.const(value)
+        elif kind == "var":
             name, index = value
-            size = {"x": self.ring.m, "y": self.ring.n}.get(name)
+            size = {"x": m, "y": n}.get(name)
             if size is None:
                 raise PolyParseError(f"unknown variable {name}{index}", pos)
             if not 1 <= index <= size:
                 raise PolyParseError(f"unknown variable {name}{index}: ring "
                                      f"has {size} {name}-variables", pos)
-            return getattr(self.ring, name)(index)
-        if kind == "op" and value == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise PolyParseError("expected a number, a variable, or '('", pos)
+            result = ring.gen(index - 1 if name == "x" else m + index - 1)
+        else:
+            raise PolyParseError("expected a number, a variable, or '('", pos)
+        token = next(tokens)
+        return result
 
-
-def parse_polynomial(text: str, m: int, n: int, p: int) -> MultiPoly:
-    """Parse ``text`` into an exact polynomial over F_p[x1..xm, y1..yn]."""
-    ring = PolyRing(p, m, n)
-    parser = _Parser(_tokenize(text), ring)
-    poly = parser.parse_expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise PolyParseError("trailing input after the expression", pos)
+    poly = expr()
+    if token[0] != "end":
+        raise PolyParseError("trailing input after the expression", token[2])
     return poly

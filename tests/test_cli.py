@@ -287,11 +287,13 @@ def test_figure_text_grid(capsys):
 # exit codes
 
 def test_exit_code_parse_error(capsys):
-    # A non-ASCII digit, a run of more digits than int() converts, or seven
+    # A non-ASCII digit, a run of more digits than int() converts, seven
     # nested powers of a 640-digit exponent (an exponent of about 4500
-    # digits, more than str() converts) is a parse error, not a crash.
+    # digits, more than str() converts), or parentheses nested 300 deep is
+    # a parse error, not a crash.
     nested = "(" * 7 + "x1" + f")^{'9' * 640}" * 7
-    for poly in ("x1^-1", "x1^\u00b2", "1" * 5000 + "*x1", nested):
+    deep = "(" * 300 + "x1" + ")" * 300
+    for poly in ("x1^-1", "x1^\u00b2", "1" * 5000 + "*x1", nested, deep):
         code, out, err = run_cli(capsys, "frobenius", "--mode", "graded",
                                  "--m", "3", "--p", "5", "--poly", poly)
         assert code == cli.EXIT_PRECONDITION, poly[:8]

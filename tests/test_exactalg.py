@@ -56,6 +56,8 @@ def test_ring_accessors():
     with pytest.raises(PreconditionError):
         ring.x(3)
     with pytest.raises(PreconditionError):
+        ring.y(3)
+    with pytest.raises(PreconditionError):
         PolyRing(7, 0, 0)
 
 
@@ -66,6 +68,7 @@ def test_poly_arithmetic_mod_p():
     assert (x1 + x2) * (x1 - x2) == x1**2 - x2**2
     assert (x1 + 1) ** 5 == x1**5 + 1  # char-5 Frobenius
     assert 3 * x1 - x1 == 2 * x1
+    assert 1 - x1 == -(x1 - 1)
     assert (x1 * x2).total_degree() == 2
 
 

@@ -69,6 +69,24 @@ def test_parse_errors_carry_positions():
             parse_polynomial(text, 2, 0, 5)
         assert err.value.position == position, text
 
+    # Tokenizer errors come before grammar errors; the rest are at the
+    # token where the grammar fails.
+    for text, position in [("x1 x2 @", 6), ("x1 + )", 5), (")", 0),
+                           ("(x1))", 4), ("x1*-x2", 3), ("", 0)]:
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, 2, 0, 5)
+        assert err.value.position == position, text
+    assert parse_polynomial("-(-x1)", 2, 0, 5) == PolyRing(5, 2).x(1)
+
+    # Parentheses nest at most 100 deep; the "(" that opens level 101 is
+    # the error, before the interpreter's stack runs out.
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial("(" * 300 + "x1" + ")" * 300, 2, 0, 5)
+    assert err.value.position == 100
+    assert "parentheses nested deeper than 100" in str(err.value)
+    assert parse_polynomial("(" * 100 + "x1" + ")" * 100, 2, 0, 5) \
+        == PolyRing(5, 2).x(1)
+
     with pytest.raises(PolyParseError):
         parse_polynomial("y1", 2, 0, 5)  # no y-block in this ring
 
