@@ -69,20 +69,14 @@ def parse_polynomial(text: str, m: int, n: int, p: int) -> MultiPoly:
         return False
 
     def expr() -> MultiPoly:
-        # The signed terms are added into one dict, so a sum of n terms
-        # costs n merges, not n copies of the running sum.
-        total = {}
-        sign = -1 if accept("-") else 1
+        result = -term() if accept("-") else term()
         while True:
-            for exps, c in term().terms.items():
-                v = (total.get(exps, 0) + sign * c) % p
-                if v:
-                    total[exps] = v
-                else:
-                    total.pop(exps, None)
-            sign = 1 if accept("+") else -1 if accept("-") else 0
-            if not sign:
-                return ring.poly(total)
+            if accept("+"):
+                result = result + term()
+            elif accept("-"):
+                result = result - term()
+            else:
+                return result
 
     def term() -> MultiPoly:
         result = factor()
