@@ -32,6 +32,7 @@ from . import frobenius as frob
 from . import hypersurface as hyp
 from . import rees
 from .errors import InternalDefectError, PreconditionError
+from .exactalg import check_rows
 from .gradedcomb import DiagonalSpec
 from .parsing import parse_polynomial
 
@@ -91,6 +92,7 @@ def cmd_classify(args):
 
 def cmd_hilbert(args):
     spec, diag = _hyp_spec(args)
+    check_rows(args.k_max + 1, "a Hilbert range")
     values = [(k, hyp.dim_piece(spec, diag, k)) for k in range(args.k_max + 1)]
     doc = {"inputs": _hyp_inputs(args) | {"k_max": args.k_max},
            "values": [{"k": k, "dim": dim} for k, dim in values]}
@@ -272,9 +274,11 @@ def cmd_rees(args):
 
 def figure_grid(m: int, n: int, d_max: int, e_max: int) -> dict:
     """Classification reports for every (d, e) in [1, d_max] x [1, e_max]
-    at the diagonal (1, 1).  Needs m, n >= 3."""
+    at the diagonal (1, 1).  Needs m, n >= 3 and at most
+    ``exactalg.ROW_CAP`` cells."""
     if m < 3 or n < 3:
         raise PreconditionError(f"the flag grid needs m, n >= 3: ({m}, {n})")
+    check_rows(max(d_max, 0) * max(e_max, 0), "a flag grid")
     diag = DiagonalSpec(1, 1)
     return {
         (d, e): hyp.classify(hyp.HypersurfaceSpec(m, n, d, e), diag)

@@ -25,7 +25,8 @@ input degree and widens when a pair's lcm outgrows the fields.  Packings
 are shared: one per number of variables and field width.  Because integer
 order is grevlex, the kernel takes the lead of a packed polynomial with an
 integer ``max``, and each polynomial ``groebner_basis`` returns keeps its
-lead.
+lead.  One generator bypasses Buchberger's algorithm and the packing: the
+reduced basis of a principal ideal (f) is ``f.monic()``, f / lc(f).
 
 Division and Buchberger's algorithm reduce by monic pairs (lead, tail),
 all made by :func:`_reducer`.  Products and powers drop the monomials whose
@@ -68,6 +69,12 @@ from .errors import (
 # Refuse products that would form more candidate monomials than this.  A
 # square of an N-term polynomial counts as N * N, a conservative bound.
 MONOMIAL_CAP = 10_000_000
+# Refuse tables, grids and ranges of more rows than this before any work:
+# each row is one closed-form evaluation and one line of output.
+ROW_CAP = 100_000
+# Refuse rings of more variables than this: a packing holds one weight of
+# about 2 * N fields per variable, so its memory grows as N^2.
+VARIABLE_CAP = 1000
 
 
 def _check_product(ta: int, tb: int) -> None:
@@ -76,6 +83,14 @@ def _check_product(ta: int, tb: int) -> None:
     if ta * tb > MONOMIAL_CAP:
         raise DegreeCapError(f"a product of {ta} by {tb} terms exceeds the "
                              f"monomial cap {MONOMIAL_CAP}")
+
+
+def check_rows(rows: int, what: str) -> None:
+    """Refuse ``what``, a table, grid or range of ``rows`` rows, when it
+    has more than :data:`ROW_CAP`; call it before computing any row."""
+    if rows > ROW_CAP:
+        raise DegreeCapError(f"{what} of {rows} rows exceeds the row cap "
+                             f"{ROW_CAP}")
 
 
 def _is_prime(p: int) -> bool:
@@ -102,6 +117,12 @@ def grevlex_key(exps):
     Variable precedence is the index order x1 > ... > xm > y1 > ... > yn.
     """
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _descending_grevlex(exps):
+    # Sorts distinct monomials as grevlex_key does with reverse=True, and
+    # min picks the lead, with one slice instead of a generator per key.
+    return (-sum(exps), exps[::-1])
 
 
 class _Packing:
@@ -266,6 +287,9 @@ class PolyRing:
             raise PreconditionError(f"modulus must be prime: {p}")
         if m < 0 or n < 0 or m + n < 1:
             raise PreconditionError(f"need m, n >= 0 with m + n >= 1: m={m}, n={n}")
+        if m + n > VARIABLE_CAP:
+            raise PreconditionError(f"m + n = {m + n} exceeds the variable cap "
+                                    f"{VARIABLE_CAP}")
         object.__setattr__(self, "_names",
                            tuple(f"x{i}" for i in range(1, m + 1))
                            + tuple(f"y{j}" for j in range(1, n + 1)))
@@ -334,14 +358,16 @@ class MultiPoly:
         self._degrees = None
 
     @staticmethod
-    def _raw(ring: PolyRing, terms: dict, lead=None) -> "MultiPoly":
-        # Internal fast path: terms already normalized, and ``lead``, when
-        # given, is their grevlex-largest monomial.
+    def _raw(ring: PolyRing, terms: dict, lead=None,
+             degrees=None) -> "MultiPoly":
+        # Internal fast path: terms already normalized; ``lead`` and
+        # ``degrees``, when given, are their grevlex-largest monomial and
+        # their set of bidegrees.
         obj = object.__new__(MultiPoly)
         obj.ring = ring
         obj.terms = terms
         obj._lead = lead
-        obj._degrees = None
+        obj._degrees = degrees
         return obj
 
     # -- basic structure ----------------------------------------------------
@@ -454,17 +480,20 @@ class MultiPoly:
         if self._lead is None:
             if not self.terms:
                 raise PreconditionError("zero polynomial has no leading monomial")
-            self._lead = max(self.terms, key=grevlex_key)
+            self._lead = min(self.terms, key=_descending_grevlex)
         return self._lead
 
     def monic(self) -> "MultiPoly":
-        lc = self.terms[self.leading_monomial()]
-        if lc == 1:
-            return self
+        """f / lc(f): the lead first, then the other terms in f's order.
+        Scaling keeps the monomials, so the result keeps the lead and the
+        bidegrees found so far."""
+        lead = self.leading_monomial()
         p = self.ring.p
-        inv = pow(lc, -1, p)
-        return MultiPoly._raw(self.ring,
-                              {e: c * inv % p for e, c in self.terms.items()})
+        inv = pow(self.terms[lead], -1, p)
+        terms = {lead: 1}
+        terms.update((e, c * inv % p) for e, c in self.terms.items()
+                     if e != lead)
+        return MultiPoly._raw(self.ring, terms, lead, self._degrees)
 
     # -- comparisons and printing -------------------------------------------
 
@@ -483,9 +512,7 @@ class MultiPoly:
             return "0"
         names = self.ring._names
         parts = []
-        # Descending grevlex: the monomials are distinct, so this key orders
-        # them as sorted(..., key=grevlex_key, reverse=True) does.
-        for mon in sorted(self.terms, key=lambda e: (-sum(e), e[::-1])):
+        for mon in sorted(self.terms, key=_descending_grevlex):
             c = self.terms[mon]
             factors = "*".join([name if e == 1 else f"{name}^{e}"
                                 for name, e in zip(names, mon) if e])
@@ -709,6 +736,11 @@ def groebner_basis(gens):
     :class:`_Packing`) and is then minimalized and interreduced.  Every lead
     is read off the packed terms, and each returned polynomial keeps its
     lead, so ``leading_monomial()`` on it costs nothing.
+
+    One generator f skips all of that: the reduced basis of (f) is
+    ``f.monic()`` (Cox, Little & O'Shea, *Ideals, Varieties, and
+    Algorithms*, Ch. 2 Sec. 7), whose terms come in the packed route's
+    order, the lead first and then the others in f's order.
     """
     gens = list(gens)
     if not gens:
@@ -716,6 +748,8 @@ def groebner_basis(gens):
     ring = _common_ring(gens)
     if any(g.is_zero for g in gens):
         raise PreconditionError("zero polynomial among the ideal generators")
+    if len(gens) == 1:
+        return [gens[0].monic()]
     p = ring.p
     packing, basis = _buchberger(gens, ring)
 

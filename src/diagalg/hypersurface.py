@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .errors import InternalDefectError, PreconditionError
+from .exactalg import check_rows
 from .gradedcomb import (
     DiagonalSpec,
     _ceil_div,
@@ -222,18 +223,27 @@ def lc_dim_table(spec: HypersurfaceSpec, diag: DiagonalSpec,
     Degrees q <= m + n - 3 are covered completely (their support windows are
     finite).  The top degree q = m + n - 2 is nonzero for every k <= the
     a-invariant, so its rows are truncated to [k_lo, k_hi]; the defaults are
-    a_invariant - 8 and a_invariant.
+    a_invariant - 8 and a_invariant.  A table of more rows than the row cap
+    is refused before any dimension is computed (``exactalg.check_rows``).
     """
     table: dict = {}
     top = spec.m + spec.n - 2
-    for q in range(0, top):
-        for k in lc_support_window(spec, diag, q):
-            value = dim_lc_piece(spec, diag, q, k)
-            if value:
-                table[(q, k)] = value
     a_inv = a_invariant(spec, diag)
     hi = a_inv if k_hi is None else k_hi
     lo = a_inv - 8 if k_lo is None else k_lo
+    top_rows = max(hi - lo + 1, 0)
+    # Each degree below the top costs one window, counted as a row until
+    # the windows are known.  A window is a unit-step range, and stop -
+    # start also counts one too long for len().
+    check_rows(top + top_rows, "a local-cohomology table")
+    windows = [lc_support_window(spec, diag, q) for q in range(top)]
+    check_rows(sum(w.stop - w.start for w in windows) + top_rows,
+               "a local-cohomology table")
+    for q, window in enumerate(windows):
+        for k in window:
+            value = dim_lc_piece(spec, diag, q, k)
+            if value:
+                table[(q, k)] = value
     for k in range(lo, hi + 1):
         value = dim_lc_piece(spec, diag, top, k)
         if value:

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,29 @@ def test_exit_code_fedder_last_product_over_monomial_cap(capsys):
     assert out == ""
     assert err == ("error: a product of 4122 by 4092 terms exceeds the "
                    "monomial cap 10000000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("lcdim", "--m", "3", "--n", "2", "--d", "5", "--e", "1",
+     "--k-min", "-1000000000", "--k-max", "1000000000"),
+    ("figure", "--m", "3", "--n", "3", "--d-max", "2000", "--e-max", "2000"),
+    ("hilbert", "--m", "2", "--n", "2", "--d", "1", "--e", "1",
+     "--k-max", "1000000"),
+    ("frobenius", "--mode", "fpure", "--m", "100000", "--p", "5",
+     "--poly", "x1^2+x2^2"),
+], ids=["lcdim-range", "figure-grid", "hilbert-range", "ring-size"])
+def test_exit_code_row_and_variable_caps(capsys, argv):
+    # A table, grid or range of more than 10^5 rows, or a ring of more than
+    # 1000 variables, is refused before any work: the first two ran for
+    # more than 8 s, the hilbert range for seconds, and the ring of 10^5
+    # variables would need gigabytes for its packing.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "row cap 100000" in err or "variable cap 1000" in err
 
 
 def test_fedder_restrictions_answer_forms_over_the_cap(capsys):

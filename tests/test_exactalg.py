@@ -12,8 +12,11 @@ from diagalg.errors import (
     RingContextError,
 )
 from diagalg.exactalg import (
+    ROW_CAP,
+    VARIABLE_CAP,
     PolyRing,
     _hilbert_numerator,
+    check_rows,
     exponent_vectors,
     grevlex_key,
     groebner_basis,
@@ -59,6 +62,18 @@ def test_ring_accessors():
         ring.y(3)
     with pytest.raises(PreconditionError):
         PolyRing(7, 0, 0)
+
+
+def test_variable_and_row_caps():
+    # A ring of VARIABLE_CAP variables is built, one more is refused; a
+    # count of ROW_CAP rows passes check_rows, one more is refused.
+    assert PolyRing(5, VARIABLE_CAP - 1, 1).nvars == VARIABLE_CAP
+    with pytest.raises(PreconditionError, match="variable cap 1000"):
+        PolyRing(5, VARIABLE_CAP, 1)
+    check_rows(ROW_CAP, "a range")
+    with pytest.raises(DegreeCapError,
+                       match="a range of 100001 rows exceeds the row cap"):
+        check_rows(ROW_CAP + 1, "a range")
 
 
 def test_poly_arithmetic_mod_p():

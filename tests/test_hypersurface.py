@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from diagalg.errors import PreconditionError
-from diagalg.exactalg import groebner_basis, standard_monomial_count
+from diagalg.errors import DegreeCapError, PreconditionError
+from diagalg.exactalg import ROW_CAP, groebner_basis, standard_monomial_count
 from diagalg.frobenius import random_biform
 from diagalg.gradedcomb import DiagonalSpec
 from diagalg.hypersurface import (
@@ -262,6 +262,23 @@ def test_lc_dim_table_matches_pointwise_values():
     top = spec.m + spec.n - 2
     assert (top, a_inv) in table
     assert (top, a_inv + 1) not in table
+
+
+def test_lc_dim_table_counts_every_row_against_the_cap():
+    # The rows of the support windows count with the top row's range: a
+    # range that fits alone is refused once the windows fill the rest.
+    spec = HypersurfaceSpec(3, 2, 5, 1)
+    top = spec.m + spec.n - 2
+    windows = sum(len(lc_support_window(spec, D11, q)) for q in range(top))
+    assert windows > 0
+    with pytest.raises(DegreeCapError, match="row cap"):
+        lc_dim_table(spec, D11, k_lo=0, k_hi=ROW_CAP - windows)
+    # Many degrees below the top, or one huge window, are refused before
+    # any window is walked.
+    for huge in (HypersurfaceSpec(10**8, 2, 1, 1),
+                 HypersurfaceSpec(3, 2, 10**21, 1)):
+        with pytest.raises(DegreeCapError, match="row cap"):
+            lc_dim_table(huge, D11)
 
 
 def test_hilbert_oracle_small():

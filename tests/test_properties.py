@@ -279,14 +279,18 @@ def test_fedder_matches_the_truncated_power():
 def test_kept_lead_is_the_grevlex_max(pair, k):
     # leading_monomial() keeps its first answer.  Asking the operands first
     # checks that no result inherits their lead, asking twice that the kept
-    # answer is the one computed.
+    # answer is the one computed.  monic() passes on the lead and the
+    # bidegrees, which are asked of every result before it scales them.
     f, g = pair
     for h in (f, g):
         if h:
             h.leading_monomial()
     results = [f * g, f - g, g - f, f ** k, pow(f, k, 2)]
+    for h in results:
+        h._bidegrees()
     results += [h.monic() for h in results if h]
     for h in results:
+        assert h._bidegrees() == h.ring.poly(h.terms)._bidegrees()
         if not h:
             for _ in range(2):
                 with pytest.raises(PreconditionError):
@@ -352,6 +356,14 @@ def test_reduced_basis_ignores_duplicate_generators(data):
     assert noisy_gb == gb
     assert [list(g.terms.items()) for g in noisy_gb] == [
         list(g.terms.items()) for g in gb]
+    # One generator skips Buchberger's algorithm; a scaled copy of it takes
+    # the packed route, and both give the same basis, term order, lead and
+    # bidegrees.
+    for g, c in zip(gens, scales):
+        (alone,), (paired,) = groebner_basis([g]), groebner_basis([g, c * g])
+        assert list(alone.terms.items()) == list(paired.terms.items())
+        assert alone.leading_monomial() == paired.leading_monomial()
+        assert alone._bidegrees() == paired._bidegrees()
 
 
 @SETTINGS
