@@ -166,12 +166,9 @@ def cmd_frobenius(args):
         if given is not None and given != degree:
             raise PreconditionError(
                 f"{flag} {given} differs from the form's bidegree ({d}, {e})")
-    q_max = 4 if args.q_max is None else args.q_max
-    if args.mode == "graded":
-        cert = frob.f_regular_certificate_graded(f, d, args.m, p, q_max)
-    else:
-        cert = frob.f_regular_certificate_bigraded(
-            f, d, e, args.m, args.n, p, q_max)
+    # Graded mode is the case n = 0, which the bigraded certificate covers.
+    cert = frob.f_regular_certificate_bigraded(
+        f, d, e, args.m, args.n, p, 4 if args.q_max is None else args.q_max)
 
     lines = [f"f = {f}", f"verdict: {cert.verdict}"]
     if cert.q_used is not None:
@@ -253,6 +250,7 @@ def cmd_rees(args):
              *(f"  a-invariant of power r={entry['r']}: {entry['a_invariant']}"
                for entry in powers)]
     if spec.m is not None:
+        check_rows(args.i_max, "a Rees dimension range")
         doc["dims"] = [
             {"i": i, "dim": rees.dim_lc_rees_diag(spec, args.g, args.h, i)}
             for i in range(1, args.i_max + 1)

@@ -107,30 +107,58 @@ def fedder_is_f_pure(f: MultiPoly) -> bool:
     return False
 
 
-def _distinguished(m: int, n: int, d: int, e: int = 0) -> tuple:
+def _distinguished(m: int, n: int, d: int, e: int) -> tuple:
     """Exponents of x1^d*y1^e; d (e) must be 0 when m (n) is."""
     return ((d,) + (0,) * m)[:m] + ((e,) + (0,) * n)[:n]
 
 
-def _membership_search(f: MultiPoly, degree, e_max: int):
-    """Search q = p, p^2, ..., p^e_max for a socle outside J_q, where
-    J_q = (x1^q - y1^q (only when n >= 1), x2^q, ..., xm^q, y2^q, ..., yn^q,
-    f) and the socle is x1^delta with delta = (sum(degree) - 1) q + 1; p, m
-    and n are those of f's ring, and ``degree`` is (d,) or (d, e).
+def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
+                 e_max: int) -> FrobeniusCertificate:
+    """The certificate of both public functions; graded is the case n = 0,
+    whose certificate records the degree (d,).
 
-    J_q is homogeneous, so the socle's remainder is read off a basis
-    truncated at its degree; :func:`recheck_certificate` recomputes it as
+    Searches q = p, p^2, ..., p^e_max for a socle outside J_q, where
+    J_q = (x1^q - y1^q (only when n >= 1), x2^q, ..., xm^q, y2^q, ..., yn^q,
+    f) and the socle is x1^delta with delta = (d + e - 1) q + 1.  J_q is
+    homogeneous, so the socle's remainder is read off a basis truncated at
+    its degree; :func:`recheck_certificate` recomputes it as
     ``normal_form(socle, groebner_basis(gens))``."""
     ring = f.ring
-    p, m, n = ring.p, ring.m, ring.n
+    # Past the bidegree check, n = 0 forces e = 0.
+    graded = n == e == 0
+    if ring.m != m or ring.n != n or ring.p != p:
+        ys = "no y-variables" if n == 0 else f"n={n} y-variables"
+        raise RingContextError(
+            f"expected a ring with m={m} x-variables, {ys}, p={p}; "
+            f"got {ring!r}"
+        )
+    if m < 1:
+        raise PreconditionError(
+            f"need m >= 1, since the socle is a power of x1: {m}")
+    if d + e < 1:
+        raise PreconditionError(f"need degree d >= 1: {d}" if graded else
+                                f"need bidegree with d + e >= 1: ({d}, {e})")
+    if f.is_zero or not f.is_bihomogeneous() or f.bidegree() != (d, e):
+        raise PreconditionError(
+            f"f must be homogeneous of degree {d}" if graded else
+            f"f must be bihomogeneous of bidegree ({d}, {e})")
+    degree = (d,) if graded else (d, e)
+    if d >= m or (n and e >= n):
+        why = (f"the hypersurface has a-invariant d - m = {d - m} >= 0"
+               if graded else "a negative multigraded a-invariant requires "
+               f"d < m and e < n; got (d, e) = ({d}, {e})")
+        return FrobeniusCertificate(
+            verdict=VERDICT_NOT_F_REGULAR, p=p, m=m, n=n, degree=degree,
+            details=f"not F-regular: {why}",
+        )
     # The socle argument needs the distinguished variables to stay a system
     # of parameters on the hypersurface, which the parameter-space
     # normalization (pure power present) guarantees.  Scaling f leaves the
     # ideal unchanged, so its coefficient is normalized to 1: the
     # distinguished monomial is the largest of f's (bi)degree in grevlex,
     # hence f's lead.
-    if _distinguished(m, n, *degree) not in f.terms:
-        label = "x1^d" if len(degree) == 1 else "x1^d*y1^e"
+    if _distinguished(m, n, d, e) not in f.terms:
+        label = "x1^d" if graded else "x1^d*y1^e"
         raise PreconditionError(
             f"the membership criterion needs {label} to occur in f with a "
             "nonzero coefficient"
@@ -152,15 +180,15 @@ def _membership_search(f: MultiPoly, degree, e_max: int):
         # The exponent vector of the k-th power of the variable numbered var.
         return tuple(k if i == var else 0 for i in range(nvars))
 
-    for e in range(1, e_max + 1):
-        q = p ** e
+    for power in range(1, e_max + 1):
+        q = p ** power
         # x1^q - y1^q (y1 is variable m), then x2^q, ..., xm^q, y2^q, ...
         gens = ([MultiPoly._raw(ring, {pure(0, q): 1, pure(m, q): p - 1})]
                 if n else [])
         gens += [MultiPoly._raw(ring, {pure(i, q): 1})
                  for i in range(1, nvars) if i != m]
         gens.append(f)
-        socle = MultiPoly._raw(ring, {pure(0, (sum(degree) - 1) * q + 1): 1})
+        socle = MultiPoly._raw(ring, {pure(0, (d + e - 1) * q + 1): 1})
         remainder = _truncated_normal_form(socle, gens)
         tested.append(q)
         if remainder:
@@ -185,23 +213,7 @@ def f_regular_certificate_graded(f: MultiPoly, d: int, m: int, p: int,
                                  e_max: int = 4) -> FrobeniusCertificate:
     """F-regularity certificate for a degree-d hypersurface in m variables:
     search for a power q with x1^((d-1)q+1) outside (x2^q, ..., xm^q, f)."""
-    ring = f.ring
-    if ring.m != m or ring.n != 0 or ring.p != p:
-        raise RingContextError(
-            f"expected a ring with m={m} x-variables, no y-variables, p={p}; "
-            f"got {ring!r}"
-        )
-    if d < 1:
-        raise PreconditionError(f"need degree d >= 1: {d}")
-    if f.is_zero or not f.is_homogeneous() or f.total_degree() != d:
-        raise PreconditionError(f"f must be homogeneous of degree {d}")
-    if d >= m:
-        return FrobeniusCertificate(
-            verdict=VERDICT_NOT_F_REGULAR, p=p, m=m, n=0, degree=(d,),
-            details=f"not F-regular: the hypersurface has a-invariant "
-                    f"d - m = {d - m} >= 0",
-        )
-    return _membership_search(f, (d,), e_max)
+    return _certificate(f, d, 0, m, 0, p, e_max)
 
 
 def f_regular_certificate_bigraded(f: MultiPoly, d: int, e: int, m: int,
@@ -209,24 +221,9 @@ def f_regular_certificate_bigraded(f: MultiPoly, d: int, e: int, m: int,
                                    e_max: int = 4) -> FrobeniusCertificate:
     """F-regularity certificate for a bidegree-(d, e) hypersurface: search
     for q with x1^((d+e-1)q+1) outside
-    (x1^q - y1^q, x2^q, ..., xm^q, y2^q, ..., yn^q, f)."""
-    ring = f.ring
-    if ring.m != m or ring.n != n or ring.p != p:
-        raise RingContextError(
-            f"expected a ring with m={m} x-variables, n={n} y-variables, "
-            f"p={p}; got {ring!r}"
-        )
-    if d + e < 1:
-        raise PreconditionError(f"need bidegree with d + e >= 1: ({d}, {e})")
-    if f.is_zero or not f.is_bihomogeneous() or f.bidegree() != (d, e):
-        raise PreconditionError(f"f must be bihomogeneous of bidegree ({d}, {e})")
-    if d >= m or e >= n:
-        return FrobeniusCertificate(
-            verdict=VERDICT_NOT_F_REGULAR, p=p, m=m, n=n, degree=(d, e),
-            details="not F-regular: a negative multigraded a-invariant "
-                    f"requires d < m and e < n; got (d, e) = ({d}, {e})",
-        )
-    return _membership_search(f, (d, e), e_max)
+    (x1^q - y1^q, x2^q, ..., xm^q, y2^q, ..., yn^q, f).  With n = 0 this is
+    the graded certificate."""
+    return _certificate(f, d, e, m, n, p, e_max)
 
 
 def recheck_certificate(cert: FrobeniusCertificate) -> bool:

@@ -58,6 +58,20 @@ def test_golden_frobenius(capsys):
                  "--format", "json")
 
 
+def test_frobenius_default_mode_is_graded_at_n_0(capsys):
+    # A form with no y-variables is the graded case of a bigraded
+    # certificate: the default mode prints the graded golden document but
+    # for its mode, and certifies at q = 5.
+    argv = ("frobenius", "--m", "3", "--p", "5", "--poly", "x1^2+x2*x3")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    expected = (GOLDEN / "frobenius.json").read_text()
+    assert out == expected.replace('"mode": "graded"', '"mode": "bigraded"')
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert "verdict: f_regular\nq used: 5\n" in out
+
+
 def test_golden_frobenius_bigraded(capsys):
     # The README's sampled bigraded certificate; recorded with the tuple
     # kernel, which took about two minutes for it.
@@ -473,12 +487,15 @@ def test_exit_code_fedder_last_product_over_monomial_cap(capsys):
      "--k-max", "1000000"),
     ("frobenius", "--mode", "fpure", "--m", "100000", "--p", "5",
      "--poly", "x1^2+x2^2"),
-], ids=["lcdim-range", "figure-grid", "hilbert-range", "ring-size"])
+    ("rees", "--m", "3", "--k", "4", "--s", "2", "--i-max", "100000000"),
+], ids=["lcdim-range", "figure-grid", "hilbert-range", "ring-size",
+        "rees-range"])
 def test_exit_code_row_and_variable_caps(capsys, argv):
     # A table, grid or range of more than 10^5 rows, or a ring of more than
     # 1000 variables, is refused before any work: the first two ran for
-    # more than 8 s, the hilbert range for seconds, and the ring of 10^5
-    # variables would need gigabytes for its packing.
+    # more than 8 s, the hilbert range for seconds, the rees range for more
+    # than 5 s, and the ring of 10^5 variables would need gigabytes for its
+    # packing.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -486,6 +503,16 @@ def test_exit_code_row_and_variable_caps(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "row cap 100000" in err or "variable cap 1000" in err
+
+
+def test_exit_code_certificate_needs_x1(capsys):
+    # The socle is a power of x1, so a ring with no x-variables is refused
+    # instead of taking d = 0 >= m = 0 for a nonnegative a-invariant.
+    code, out, err = run_cli(capsys, "frobenius", "--m", "0", "--n", "3",
+                             "--p", "5", "--poly", "y1^2+y2*y3")
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err == "error: need m >= 1, since the socle is a power of x1: 0\n"
 
 
 def test_fedder_restrictions_answer_forms_over_the_cap(capsys):
@@ -548,7 +575,7 @@ def test_exit_code_internal_defect(capsys, monkeypatch):
     (["lcdim", "--m", "3", "--n", "2", "--d", "5", "--e", "1"],
      cli.hyp, "a_invariant"),
     (["frobenius", "--mode", "graded", "--m", "3", "--p", "5",
-      "--poly", "x1^2 + x2*x3"], cli.frob, "f_regular_certificate_graded"),
+      "--poly", "x1^2 + x2*x3"], cli.frob, "f_regular_certificate_bigraded"),
     (["rees", "--m", "3", "--k", "4", "--s", "2"],
      cli.rees, "cm_criteria_consistent"),
     (["figure", "--m", "3", "--n", "3", "--d-max", "3", "--e-max", "3"],

@@ -12,7 +12,6 @@ from diagalg.frobenius import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_F_PURE,
     VERDICT_NOT_F_REGULAR,
-    _membership_search,
     f_regular_certificate_bigraded,
     f_regular_certificate_graded,
     fedder_is_f_pure,
@@ -196,8 +195,7 @@ def test_truncated_membership_matches_full_basis():
     for (m, n, d, e), p, seed in itertools.product(shapes, (2, 3, 5), range(3)):
         f = random_biform(m, n, d, e, p, seed).monic()
         ring = f.ring
-        degree = (d, e) if n else (d,)
-        cert = _membership_search(f, degree, 2)
+        cert = f_regular_certificate_bigraded(f, d, e, m, n, p, 2)
         found = ["0"] * len(cert.tested_powers)
         if cert.verdict == VERDICT_F_REGULAR:
             found[-1] = cert.normal_form
@@ -215,6 +213,22 @@ def test_truncated_membership_matches_full_basis():
             seen.add("bigraded" if n else "graded")
     assert {"zero", "nonzero", ("D", 1), "q = p", "q = p^2", ("p", 2),
             "graded", "bigraded"} <= seen
+
+
+def test_graded_is_the_bigraded_case_n_0():
+    # Both public functions give the same certificate on a form with no
+    # y-variables, down to its JSON bytes, on every verdict.
+    verdicts = set()
+    for m, d, p, seed in itertools.product((2, 3, 4), (1, 2, 3, 4), (2, 3, 5),
+                                           range(3)):
+        f = random_biform(m, 0, d, 0, p, seed)
+        cert = f_regular_certificate_graded(f, d, m, p, 2)
+        bigraded = f_regular_certificate_bigraded(f, d, 0, m, 0, p, 2)
+        assert cert.to_json() == bigraded.to_json(), (m, d, p, seed)
+        assert cert.degree == (d,)
+        verdicts.add(cert.verdict)
+    assert verdicts == {VERDICT_F_REGULAR, VERDICT_NOT_F_REGULAR,
+                        VERDICT_NOT_F_PURE, VERDICT_INCONCLUSIVE}
 
 
 def test_certificate_reproducible():
@@ -279,6 +293,12 @@ def test_bigraded_certificate_context_checks():
                        match=r"f must be bihomogeneous of bidegree \(2, 1\)"):
         f_regular_certificate_bigraded(witness_bigraded(1, 1, 2, 2, 5),
                                        2, 1, 2, 2, 5)
+    # The socle is a power of x1, so a ring without x1 is refused.
+    ring = PolyRing(5, 0, 3)
+    with pytest.raises(PreconditionError,
+                       match=r"need m >= 1, since the socle is a power of x1"):
+        f_regular_certificate_bigraded(ring.y(1) ** 2 + ring.y(2) * ring.y(3),
+                                       0, 2, 0, 3, 5)
 
 
 def test_bigraded_fpure_witness_is_fpure():
