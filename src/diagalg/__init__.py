@@ -43,7 +43,6 @@ from .gradedcomb import (
     dim_poly,
     dim_tensor_diag,
     dim_top_lc,
-    support_window,
 )
 from .hypersurface import (
     ClassificationReport,
@@ -61,7 +60,6 @@ from .hypersurface import (
     is_f_regular_type_generic,
     is_gorenstein,
     lc_dim_table,
-    lc_support_window,
     validate_generic_normal,
 )
 from .parsing import parse_polynomial
@@ -124,7 +122,6 @@ __all__ = [
     "is_gorenstein",
     "is_regular_sequence",
     "lc_dim_table",
-    "lc_support_window",
     "normal_form",
     "parse_polynomial",
     "power_ideal_gens",
@@ -134,7 +131,6 @@ __all__ = [
     "rigidity_window",
     "s_polynomial",
     "standard_monomial_count",
-    "support_window",
     "validate_generic_normal",
     "witness_graded",
 ]

@@ -966,5 +966,8 @@ def is_regular_sequence(gens) -> bool:
     leads = tuple(packing.unpack(lt) for lt, _ in basis)
     pure = tuple(tuple(g.total_degree() if k == i else 0 for k in range(nvars))
                  for i, g in enumerate(gens))
+    # Stanley's criterion is singly graded: with m = nvars every variable,
+    # y's included, is in the first block, so the numerators compare by
+    # total degree.
     return (dict(_hilbert_numerator(leads, nvars))
             == dict(_hilbert_numerator(pure, nvars)))

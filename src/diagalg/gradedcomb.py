@@ -2,10 +2,9 @@
 
 Dimensions of graded pieces of polynomial rings, of their top local
 cohomology modules, and of diagonal pieces of shifted tensor products of two
-polynomial rings (the two-factor Kunneth calculus), with the index windows
-that support them.  A shifted piece is the plain integers (m, n, i, j, k):
-diagonal index k of the (i, j)-shifted tensor product in m and n variables.
-An index window is a ``range``.  All counts are binomial coefficients over
+polynomial rings (the two-factor Kunneth calculus).  A shifted piece is the
+plain integers (m, n, i, j, k): diagonal index k of the (i, j)-shifted tensor
+product in m and n variables.  All counts are binomial coefficients over
 arbitrary-precision integers; nothing here is approximate.
 """
 
@@ -83,24 +82,3 @@ def dim_lc_tensor_diag(q: int, m: int, n: int, i: int, j: int, k: int,
         total += dim_top_lc(m, a) * dim_top_lc(n, b)
     return total
 
-
-def support_window(q: int, m: int, n: int, i: int, j: int,
-                   diag: DiagonalSpec) -> range:
-    """Range of diagonal indices outside of which ``dim_lc_tensor_diag``
-    provably vanishes, derived termwise from the q = n and q = m summands.
-
-    Defined for q < m + n - 1: the top summand is nonzero for every index
-    below some bound, so no finite window exists there.
-    """
-    _check_blocks(m, n)
-    if q >= m + n - 1:
-        raise PreconditionError(f"finite windows need q < m+n-1 = {m + n - 1}: q={q}")
-    windows = []
-    if q == n:
-        windows.append(range(_ceil_div(-i, diag.g), (-(j + n)) // diag.h + 1))
-    if q == m:
-        windows.append(range(_ceil_div(-j, diag.h), (-(i + m)) // diag.g + 1))
-    windows = [w for w in windows if w]
-    # With m = n both summands contribute and the window is their hull.
-    return (range(min(w.start for w in windows), max(w.stop for w in windows))
-            if windows else range(0))

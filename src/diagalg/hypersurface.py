@@ -19,7 +19,6 @@ from .gradedcomb import (
     _ceil_div,
     dim_lc_tensor_diag,
     dim_tensor_diag,
-    support_window,
 )
 
 CAVEAT_GENERIC = (
@@ -87,7 +86,13 @@ def is_cohen_macaulay(spec: HypersurfaceSpec, diag: DiagonalSpec) -> bool:
 
 
 def _obstruction_windows(spec: HypersurfaceSpec, diag: DiagonalSpec):
-    # Integer windows d/g <= k <= (e-n)/h and e/h <= k <= (d-m)/g.
+    """Integer windows d/g <= k <= (e-n)/h and e/h <= k <= (d-m)/g.
+
+    They are the supports of H^(n-1) and H^(m-1), the only local cohomology
+    below the top (the q = n and q = m Kunneth summands of the (-d, -e)-
+    shifted tensor diagonal).  At most one is nonempty: both would give
+    e >= n + (h/g)d >= n + (h/g)(m + e).
+    """
     return (range(_ceil_div(spec.d, diag.g), (spec.e - spec.n) // diag.h + 1),
             range(_ceil_div(spec.e, diag.h), (spec.d - spec.m) // diag.g + 1))
 
@@ -164,16 +169,6 @@ def dim_lc_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int, k: int) -> 
     return big - small
 
 
-def lc_support_window(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int) -> range:
-    """Finite range of indices outside of which ``dim_lc_piece(spec, diag, q, .)``
-    vanishes, for q strictly below the top cohomological degree."""
-    if not 0 <= q <= spec.m + spec.n - 3:
-        raise PreconditionError(
-            f"bounded windows exist only for 0 <= q <= m+n-3; got q={q}"
-        )
-    return support_window(q + 1, spec.m, spec.n, -spec.d, -spec.e, diag)
-
-
 def a_invariant(spec: HypersurfaceSpec, diag: DiagonalSpec) -> int:
     """Top degree in which the highest local cohomology is nonzero: minus the
     first index where the canonical module has a nonzero piece, which is
@@ -220,8 +215,9 @@ def lc_dim_table(spec: HypersurfaceSpec, diag: DiagonalSpec,
                  k_lo: int | None = None, k_hi: int | None = None) -> dict:
     """Map (q, k) -> nonzero local-cohomology dimension.
 
-    Degrees q <= m + n - 3 are covered completely (their support windows are
-    finite).  The top degree q = m + n - 2 is nonzero for every k <= the
+    Below the top only H^(n-1) and H^(m-1) can be nonzero, on the two
+    obstruction windows of :func:`cm_obstruction`; those rows are covered
+    completely.  The top degree q = m + n - 2 is nonzero for every k <= the
     a-invariant, so its rows are truncated to [k_lo, k_hi]; the defaults are
     a_invariant - 8 and a_invariant.  A table of more rows than the row cap
     is refused before any dimension is computed (``exactalg.check_rows``).
@@ -231,15 +227,13 @@ def lc_dim_table(spec: HypersurfaceSpec, diag: DiagonalSpec,
     a_inv = a_invariant(spec, diag)
     hi = a_inv if k_hi is None else k_hi
     lo = a_inv - 8 if k_lo is None else k_lo
-    top_rows = max(hi - lo + 1, 0)
-    # Each degree below the top costs one window, counted as a row until
-    # the windows are known.  A window is a unit-step range, and stop -
-    # start also counts one too long for len().
-    check_rows(top + top_rows, "a local-cohomology table")
-    windows = [lc_support_window(spec, diag, q) for q in range(top)]
-    check_rows(sum(w.stop - w.start for w in windows) + top_rows,
+    lower = [(q, window) for q, window in
+             zip((spec.n - 1, spec.m - 1), _obstruction_windows(spec, diag))
+             if window]
+    # stop - start, since len() overflows on a huge window.
+    check_rows(sum(w.stop - w.start for _, w in lower) + max(hi - lo + 1, 0),
                "a local-cohomology table")
-    for q, window in enumerate(windows):
+    for q, window in lower:
         for k in window:
             value = dim_lc_piece(spec, diag, q, k)
             if value:

@@ -14,6 +14,7 @@ from diagalg.errors import (
 from diagalg.exactalg import (
     ROW_CAP,
     VARIABLE_CAP,
+    MultiPoly,
     PolyRing,
     _hilbert_numerator,
     check_rows,
@@ -62,6 +63,9 @@ def test_ring_accessors():
         ring.y(3)
     with pytest.raises(PreconditionError):
         PolyRing(7, 0, 0)
+    for exps in ((1,), (1, 0, -1, 0)):
+        with pytest.raises(PreconditionError, match="bad exponent vector"):
+            MultiPoly(ring, {exps: 1})
 
 
 def test_variable_and_row_caps():
@@ -92,6 +96,12 @@ def test_poly_context_mismatch():
     b = ring3(7).x(1)
     with pytest.raises(RingContextError):
         a + b
+    # Anything but a polynomial of the ring or an int is not coerced.
+    for op in (lambda: a + "x", lambda: a * 1.5, lambda: a - "x",
+               lambda: "x" - a):
+        with pytest.raises(TypeError):
+            op()
+    assert (a == "x") is False
 
 
 def test_bidegree():
@@ -163,6 +173,7 @@ def test_groebner_rejects_zero_and_mixed():
         groebner_basis([ring.x(1), ring.zero()])
     with pytest.raises(RingContextError):
         groebner_basis([ring.x(1), ring3(7).x(1)])
+    assert groebner_basis([]) == []
 
 
 def test_groebner_deterministic_and_permutation_stable():
@@ -236,6 +247,10 @@ def test_normal_form_examples():
     assert normal_form(x1**6, gb) == 4 * x2**3 * x3**3
     untouched = x2**4 + x3
     assert normal_form(untouched, gb) == untouched
+    assert normal_form(untouched, []) is untouched
+    with pytest.raises(PreconditionError,
+                       match="zero polynomial in the reducer list"):
+        normal_form(untouched, [ring.zero()])
 
 
 def test_normal_form_idempotent():
@@ -492,6 +507,8 @@ def test_count_rejects_inhomogeneous():
         standard_monomial_count([g], (1, 0))
     with pytest.raises(PreconditionError):
         standard_monomial_count([], 3)  # no ring to count in
+    with pytest.raises(PreconditionError, match="zero polynomial in the basis"):
+        standard_monomial_count([ring.zero()], 1)
 
 
 def test_count_refuses_inhomogeneous_on_every_call():
@@ -569,6 +586,7 @@ def test_power_ideal_gens_examples():
     assert power_ideal_gens([x1], 3) == [x1**3]
     with pytest.raises(PreconditionError):
         power_ideal_gens([x1], 0)
+    assert power_ideal_gens([], 2) == []
 
 
 def test_power_ideal_gens_count_and_dedup():
@@ -603,3 +621,13 @@ def test_is_regular_sequence():
     assert not is_regular_sequence([x1, x2, x3, x1])
     with pytest.raises(PreconditionError):
         is_regular_sequence([x1 + 1, x2])
+    with pytest.raises(PreconditionError, match="empty generator list"):
+        is_regular_sequence([])
+    # Both blocks: Stanley's criterion is singly graded, so y-variables
+    # count exactly like x-variables.
+    ring = PolyRing(5, 2, 2)
+    x1, x2, y1 = ring.x(1), ring.x(2), ring.y(1)
+    assert is_regular_sequence([y1])
+    assert is_regular_sequence([x2, y1])
+    assert is_regular_sequence([x1 * y1])
+    assert not is_regular_sequence([y1, x1 * y1])

@@ -1,4 +1,4 @@
-"""Graded dimension calculus: examples, duality, windows, enumeration oracle."""
+"""Graded dimension calculus: examples, duality, enumeration oracle."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from diagalg.gradedcomb import (
     dim_poly,
     dim_tensor_diag,
     dim_top_lc,
-    support_window,
 )
 
 
@@ -95,47 +94,6 @@ def test_duality_identity_grid():
                             lhs = dim_lc_tensor_diag(m + n - 1, m, n, i, j, k, diag)
                             rhs = dim_tensor_diag(m, n, -i - m, -j - n, -k, diag)
                             assert lhs == rhs, (m, n, g, h, i, j, k)
-
-
-def test_support_window_examples():
-    # Empty window in the regime d < m, e < n.
-    win = support_window(2, 3, 2, -2, -1, DiagonalSpec(1, 1))
-    assert not win
-    # Top cohomological degree q = m + n - 1: no finite window exists.
-    with pytest.raises(PreconditionError):
-        support_window(4, 3, 2, 0, 0, DiagonalSpec(1, 1))
-    # q = n with zero shifts: [0, -2] is empty.
-    win = support_window(2, 2, 2, 0, 0, DiagonalSpec(1, 1))
-    assert not win
-
-
-def test_support_window_is_sound():
-    # Outside the reported window the dimension really vanishes.
-    for m in range(1, 4):
-        for n in range(1, 4):
-            for g, h in [(1, 1), (2, 1), (1, 3)]:
-                diag = DiagonalSpec(g, h)
-                for i in range(-4, 5):
-                    for j in range(-4, 5):
-                        for q in {m, n} - {m + n - 1}:
-                            win = support_window(q, m, n, i, j, diag)
-                            for k in range(-25, 26):
-                                if k in win:
-                                    continue
-                                assert dim_lc_tensor_diag(
-                                    q, m, n, i, j, k, diag) == 0, (
-                                    m, n, g, h, i, j, q, k)
-
-
-def test_support_window_nonempty_is_tight_for_middle_degrees():
-    # For q in {m, n} with m != n each in-window index is genuinely nonzero.
-    m, n = 3, 2
-    diag = DiagonalSpec(1, 1)
-    for i in range(-6, 1):
-        for j in range(-6, 1):
-            for q in (m, n):
-                for k in support_window(q, m, n, i, j, diag):
-                    assert dim_lc_tensor_diag(q, m, n, i, j, k, diag) > 0
 
 
 def test_tensor_diag_enumeration_oracle():

@@ -1,5 +1,6 @@
 """Classifier tests: criteria, dimensions, duality, and the Groebner oracle."""
 
+import time
 from math import comb
 
 import pytest
@@ -25,7 +26,6 @@ from diagalg.hypersurface import (
     is_f_regular_type_generic,
     is_gorenstein,
     lc_dim_table,
-    lc_support_window,
     validate_generic_normal,
 )
 from oracles import dim2_rational, rees_to_product_diagonal
@@ -168,14 +168,18 @@ def test_gorenstein_symmetry():
     assert cases > 10
 
 
+def lower_rows_by_scan(spec, diag, ks=range(-10, 16)):
+    # Every nonzero piece below the top, found pointwise: on small_grid()
+    # and diag_grid() each obstruction window lies in [0, 5].
+    return {(q, k): value
+            for q in range(spec.m + spec.n - 2) for k in ks
+            if (value := dim_lc_piece(spec, diag, q, k))}
+
+
 def test_cm_iff_lower_cohomology_vanishes_small_grid():
     for spec in small_grid():
         for diag in [D11, DiagonalSpec(2, 1), DiagonalSpec(1, 3)]:
-            seen_nonzero = False
-            for q in range(0, spec.m + spec.n - 2):
-                for k in lc_support_window(spec, diag, q):
-                    if dim_lc_piece(spec, diag, q, k) > 0:
-                        seen_nonzero = True
+            seen_nonzero = bool(lower_rows_by_scan(spec, diag))
             assert is_cohen_macaulay(spec, diag) == (not seen_nonzero)
 
 
@@ -264,21 +268,56 @@ def test_lc_dim_table_matches_pointwise_values():
     assert (top, a_inv + 1) not in table
 
 
+def test_lc_dim_table_lower_rows_example():
+    # At (m, n, d, e) = (3, 2, 5, 1) only H^(m-1) = H^2 lives below the top,
+    # on the window e/h <= k <= (d-m)/g, that is k in {1, 2}.
+    spec = HypersurfaceSpec(3, 2, 5, 1)
+    top = spec.m + spec.n - 2
+    lower = {key: value for key, value in lc_dim_table(spec, D11).items()
+             if key[0] < top}
+    assert lower == {(2, 1): 3, (2, 2): 2}
+
+
+def test_lc_dim_table_lower_rows_are_every_nonzero_piece():
+    # Sound and tight: the rows below the top are exactly the nonzero
+    # pieces an independent k-scan finds, with the same values.
+    for spec in small_grid():
+        top = spec.m + spec.n - 2
+        for diag in diag_grid():
+            lower = {key: value
+                     for key, value in lc_dim_table(spec, diag).items()
+                     if key[0] < top}
+            assert lower == lower_rows_by_scan(spec, diag), (spec, diag)
+
+
+def test_cm_obstruction_is_least_lower_row():
+    for spec in small_grid():
+        top = spec.m + spec.n - 2
+        for diag in diag_grid():
+            lower = [k for q, k in lc_dim_table(spec, diag) if q < top]
+            assert cm_obstruction(spec, diag) == min(lower, default=None), (
+                spec, diag)
+
+
 def test_lc_dim_table_counts_every_row_against_the_cap():
-    # The rows of the support windows count with the top row's range: a
+    # The rows of the obstruction windows count with the top row's range: a
     # range that fits alone is refused once the windows fill the rest.
     spec = HypersurfaceSpec(3, 2, 5, 1)
     top = spec.m + spec.n - 2
-    windows = sum(len(lc_support_window(spec, D11, q)) for q in range(top))
+    windows = sum(1 for q, _ in lc_dim_table(spec, D11) if q < top)
     assert windows > 0
     with pytest.raises(DegreeCapError, match="row cap"):
         lc_dim_table(spec, D11, k_lo=0, k_hi=ROW_CAP - windows)
-    # Many degrees below the top, or one huge window, are refused before
-    # any window is walked.
-    for huge in (HypersurfaceSpec(10**8, 2, 1, 1),
-                 HypersurfaceSpec(3, 2, 10**21, 1)):
-        with pytest.raises(DegreeCapError, match="row cap"):
-            lc_dim_table(huge, D11)
+    # Many degrees below the top cost nothing: only the two windows hold
+    # rows there, and here both are empty.
+    start = time.perf_counter()
+    many = HypersurfaceSpec(10**8, 2, 1, 1)
+    table = lc_dim_table(many, D11)
+    assert time.perf_counter() - start < 1.0
+    assert len(table) == 9 and {q for q, _ in table} == {10**8}
+    # One huge window is refused before it is walked.
+    with pytest.raises(DegreeCapError, match="row cap"):
+        lc_dim_table(HypersurfaceSpec(3, 2, 10**21, 1), D11)
 
 
 def test_hilbert_oracle_small():

@@ -50,8 +50,12 @@ def test_rees_spec_validation():
         ReesSpec(a=-3, dimA=3, s=4, k=2)
     with pytest.raises(PreconditionError):
         ReesSpec(a=-2, dimA=3, s=2, k=2, m=3)
+    with pytest.raises(PreconditionError, match="form degree"):
+        ReesSpec(a=-3, dimA=3, s=2, k=0)
     with pytest.raises(PreconditionError):
         CISpec(2, (2, 2, 2))
+    with pytest.raises(PreconditionError, match="degrees must be positive"):
+        CISpec(3, (2, 0))
 
 
 def test_a_inv_quotient_power():
@@ -76,6 +80,8 @@ def test_rigidity_window_examples():
     assert list(rigidity_window(-3, 3, 2, 1)) == []
     for g in range(2, 8):
         assert list(rigidity_window(-3, 4, 2, g)) == []
+    with pytest.raises(PreconditionError, match="need g >= 1"):
+        rigidity_window(-3, 2, 2, 0)
 
 
 def test_rigidity_is_cm_examples():
@@ -101,6 +107,8 @@ def test_ci_criterion_examples():
     assert ci_diagonal_is_cm(CISpec(3, (2, 2)), 3, 1)
     with pytest.raises(PreconditionError):
         ci_diagonal_is_cm(CISpec(3, (2, 2)), 1, 1)  # hypothesis g/h > max degree
+    with pytest.raises(PreconditionError, match="need g, h >= 1"):
+        ci_diagonal_is_cm(CISpec(3, (1,)), 0, 1)
 
 
 def test_consistency_examples_and_grid():
