@@ -28,6 +28,13 @@ integer ``max``, and each polynomial ``groebner_basis`` returns keeps its
 lead.  One generator bypasses Buchberger's algorithm and the packing: the
 reduced basis of a principal ideal (f) is ``f.monic()``, f / lc(f).
 
+Buchberger's algorithm reduces each generator after the first by the basis
+built so far before it joins, so generators that share a lead (as the
+generators of a power I^r of dense forms do) leave one reducer per lead,
+not one each.  The reduced basis interreduces each element's tail only against
+the elements of smaller lead: a lead divides only monomials at or above
+itself.
+
 Division and Buchberger's algorithm reduce by monic pairs (lead, tail),
 all made by :func:`_reducer`.  Products and powers drop the monomials whose
 biased fields set a guard bit; guard 0 means no truncation.
@@ -305,12 +312,17 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c: int) -> "MultiPoly":
+        if not isinstance(c, int):
+            raise PreconditionError(f"coefficient must be an integer: {c!r}")
         c %= self.p
         if c == 0:
             return self.zero()
         return MultiPoly._raw(self, {(0,) * self.nvars: c})
 
     def gen(self, idx: int) -> "MultiPoly":
+        """The variable of 0-based index ``idx``: x1..xm, then y1..yn."""
+        if not isinstance(idx, int) or not 0 <= idx < self.nvars:
+            raise PreconditionError(f"no variable of index {idx!r} in {self!r}")
         exps = tuple(1 if i == idx else 0 for i in range(self.nvars))
         return MultiPoly._raw(self, {exps: 1})
 
@@ -347,8 +359,11 @@ class MultiPoly:
         normalized = {}
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != ring.nvars or any(e < 0 for e in exps):
+            if len(exps) != ring.nvars or not all(
+                    isinstance(e, int) and e >= 0 for e in exps):
                 raise PreconditionError(f"bad exponent vector {exps!r} for {ring!r}")
+            if not isinstance(c, int):
+                raise PreconditionError(f"coefficient must be an integer: {c!r}")
             c %= ring.p
             if c:
                 normalized[exps] = c
@@ -486,13 +501,17 @@ class MultiPoly:
     def monic(self) -> "MultiPoly":
         """f / lc(f): the lead first, then the other terms in f's order.
         Scaling keeps the monomials, so the result keeps the lead and the
-        bidegrees found so far."""
+        bidegrees found so far.  With lc(f) = 1 the terms are copied, not
+        rescaled."""
         lead = self.leading_monomial()
         p = self.ring.p
         inv = pow(self.terms[lead], -1, p)
+        # The lead goes in first; updating its value keeps it first.
         terms = {lead: 1}
-        terms.update((e, c * inv % p) for e, c in self.terms.items()
-                     if e != lead)
+        if inv == 1:
+            terms.update(self.terms)
+        else:
+            terms.update([(e, c * inv % p) for e, c in self.terms.items()])
         return MultiPoly._raw(self.ring, terms, lead, self._degrees)
 
     # -- comparisons and printing -------------------------------------------
@@ -658,8 +677,13 @@ def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending, packing) -> bool:
 def _buchberger(gens, ring: PolyRing, limit: int | None = None):
     """Buchberger's algorithm on the nonzero polynomials ``gens`` of
     ``ring``, as (packing, basis): a Groebner basis in the packing, in
-    insertion order, neither minimal nor reduced, of the monic pairs
-    (:func:`_reducer`) of the generators and of each nonzero remainder.
+    insertion order, neither minimal nor reduced, of monic pairs
+    (:func:`_reducer`).  The first generator joins as it is; each later
+    one, in the caller's order, is first fully reduced by the basis so far
+    and joins only as a nonzero remainder (Cox, Little & O'Shea, *Ideals,
+    Varieties, and Algorithms*, Ch. 2 Sec. 7-9).  So no lead divides a
+    later lead, and the leads are pairwise distinct.  Then each nonzero
+    S-pair remainder joins.
 
     Pair processing uses the normal selection strategy with the coprimality
     and chain criteria.  With a ``limit``, no pair whose lcm has a higher
@@ -709,10 +733,16 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
             heappush(heap, (packing.pack(lcm), t, new))
             pending.add((t, new))
 
-    # A generator repeated up to a constant only adds a pair that reduces
-    # to zero, and minimalization drops the copy.
+    # Each generator after the first is reduced by the basis so far, and
+    # only a nonzero remainder joins it: a generator that shares a lead
+    # with an earlier one, or is a multiple of one, never becomes a
+    # duplicate reducer.  The generators keep the caller's order.
     for g in gens:
-        include(_reducer(packing.pack_terms(g.terms), p))
+        terms = packing.pack_terms(g.terms)
+        if basis:
+            terms = _reduce(terms, basis, packing.guard, p)
+        if terms:
+            include(_reducer(terms, p))
     while heap:
         lcm_ij, i, j = heappop(heap)
         pending.remove((i, j))
@@ -733,14 +763,20 @@ def groebner_basis(gens):
     Deterministic: the output is the reduced basis sorted by leading monomial,
     so it does not depend on the order of the input generators.  The basis
     comes from :func:`_buchberger` on the packed generators (see
-    :class:`_Packing`) and is then minimalized and interreduced.  Every lead
-    is read off the packed terms, and each returned polynomial keeps its
-    lead, so ``leading_monomial()`` on it costs nothing.
+    :class:`_Packing`) and is then minimalized and interreduced.  The
+    minimal basis is sorted by lead, and the tail of each element, which
+    lies below its lead, is reduced only by the elements before it: a
+    larger lead divides no smaller monomial (Becker & Weispfenning, GTM
+    141, Sec. 5.4).  Every lead is read off the packed terms, and each
+    returned polynomial keeps its lead, so ``leading_monomial()`` on it
+    costs nothing.
 
     One generator f skips all of that: the reduced basis of (f) is
     ``f.monic()`` (Cox, Little & O'Shea, *Ideals, Varieties, and
     Algorithms*, Ch. 2 Sec. 7), whose terms come in the packed route's
-    order, the lead first and then the others in f's order.
+    order, the lead first and then the others in f's order.  When several
+    generators give a principal ideal, its basis is likewise the monic
+    form of the first generator with the kept lead, if there is one.
     """
     gens = list(gens)
     if not gens:
@@ -759,14 +795,25 @@ def groebner_basis(gens):
         if not any(packing.divides(u[0], g[0]) for u in kept):
             kept.append(g)
 
+    if len(kept) == 1:
+        # The ideal is principal.  Its reduced basis is the monic form of
+        # the first generator with the kept lead, in that generator's term
+        # order, as for one generator.  Without one, the kept element is a
+        # remainder of _reduce, in descending order like every tail below.
+        lead = packing.unpack(kept[0][0])
+        for g in gens:
+            if g.leading_monomial() == lead:
+                return [g.monic()]
+
     # Interreduce tails for the unique reduced basis, still sorted by lead;
     # the leads are mutually indivisible, so each keeps coefficient 1.  A
-    # lone element has nothing to reduce its tail by.
+    # lead divides only monomials at or above itself, so each tail, below
+    # its lead, is reduced by the smaller leads alone: the elements already
+    # in ``reduced``.  The first tail goes through _reduce with no reducer,
+    # so that all tails come in descending order.
     reduced = []
-    for a, (lt, tail) in enumerate(kept):
-        reducers = reduced + kept[a + 1:]
-        if reducers:
-            tail = list(_reduce(dict(tail), reducers, packing.guard, p).items())
+    for lt, tail in kept:
+        tail = list(_reduce(dict(tail), reduced, packing.guard, p).items())
         reduced.append((lt, tail))
     return [MultiPoly._raw(ring, packing.unpack_terms(dict([(lt, 1), *tail])),
                            packing.unpack(lt))

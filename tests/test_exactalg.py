@@ -16,6 +16,7 @@ from diagalg.exactalg import (
     VARIABLE_CAP,
     MultiPoly,
     PolyRing,
+    _buchberger,
     _hilbert_numerator,
     check_rows,
     exponent_vectors,
@@ -63,9 +64,21 @@ def test_ring_accessors():
         ring.y(3)
     with pytest.raises(PreconditionError):
         PolyRing(7, 0, 0)
-    for exps in ((1,), (1, 0, -1, 0)):
+    for exps in ((1,), (1, 0, -1, 0), (1.5, 0, 0, 0)):
         with pytest.raises(PreconditionError, match="bad exponent vector"):
             MultiPoly(ring, {exps: 1})
+    ring3_5 = PolyRing(5, 3)
+    with pytest.raises(PreconditionError, match="bad exponent vector"):
+        ring3_5.poly({(1.5, 0, 0): 1})
+    for c in (2.5, 2.0, "2"):
+        with pytest.raises(PreconditionError, match="coefficient must be an integer"):
+            ring3_5.poly({(1, 0, 0): c})
+        with pytest.raises(PreconditionError, match="coefficient must be an integer"):
+            ring3_5.const(c)
+    for idx in (3, -1, 7, 1.0):
+        with pytest.raises(PreconditionError, match="no variable of index"):
+            ring3_5.gen(idx)
+    assert [str(ring3_5.gen(i)) for i in range(3)] == ["x1", "x2", "x3"]
 
 
 def test_variable_and_row_caps():
@@ -203,6 +216,23 @@ def test_groebner_spair_closure_and_containment():
             for j in range(i + 1, len(gb)):
                 s = s_polynomial(gb[i], gb[j])
                 assert normal_form(s, gb).is_zero
+
+
+def test_buchberger_reduces_generators_on_entry():
+    # The ten generators of I^3 for three dense quadrics all have the lead
+    # x1^6.  Each generator after the first is reduced by the basis before
+    # it joins, so no lead is kept twice.
+    ring = ring3(101)
+    rng = random.Random(3)
+    forms = [ring.poly({e: rng.randrange(1, 101)
+                        for e in exponent_vectors(2, 3)}) for _ in range(3)]
+    assert is_regular_sequence(forms)
+    gens = power_ideal_gens(forms, 3)
+    assert len(gens) == 10
+    assert {g.leading_monomial() for g in gens} == {(6, 0, 0)}
+    _, basis = _buchberger(gens, ring)
+    leads = [lt for lt, _ in basis]
+    assert len(set(leads)) == len(leads)
 
 
 def test_groebner_widens_packed_fields():

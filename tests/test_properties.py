@@ -3,7 +3,8 @@ products against the loop on exponent tuples, truncated powers against
 repeated products, Fedder's test against the truncated power, the kept
 leading monomial of arithmetic results and of Groebner bases, the lead of
 a form containing x1^d (x1^d*y1^e), reduced Groebner bases (independent
-of generator order, repetition and scaling), normal forms, truncated
+of generator order, repetition and scaling, and closed under S-pairs when
+generators share a lead), normal forms, truncated
 normal forms against the reduced basis, standard monomial counts against
 enumeration and with a cold or warm numerator cache, regular sequences
 against the dimension of the initial ideal and the parse/print round
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from diagalg.errors import PreconditionError
 from diagalg.exactalg import (
     PolyRing,
+    _buchberger,
     _hilbert_numerator,
     _Packing,
     _truncated_normal_form,
@@ -24,6 +26,7 @@ from diagalg.exactalg import (
     groebner_basis,
     is_regular_sequence,
     normal_form,
+    s_polynomial,
     standard_monomial_count,
 )
 from diagalg.frobenius import fedder_is_f_pure
@@ -286,9 +289,26 @@ def test_kept_lead_is_the_grevlex_max(pair, k):
         if h:
             h.leading_monomial()
     results = [f * g, f - g, g - f, f ** k, pow(f, k, 2)]
+    # A scaled copy of each nonzero result has lc = 2 when p > 2.
+    p = f.ring.p
+    if p > 2:
+        results += [h * (2 * pow(h.terms[max(h.terms, key=grevlex_key)], -1, p))
+                    for h in results if h]
     for h in results:
         h._bidegrees()
-    results += [h.monic() for h in results if h]
+    # monic() of a form with any lc, then of a monic one (lc = 1, lead
+    # first): f / lc(f) with the lead first and then f's other terms in
+    # f's order.
+    monics = [h.monic() for h in results if h]
+    for h in [h for h in results if h] + monics:
+        lead = max(h.terms, key=grevlex_key)
+        inv = pow(h.terms[lead], -1, p)
+        expected = {lead: 1} | {e: c * inv % p for e, c in h.terms.items()}
+        scaled = h.monic()
+        assert list(scaled.terms.items()) == list(expected.items())
+        assert scaled.leading_monomial() == lead
+        assert scaled._bidegrees() == h._bidegrees()
+    results += monics
     for h in results:
         assert h._bidegrees() == h.ring.poly(h.terms)._bidegrees()
         if not h:
@@ -356,14 +376,59 @@ def test_reduced_basis_ignores_duplicate_generators(data):
     assert noisy_gb == gb
     assert [list(g.terms.items()) for g in noisy_gb] == [
         list(g.terms.items()) for g in gb]
-    # One generator skips Buchberger's algorithm; a scaled copy of it takes
-    # the packed route, and both give the same basis, term order, lead and
-    # bidegrees.
+    # One generator skips Buchberger's algorithm; the other lists of (g)
+    # take the packed route, and all give the same basis, term order, lead
+    # and bidegrees: the first generator with g's lead decides the term
+    # order even where a remainder with that lead, in descending order,
+    # joins the basis before it.  With no generator of g's lead the basis
+    # is that remainder.
+    x1 = ring.gen(0)
     for g, c in zip(gens, scales):
-        (alone,), (paired,) = groebner_basis([g]), groebner_basis([g, c * g])
-        assert list(alone.terms.items()) == list(paired.terms.items())
-        assert alone.leading_monomial() == paired.leading_monomial()
-        assert alone._bidegrees() == paired._bidegrees()
+        (alone,) = groebner_basis([g])
+        for principal in ([g, c * g], [x1 * g, c * g, g],
+                          [(x1 + 1) * g, x1 * g, g]):
+            (paired,) = groebner_basis(principal)
+            assert list(alone.terms.items()) == list(paired.terms.items())
+            assert alone.leading_monomial() == paired.leading_monomial()
+            assert alone._bidegrees() == paired._bidegrees()
+        (remainder,) = groebner_basis([x1 * g, (x1 + 1) * g])
+        assert list(remainder.terms.items()) == sorted(
+            alone.terms.items(), key=lambda item: grevlex_key(item[0]),
+            reverse=True)
+
+
+@st.composite
+def shared_lead_ideals(draw):
+    """An ideal of :func:`ideals` with more generators that share a lead
+    with one of its own: g + h, for h of terms below lead(g) and of g's
+    degree or lower (so possibly inhomogeneous), and c * g; in any order."""
+    ring, gens = draw(ideals())
+    extra = []
+    for g in gens:
+        top = grevlex_key(g.leading_monomial())
+        h = draw(polys(ring, max_degree=g.total_degree()))
+        extra.append(g + ring.poly({e: c for e, c in h.terms.items()
+                                    if grevlex_key(e) < top}))
+        extra.append(draw(st.integers(1, ring.p - 1)) * g)
+    return ring, draw(st.permutations(gens + extra))
+
+
+@SETTINGS
+@given(shared_lead_ideals())
+def test_basis_of_shared_leads_is_a_groebner_basis(ideal):
+    # Buchberger's algorithm reduces each generator by the basis so far, so
+    # its leads are pairwise distinct.  The reduced basis contains every
+    # input and each of its S-pairs reduces to zero.
+    ring, gens = ideal
+    _, basis = _buchberger(gens, ring)
+    leads = [lt for lt, _ in basis]
+    assert len(set(leads)) == len(leads)
+    gb = groebner_basis(gens)
+    for g in gens:
+        assert not normal_form(g, gb)
+    for i, a in enumerate(gb):
+        for b in gb[i + 1:]:
+            assert not normal_form(s_polynomial(a, b), gb)
 
 
 @SETTINGS
