@@ -31,9 +31,9 @@ reduced basis of a principal ideal (f) is ``f.monic()``, f / lc(f).
 Buchberger's algorithm reduces each generator after the first by the basis
 built so far before it joins, so generators that share a lead (as the
 generators of a power I^r of dense forms do) leave one reducer per lead,
-not one each.  The reduced basis interreduces each element's tail only against
-the elements of smaller lead: a lead divides only monomials at or above
-itself.
+not one each.  The reduced basis interreduces each element's tail only
+against the elements of smaller lead: a lead divides only monomials at or
+above itself.
 
 Division and Buchberger's algorithm reduce by monic pairs (lead, tail),
 all made by :func:`_reducer`.  Products and powers drop the monomials whose
@@ -292,8 +292,10 @@ class PolyRing:
             raise PreconditionError(f"modulus must be an integer in [2, 2^31): {p!r}")
         if not _is_prime(p):
             raise PreconditionError(f"modulus must be prime: {p}")
-        if m < 0 or n < 0 or m + n < 1:
-            raise PreconditionError(f"need m, n >= 0 with m + n >= 1: m={m}, n={n}")
+        if (not isinstance(m, int) or not isinstance(n, int)
+                or m < 0 or n < 0 or m + n < 1):
+            raise PreconditionError(
+                f"need integers m, n >= 0 with m + n >= 1: m={m!r}, n={n!r}")
         if m + n > VARIABLE_CAP:
             raise PreconditionError(f"m + n = {m + n} exceeds the variable cap "
                                     f"{VARIABLE_CAP}")
@@ -733,10 +735,10 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
             heappush(heap, (packing.pack(lcm), t, new))
             pending.add((t, new))
 
-    # Each generator after the first is reduced by the basis so far, and
-    # only a nonzero remainder joins it: a generator that shares a lead
-    # with an earlier one, or is a multiple of one, never becomes a
-    # duplicate reducer.  The generators keep the caller's order.
+    # A generator that shares a lead with an earlier one, or is a multiple
+    # of one, never becomes a duplicate reducer.  Sorting the generators
+    # (say by degree) would put f ahead of the pure powers in a
+    # certificate's ideal and cost its reduction more steps.
     for g in gens:
         terms = packing.pack_terms(g.terms)
         if basis:

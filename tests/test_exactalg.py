@@ -62,23 +62,24 @@ def test_ring_accessors():
         ring.x(3)
     with pytest.raises(PreconditionError):
         ring.y(3)
-    with pytest.raises(PreconditionError):
-        PolyRing(7, 0, 0)
+    for m, n in ((0, 0), (1.5, 0), (2, 0.5), ("2", 1)):
+        with pytest.raises(PreconditionError, match="need integers m, n"):
+            PolyRing(7, m, n)
     for exps in ((1,), (1, 0, -1, 0), (1.5, 0, 0, 0)):
         with pytest.raises(PreconditionError, match="bad exponent vector"):
             MultiPoly(ring, {exps: 1})
-    ring3_5 = PolyRing(5, 3)
+    small = ring3()
     with pytest.raises(PreconditionError, match="bad exponent vector"):
-        ring3_5.poly({(1.5, 0, 0): 1})
+        small.poly({(1.5, 0, 0): 1})
     for c in (2.5, 2.0, "2"):
         with pytest.raises(PreconditionError, match="coefficient must be an integer"):
-            ring3_5.poly({(1, 0, 0): c})
+            small.poly({(1, 0, 0): c})
         with pytest.raises(PreconditionError, match="coefficient must be an integer"):
-            ring3_5.const(c)
+            small.const(c)
     for idx in (3, -1, 7, 1.0):
         with pytest.raises(PreconditionError, match="no variable of index"):
-            ring3_5.gen(idx)
-    assert [str(ring3_5.gen(i)) for i in range(3)] == ["x1", "x2", "x3"]
+            small.gen(idx)
+    assert [str(small.gen(i)) for i in range(3)] == ["x1", "x2", "x3"]
 
 
 def test_variable_and_row_caps():

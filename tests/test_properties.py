@@ -4,11 +4,10 @@ repeated products, Fedder's test against the truncated power, the kept
 leading monomial of arithmetic results and of Groebner bases, the lead of
 a form containing x1^d (x1^d*y1^e), reduced Groebner bases (independent
 of generator order, repetition and scaling, and closed under S-pairs when
-generators share a lead), normal forms, truncated
-normal forms against the reduced basis, standard monomial counts against
-enumeration and with a cold or warm numerator cache, regular sequences
-against the dimension of the initial ideal and the parse/print round
-trip."""
+generators share a lead), normal forms, truncated normal forms against
+the reduced basis, standard monomial counts against enumeration and with
+a cold or warm numerator cache, regular sequences against the dimension
+of the initial ideal and the parse/print round trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -417,8 +416,8 @@ def shared_lead_ideals(draw):
 @given(shared_lead_ideals())
 def test_basis_of_shared_leads_is_a_groebner_basis(ideal):
     # Buchberger's algorithm reduces each generator by the basis so far, so
-    # its leads are pairwise distinct.  The reduced basis contains every
-    # input and each of its S-pairs reduces to zero.
+    # its leads are pairwise distinct.  Every input and every S-pair of the
+    # reduced basis reduce to zero modulo it.
     ring, gens = ideal
     _, basis = _buchberger(gens, ring)
     leads = [lt for lt, _ in basis]
