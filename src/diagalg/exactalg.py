@@ -28,16 +28,20 @@ integer ``max``, and each polynomial ``groebner_basis`` returns keeps its
 lead.  One generator bypasses Buchberger's algorithm and the packing: the
 reduced basis of a principal ideal (f) is ``f.monic()``, f / lc(f).
 
-Buchberger's algorithm reduces each generator after the first by the basis
-built so far before it joins, so generators that share a lead (as the
-generators of a power I^r of dense forms do) leave one reducer per lead,
-not one each.  The reduced basis interreduces each element's tail only
-against the elements of smaller lead: a lead divides only monomials at or
-above itself.
+Buchberger's algorithm reduces each generator by the basis built so far
+before it joins, so generators that share a lead (as the generators of a
+power I^r of dense forms do) leave one reducer per lead, not one each.  The
+reduced basis interreduces each element's tail only against the elements
+of smaller lead: a lead divides only monomials at or above itself.
 
 Division and Buchberger's algorithm reduce by monic pairs (lead, tail),
-all made by :func:`_reducer`.  Products and powers drop the monomials whose
-biased fields set a guard bit; guard 0 means no truncation.
+all made by :func:`_reducer`.  A monomial ideal of pure powers x_k^a is a
+mask instead (:meth:`_Packing.mask`): a monomial is in it exactly when its
+biased fields set a guard bit.  Powers drop the terms with an exponent
+>= q that way.  Buchberger's algorithm and the truncated normal form drop
+the terms in the ideal of the pure-power generators, so they work over
+S / M and never scan a pure power as a reducer; all generators of a
+certificate's J_q but two are pure powers.  A mask of 0 drops nothing.
 
 Callers inside the package that only need a yes/no or one remainder leave
 the packing to this module: Fedder's test asks :func:`_power` only whether
@@ -143,10 +147,12 @@ class _Packing:
     - multiplying monomials is adding their packed forms (no field carries
       while the product's degree stays within ``limit``);
     - u divides v exactly when d = v - u has d >= 0 and ``not d & guard``:
-      the lowest exponent field with v < u borrows and sets its guard bit.
+      the lowest exponent field with v < u borrows and sets its guard bit;
+    - some x_k^(a_k) divides u exactly when ``(u + bias) & cut`` is nonzero,
+      for the (bias, cut) of :meth:`mask`.
     """
 
-    __slots__ = ("width", "limit", "ones", "guard", "_weights", "_shifts")
+    __slots__ = ("width", "limit", "guard", "_weights", "_shifts")
 
     def __init__(self, nvars: int, degree: int):
         width = max(degree, 0).bit_length() + 1
@@ -155,7 +161,6 @@ class _Packing:
         # A 1 at the bottom of every exponent field; exponent k sits in
         # field nvars - 1 - k and prefix sum k in field nvars + k.
         ones = ((1 << (width * nvars)) - 1) // ((1 << width) - 1)
-        self.ones = ones
         self.guard = ones << (width - 1)
         self._shifts = tuple(width * (nvars - 1 - k) for k in range(nvars))
         # Exponent k adds 1 to its own field and to prefix sums k..nvars-1.
@@ -174,6 +179,20 @@ class _Packing:
     def divides(self, u: int, v: int) -> bool:
         d = v - u
         return d >= 0 and not d & self.guard
+
+    def mask(self, bounds: dict) -> tuple[int, int]:
+        """(bias, cut) for the monomial ideal of the x_k^a, a = bounds[k]
+        in 1..limit: adding 2^(width-1) - a to exponent field k sets its
+        guard bit exactly when the exponent is >= a, and ``cut`` holds the
+        guard bits of the bounded fields.  An empty ``bounds`` gives (0, 0),
+        which masks nothing."""
+        bias = cut = 0
+        top = self.limit + 1
+        for k, a in bounds.items():
+            shift = self._shifts[k]
+            bias += (top - a) << shift
+            cut += top << shift
+        return bias, cut
 
     def pack_terms(self, terms: dict) -> dict:
         return {self.pack(exps): c for exps, c in terms.items()}
@@ -256,10 +275,8 @@ def _power(f: "MultiPoly", k: int, q: int | None):
         raise PreconditionError(f"q must be an integer >= 1: {q!r}")
     p = ring.p
     packing = _packing(nv, top if q is None else max(top, q))
-    # Adding 2^(width-1) - q to every exponent field sets the field's
-    # guard bit exactly when the exponent is >= q.
-    bias, guard = (0, 0) if q is None else (
-        ((packing.limit + 1) - q) * packing.ones, packing.guard)
+    # Every variable is bounded by q.
+    bias, guard = packing.mask({} if q is None else dict.fromkeys(range(nv), q))
     base = {m: c for m, c in packing.pack_terms(f.terms).items()
             if not (m + bias) & guard}
     result = {0: 1}  # the constant 1, which packs to 0
@@ -585,18 +602,25 @@ def _s_poly(a, b, lcm: int, p: int) -> dict:
     return out
 
 
-def _reduce(work: dict, reducers, guard: int, p: int) -> dict:
+def _reduce(work: dict, reducers, guard: int, p: int, bias: int = 0,
+            cut: int = 0) -> dict:
     """Remainder of the packed polynomial ``work`` (consumed) under full
-    reduction by the pairs ``reducers`` (:func:`_reducer`), as {monomial:
+    reduction by the pairs ``reducers`` (:func:`_reducer`) and the monomial
+    ideal M of the mask (bias, cut) (:meth:`_Packing.mask`), as {monomial:
     coefficient} in descending order.
 
-    Each step takes the largest remaining term and reduces it by the first
-    reducer whose lead divides it.  A max-heap holds every monomial of
-    ``work`` once, so that term is found in logarithmic time.  Coefficients
-    are reduced mod p only when popped; a term that cancelled is skipped
-    then (lazy deletion).  A popped monomial never comes back, because every
-    term a step adds is smaller than the one it removes.
+    The terms of ``work`` in M are dropped first.  Each step takes the
+    largest remaining term and reduces it by the first reducer whose lead
+    divides it.  A max-heap holds every monomial of ``work`` once, so that
+    term is found in logarithmic time.  Coefficients are reduced mod p only
+    when popped; a term that cancelled is skipped then (lazy deletion).  A
+    popped monomial never comes back, because every term a step adds is
+    smaller than the one it removes.  A monomial in M is never in ``work``,
+    so a step tests the mask only where it would insert a new monomial, and
+    drops that monomial instead: it is zero modulo M.
     """
+    if cut:
+        work = {u: c for u, c in work.items() if not (u + bias) & cut}
     heap = [-u for u in work]
     heapify(heap)
     pop, push, get = heappop, heappush, work.get
@@ -618,8 +642,9 @@ def _reduce(work: dict, reducers, guard: int, p: int) -> dict:
             mm = mon + shift
             v = get(mm)
             if v is None:
-                work[mm] = factor * cc
-                push(heap, -mm)
+                if not (mm + bias) & cut:
+                    work[mm] = factor * cc
+                    push(heap, -mm)
             else:
                 work[mm] = v + factor * cc
     return remainder
@@ -662,10 +687,13 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
     return MultiPoly._raw(ring, packing.unpack_terms(remainder))
 
 
-def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending, packing) -> bool:
-    # Buchberger's chain criterion: skip (i, j) when some other basis element
-    # divides the lcm and both mixed pairs were already handled.
-    for t, (lt, _) in enumerate(basis):
+def _chain_skip(i: int, j: int, lcm_ij: int, elements, pending,
+                packing) -> bool:
+    # Buchberger's chain criterion: skip (i, j) when some other element t of
+    # ``elements``, (index, lead) pairs of the basis and the pure powers,
+    # divides the lcm and both mixed pairs were already handled.  A pair
+    # that was never pushed (coprime leads) counts as handled.
+    for t, lt in elements:
         if t == i or t == j:
             continue
         if packing.divides(lt, lcm_ij):
@@ -676,27 +704,51 @@ def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending, packing) -> bool:
     return False
 
 
+def _pure_power(g: MultiPoly):
+    """(k, a) when g is c * x_k^a with a >= 1, else None."""
+    if len(g.terms) == 1:
+        (exps,) = g.terms
+        support = [k for k, e in enumerate(exps) if e]
+        if len(support) == 1:
+            return support[0], exps[support[0]]
+    return None
+
+
 def _buchberger(gens, ring: PolyRing, limit: int | None = None):
     """Buchberger's algorithm on the nonzero polynomials ``gens`` of
-    ``ring``, as (packing, basis): a Groebner basis in the packing, in
-    insertion order, neither minimal nor reduced, of monic pairs
-    (:func:`_reducer`).  The first generator joins as it is; each later
-    one, in the caller's order, is first fully reduced by the basis so far
-    and joins only as a nonzero remainder (Cox, Little & O'Shea, *Ideals,
-    Varieties, and Algorithms*, Ch. 2 Sec. 7-9).  So no lead divides a
-    later lead, and the leads are pairwise distinct.  Then each nonzero
-    S-pair remainder joins.
+    ``ring``, as (packing, basis, mask): a Groebner basis in the packing,
+    neither minimal nor reduced, of monic pairs (:func:`_reducer`), and
+    the (bias, cut) of its pure powers (:meth:`_Packing.mask`).
+
+    The pure powers c * x_k^a among ``gens`` (:func:`_pure_power`), with
+    the least a of each variable, generate a monomial ideal M.  The rest of
+    the basis is computed over S / M: the mask drops every term in M, which
+    is never reduced, and no reducer scan holds a pure power.  The pure
+    powers come last in the basis, x_k^a with an empty tail, in variable
+    order, so the basis has the leads of a Groebner basis of the whole
+    ideal.  Of the other generators, in the caller's order, each is fully
+    reduced by M and the basis so far and joins only as a nonzero
+    remainder (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+    Ch. 2 Sec. 7-9).  So no lead divides a later lead, no lead is in M,
+    and the leads are pairwise distinct.  Then each nonzero S-pair
+    remainder joins.  The S-pair of x_k^a and g, whose lead has the
+    exponent e_k of x_k, is coprime when e_k = 0 and otherwise
+    x_k^(a - e_k) times the tail of g: an annihilator pair of g in S / M.
+    Two pure powers are coprime.
 
     Pair processing uses the normal selection strategy with the coprimality
-    and chain criteria.  With a ``limit``, no pair whose lcm has a higher
-    total degree is ever pushed, so for homogeneous ``gens`` the result is
-    a ``limit``-truncated Groebner basis: it gives every form of degree at
-    most ``limit`` its normal form modulo the ideal (Becker & Weispfenning,
-    GTM 141, 1993).  The chain criterion stays sound under the limit: when
-    the lead of t divides lcm(i, j), the lcms of (i, t) and (j, t) divide
-    it, so both pairs were pushed.  The packing then holds every monomial
-    of degree at most ``limit``; without one the fields widen when a pair's
-    lcm outgrows them.
+    and chain criteria; the chain criterion takes a pure power as the
+    middle element of a pair of basis elements, and a basis element as the
+    middle element of an annihilator pair.  With a ``limit``, no pair whose
+    lcm has a higher total degree is ever pushed, so for homogeneous
+    ``gens`` the result is a ``limit``-truncated Groebner basis: it gives
+    every form of degree at most ``limit`` its normal form modulo the ideal
+    (Becker & Weispfenning, GTM 141, 1993).  The chain criterion stays
+    sound under the limit: when the lead of t divides lcm(i, j), the lcms
+    of (i, t) and (j, t) divide it, so both pairs were pushed unless
+    coprime.  The packing then holds every monomial of degree at most
+    ``limit``; without one the fields widen, and the mask is rebuilt, when
+    a pair's lcm outgrows them.
     """
     p = ring.p
     top = max(g.total_degree() for g in gens)
@@ -704,16 +756,41 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
     # inputs; with one, no pushed lcm and no generator exceeds the packing.
     packing = _packing(ring.nvars,
                        2 * top if limit is None else max(top, limit))
+    pure, others = {}, []
+    for g in gens:
+        power = _pure_power(g)
+        if power is None:
+            others.append(g)
+        else:
+            k, a = power
+            pure[k] = min(pure.get(k, a), a)
+    # Pure power number s has the pair index ~s < 0, below every basis
+    # index, so one pair (t, u) with t < u names either kind of pair.
+    powers = [(k, a, tuple(a if i == k else 0 for i in range(ring.nvars)))
+              for k, a in sorted(pure.items())]
     basis = []     # monic reducers (lead, tail) in insertion order
     leads = []     # their leading exponent tuples, for the pair lcms
     heap = []      # (packed lcm, i, j) of every pending pair
     pending = set()
 
+    def masked():
+        # The mask, the pure powers as reducers and the (pair index, lead)
+        # of every element, in the current packing; rebuilt on widening.
+        reducers = [(packing.pack(exps), []) for _, _, exps in powers]
+        elements = [(~s, lt) for s, (lt, _) in enumerate(reducers)]
+        elements += [(t, lt) for t, (lt, _) in enumerate(basis)]
+        return packing.mask(pure), reducers, elements
+
+    (bias, cut), reducers, elements = masked()
+
     def include(g):
-        nonlocal packing
+        nonlocal packing, bias, cut, reducers, elements
         new = len(basis)
         lt = packing.unpack(g[0])
         lcms = {t: tuple(map(max, e, lt)) for t, e in enumerate(leads)}
+        for s, (k, a, _) in enumerate(powers):
+            if lt[k]:
+                lcms[~s] = lt[:k] + (a,) + lt[k + 1:]
         if limit is not None:
             lcms = {t: lcm for t, lcm in lcms.items() if sum(lcm) <= limit}
         top = max(map(sum, lcms.values()), default=0)
@@ -729,34 +806,32 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
                         for lm, tail in basis]
             heap[:] = [(move(lcm), i, j) for lcm, i, j in heap]
             g = (move(g[0]), [(move(m), c) for m, c in g[1]])
+            (bias, cut), reducers, elements = masked()
         basis.append(g)
         leads.append(lt)
+        elements.append((new, g[0]))
         for t, lcm in lcms.items():
             heappush(heap, (packing.pack(lcm), t, new))
             pending.add((t, new))
 
-    # A generator that shares a lead with an earlier one, or is a multiple
-    # of one, never becomes a duplicate reducer.  Sorting the generators
-    # (say by degree) would put f ahead of the pure powers in a
-    # certificate's ideal and cost its reduction more steps.
-    for g in gens:
-        terms = packing.pack_terms(g.terms)
-        if basis:
-            terms = _reduce(terms, basis, packing.guard, p)
+    for g in others:
+        terms = _reduce(packing.pack_terms(g.terms), basis, packing.guard, p,
+                        bias, cut)
         if terms:
             include(_reducer(terms, p))
     while heap:
         lcm_ij, i, j = heappop(heap)
         pending.remove((i, j))
-        if lcm_ij == basis[i][0] + basis[j][0]:
+        a = basis[i] if i >= 0 else reducers[~i]
+        if lcm_ij == a[0] + basis[j][0]:
             continue  # coprime leading monomials
-        if _chain_skip(i, j, lcm_ij, basis, pending, packing):
+        if _chain_skip(i, j, lcm_ij, elements, pending, packing):
             continue
-        r = _reduce(_s_poly(basis[i], basis[j], lcm_ij, p), basis,
-                    packing.guard, p)
+        r = _reduce(_s_poly(a, basis[j], lcm_ij, p), basis, packing.guard, p,
+                    bias, cut)
         if r:
             include(_reducer(r, p))
-    return packing, basis
+    return packing, basis + reducers, (bias, cut)
 
 
 def groebner_basis(gens):
@@ -789,7 +864,7 @@ def groebner_basis(gens):
     if len(gens) == 1:
         return [gens[0].monic()]
     p = ring.p
-    packing, basis = _buchberger(gens, ring)
+    packing, basis, _ = _buchberger(gens, ring)
 
     # Minimalize: drop elements whose lead is divisible by another kept lead.
     kept = []
@@ -825,10 +900,14 @@ def groebner_basis(gens):
 def _truncated_normal_form(f: MultiPoly, gens) -> MultiPoly:
     """``normal_form(f, groebner_basis(gens))`` for homogeneous ``gens``, by
     the unreduced basis of :func:`_buchberger` truncated at f's degree: any
-    Groebner basis gives the same normal form."""
-    packing, basis = _buchberger(gens, f.ring, f.total_degree())
-    remainder = _reduce(packing.pack_terms(f.terms), basis, packing.guard,
-                        f.ring.p)
+    Groebner basis gives the same normal form.  f is reduced as the basis
+    was, over S / M for the ideal M of the pure powers among ``gens``: the
+    mask drops f's terms in M, and the reducer scan leaves out the pure
+    powers, the only basis elements whose leads are in M."""
+    packing, basis, (bias, cut) = _buchberger(gens, f.ring, f.total_degree())
+    reducers = [g for g in basis if not (g[0] + bias) & cut]
+    remainder = _reduce(packing.pack_terms(f.terms), reducers, packing.guard,
+                        f.ring.p, bias, cut)
     return MultiPoly._raw(f.ring, packing.unpack_terms(remainder))
 
 
@@ -1011,7 +1090,7 @@ def is_regular_sequence(gens) -> bool:
     if len(gens) > ring.nvars:
         return False
     nvars = ring.nvars
-    packing, basis = _buchberger(gens, ring)
+    packing, basis, _ = _buchberger(gens, ring)
     leads = tuple(packing.unpack(lt) for lt, _ in basis)
     pure = tuple(tuple(g.total_degree() if k == i else 0 for k in range(nvars))
                  for i, g in enumerate(gens))

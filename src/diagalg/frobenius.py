@@ -17,8 +17,9 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 
-from .errors import PreconditionError, RingContextError
+from .errors import DegreeCapError, PreconditionError, RingContextError
 from .exactalg import (
+    MONOMIAL_CAP,
     MultiPoly,
     PolyRing,
     _power,
@@ -182,13 +183,21 @@ def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
 
     for power in range(1, e_max + 1):
         q = p ** power
+        delta = (d + e - 1) * q + 1
+        if delta > MONOMIAL_CAP:
+            # Reducing the socle can take a step for every two degrees of
+            # delta, so a socle of degree above the cap is refused.
+            after = f" after inconclusive q in {tested}" if tested else ""
+            raise DegreeCapError(
+                f"the socle x1^{delta} at q={q} exceeds the monomial cap "
+                f"{MONOMIAL_CAP}{after}")
         # x1^q - y1^q (y1 is variable m), then x2^q, ..., xm^q, y2^q, ...
         gens = ([MultiPoly._raw(ring, {pure(0, q): 1, pure(m, q): p - 1})]
                 if n else [])
         gens += [MultiPoly._raw(ring, {pure(i, q): 1})
                  for i in range(1, nvars) if i != m]
         gens.append(f)
-        socle = MultiPoly._raw(ring, {pure(0, (d + e - 1) * q + 1): 1})
+        socle = MultiPoly._raw(ring, {pure(0, delta): 1})
         remainder = _truncated_normal_form(socle, gens)
         tested.append(q)
         if remainder:

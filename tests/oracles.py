@@ -25,6 +25,78 @@ def tuple_product(f, g):
     return f.ring.poly(out)
 
 
+def _textbook_key(exps):
+    # grevlex: higher degree first, then the smaller last exponent.
+    return sum(exps), tuple(-e for e in reversed(exps))
+
+
+def _textbook_divide(terms, basis, p):
+    """Remainder of {exponent tuple: coefficient} under division by the
+    (lead, terms) pairs of ``basis``, largest term first."""
+    terms = dict(terms)
+    remainder = {}
+    while terms:
+        lead = max(terms, key=_textbook_key)
+        c = terms.pop(lead)
+        for glead, gterms in basis:
+            if mono_divides(glead, lead):
+                factor = c * pow(gterms[glead], -1, p)
+                shift = [a - b for a, b in zip(lead, glead)]
+                for exps, gc in gterms.items():
+                    if exps == glead:
+                        continue
+                    mono = tuple(a + b for a, b in zip(exps, shift))
+                    value = (terms.get(mono, 0) - factor * gc) % p
+                    if value:
+                        terms[mono] = value
+                    else:
+                        terms.pop(mono, None)
+                break
+        else:
+            remainder[lead] = c
+    return remainder
+
+
+def textbook_groebner_basis(gens):
+    """The reduced grevlex Groebner basis of the nonzero ``gens`` by the
+    textbook Buchberger algorithm (Cox, Little & O'Shea, *Ideals,
+    Varieties, and Algorithms*, Ch. 2 Sec. 7): exponent tuples, the
+    S-polynomial of every pair, no criteria, no packing; then minimalized
+    and interreduced, sorted by lead."""
+    ring = _common_ring(gens)
+    p = ring.p
+    basis = [(max(g.terms, key=_textbook_key), dict(g.terms)) for g in gens]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        (la, fa), (lb, fb) = basis[i], basis[j]
+        lcm = tuple(map(max, la, lb))
+        s = {}
+        for sign, lead, terms in ((1, la, fa), (-1, lb, fb)):
+            factor = sign * pow(terms[lead], -1, p)
+            shift = [a - b for a, b in zip(lcm, lead)]
+            for exps, c in terms.items():
+                mono = tuple(a + b for a, b in zip(exps, shift))
+                s[mono] = (s.get(mono, 0) + factor * c) % p
+        s = {mono: c for mono, c in s.items() if c}
+        remainder = _textbook_divide(s, basis, p)
+        if remainder:
+            pairs += [(t, len(basis)) for t in range(len(basis))]
+            basis.append((max(remainder, key=_textbook_key), remainder))
+    minimal = []
+    for lead, terms in sorted(basis, key=lambda g: _textbook_key(g[0])):
+        if not any(mono_divides(other, lead) for other, _ in minimal):
+            minimal.append((lead, terms))
+    reduced = []
+    for k, (lead, terms) in enumerate(minimal):
+        others = minimal[:k] + minimal[k + 1:]
+        terms = _textbook_divide(terms, others, p)
+        inverse = pow(terms[lead], -1, p)
+        reduced.append(ring.poly({mono: c * inverse
+                                  for mono, c in terms.items()}))
+    return reduced
+
+
 def enumerated_standard_count(gb, degree) -> int:
     """``standard_monomial_count`` by enumeration: walk every monomial of the
     degree (an integer, or a bidegree pair) and count those that no leading

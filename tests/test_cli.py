@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from diagalg import cli
-from diagalg.errors import InternalDefectError
-from diagalg.frobenius import random_biform
+from diagalg.errors import DegreeCapError, InternalDefectError
+from diagalg.exactalg import PolyRing
+from diagalg.frobenius import f_regular_certificate_graded, random_biform
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -147,6 +148,8 @@ GOLDEN_COMMANDS = {
 CI_GOLDENS = {
     "frobenius_bigraded_4422.json": "frobenius --mode bigraded --m 4 --n 4 "
                                     "--d 2 --e 2 --p 5 --seed 0 --format json",
+    "frobenius_bigraded_4322.json": "frobenius --mode bigraded --m 4 --n 3 "
+                                    "--d 2 --e 2 --p 7 --seed 1 --format json",
 }
 WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
 
@@ -477,6 +480,37 @@ def test_exit_code_fedder_last_product_over_monomial_cap(capsys):
     assert out == ""
     assert err == ("error: a product of 4122 by 4092 terms exceeds the "
                    "monomial cap 10000000\n")
+
+
+def test_exit_code_certificate_socle_over_monomial_cap(capsys):
+    # A power q whose socle x1^((d + e - 1)q + 1) has degree above the
+    # monomial cap is refused before its basis is built.  At p = 10000019
+    # that is the first power, so the refusal comes at once.  Below the cap
+    # a power keeps its verdict: at p = 3163, q = p certifies the form and
+    # q = p^2, which is over the cap, is never reached.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "frobenius", "--mode", "bigraded",
+                             "--m", "2", "--n", "2", "--p", "10000019",
+                             "--poly", "x1*y1+x2*y2", "--q-max", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err == ("error: the socle x1^10000020 at q=10000019 exceeds the "
+                   "monomial cap 10000000\n")
+    code, out, _ = run_cli(capsys, "frobenius", "--mode", "bigraded",
+                           "--m", "2", "--n", "2", "--p", "3163",
+                           "--poly", "x1*y1+x2*y2", "--q-max", "2",
+                           "--format", "json")
+    assert code == cli.EXIT_OK
+    cert = json.loads(out)["certificate"]
+    assert (cert["verdict"], cert["tested_powers"]) == ("f_regular", [3163])
+    # An inconclusive power before the refusal is named in the error.
+    ring = PolyRing(3163, 3)
+    with pytest.raises(DegreeCapError, match=r"at q=10004569 exceeds the "
+                       r"monomial cap 10000000 after inconclusive q in "
+                       r"\[3163\]"):
+        f_regular_certificate_graded(ring.x(1) ** 2 + ring.x(2) ** 2, 2, 3,
+                                     3163, 2)
 
 
 @pytest.mark.parametrize("argv", [

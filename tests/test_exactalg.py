@@ -231,7 +231,7 @@ def test_buchberger_reduces_generators_on_entry():
     gens = power_ideal_gens(forms, 3)
     assert len(gens) == 10
     assert {g.leading_monomial() for g in gens} == {(6, 0, 0)}
-    _, basis = _buchberger(gens, ring)
+    _, basis, _ = _buchberger(gens, ring)
     leads = [lt for lt, _ in basis]
     assert len(set(leads)) == len(leads)
 

@@ -1,10 +1,12 @@
-"""Characteristic-p certificate tests: F-purity, membership searches, witnesses."""
+"""Characteristic-p certificate tests: F-purity, membership searches, the
+Groebner kernel's work on certificate ideals, witnesses."""
 
 import itertools
 from math import comb
 
 import pytest
 
+from diagalg import exactalg
 from diagalg.errors import PreconditionError, RingContextError
 from diagalg.exactalg import PolyRing, groebner_basis, normal_form
 from diagalg.frobenius import (
@@ -213,6 +215,78 @@ def test_truncated_membership_matches_full_basis():
             seen.add("bigraded" if n else "graded")
     assert {"zero", "nonzero", ("D", 1), "q = p", "q = p^2", ("p", 2),
             "graded", "bigraded"} <= seen
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the Groebner kernel's work, read through its private
+    functions: the reducer leads of every ``_reduce`` call, the number of
+    ``_s_poly`` calls, and the packed leads of the pure-power generators of
+    every ``_buchberger`` run."""
+    calls = {"reduce": [], "s_poly": 0, "pure": set()}
+    reduce, s_poly, buchberger = (exactalg._reduce, exactalg._s_poly,
+                                  exactalg._buchberger)
+
+    def counting_reduce(work, reducers, *args):
+        calls["reduce"].append({lt for lt, _ in reducers})
+        return reduce(work, reducers, *args)
+
+    def counting_s_poly(*args):
+        calls["s_poly"] += 1
+        return s_poly(*args)
+
+    def recording_buchberger(gens, ring, limit=None):
+        packing, basis, mask = buchberger(gens, ring, limit)
+        calls["pure"] |= {packing.pack(next(iter(g.terms))) for g in gens
+                          if exactalg._pure_power(g) is not None}
+        return packing, basis, mask
+
+    monkeypatch.setattr(exactalg, "_reduce", counting_reduce)
+    monkeypatch.setattr(exactalg, "_s_poly", counting_s_poly)
+    monkeypatch.setattr(exactalg, "_buchberger", recording_buchberger)
+    return calls
+
+
+def test_certificate_reducers_hold_no_pure_power(kernel_calls):
+    # The pure powers x_k^q of J_q act through the mask alone: neither
+    # Buchberger's reductions nor the socle's scan them.
+    verdicts = set()
+    for (m, n, d, e), p in itertools.product(
+            [(3, 0, 2, 0), (2, 2, 1, 1), (3, 3, 2, 2)], (3, 5)):
+        f = random_biform(m, n, d, e, p, 0)
+        verdicts.add(f_regular_certificate_bigraded(f, d, e, m, n, p, 2).verdict)
+    assert VERDICT_F_REGULAR in verdicts
+    assert kernel_calls["pure"] and kernel_calls["reduce"]
+    for leads in kernel_calls["reduce"]:
+        assert not leads & kernel_calls["pure"]
+
+
+def test_graded_certificate_forms_no_s_polynomial(kernel_calls):
+    # The basis of J_q = (x2^q, ..., xm^q, f) is f alone with the pure
+    # powers: lead(f) = x1^d is coprime to each x_k^q, so there is no
+    # pair.  Two reductions per power remain, of f on entry and of the
+    # socle.
+    certs = [f_regular_certificate_graded(witness_graded(2, 3, 5), 2, 3, 5),
+             f_regular_certificate_graded(
+                 PolyRing(5, 3).x(1) ** 2 + PolyRing(5, 3).x(2) ** 2,
+                 2, 3, 5, e_max=2),
+             f_regular_certificate_graded(random_biform(4, 0, 3, 0, 5, 0),
+                                          3, 4, 5, e_max=1)]
+    powers = sum(len(cert.tested_powers) for cert in certs)
+    assert {cert.verdict for cert in certs} == {VERDICT_F_REGULAR,
+                                               VERDICT_INCONCLUSIVE}
+    assert kernel_calls["s_poly"] == 0
+    assert len(kernel_calls["reduce"]) == 2 * powers
+
+
+def test_bigraded_certificate_reduction_count(kernel_calls):
+    # (3,3,2,2) at p = 5, seed 0, e_max 1 made 44 _reduce calls when the
+    # pure powers were ordinary reducers (41 now).  Annihilator pairs that
+    # skipped the chain criterion made 52.
+    f = random_biform(3, 3, 2, 2, 5, 0)
+    cert = f_regular_certificate_bigraded(f, 2, 2, 3, 3, 5, 1)
+    assert (cert.verdict, cert.q_used) == (VERDICT_F_REGULAR, 5)
+    assert len(kernel_calls["reduce"]) <= 44
 
 
 def test_graded_is_the_bigraded_case_n_0():

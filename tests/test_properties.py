@@ -1,11 +1,12 @@
-"""Property tests of kernel invariants: the grevlex key, packed monomials,
-products against the loop on exponent tuples, truncated powers against
+"""Property tests of kernel invariants: the grevlex key, packed monomials
+and their pure-power masks, products against the loop on exponent tuples, truncated powers against
 repeated products, Fedder's test against the truncated power, the kept
 leading monomial of arithmetic results and of Groebner bases, the lead of
 a form containing x1^d (x1^d*y1^e), reduced Groebner bases (independent
 of generator order, repetition and scaling, and closed under S-pairs when
 generators share a lead), normal forms, truncated normal forms against
-the reduced basis, standard monomial counts against enumeration and with
+the reduced basis, bases and truncated normal forms of ideals with pure
+powers against a textbook Buchberger algorithm, standard monomial counts against enumeration and with
 a cold or warm numerator cache, regular sequences against the dimension
 of the initial ideal and the parse/print round trip."""
 
@@ -34,6 +35,7 @@ from oracles import (
     enumerated_standard_count,
     initial_ideal_dimension,
     mono_divides,
+    textbook_groebner_basis,
     tuple_product,
 )
 
@@ -153,9 +155,14 @@ def test_packed_monomials_agree_with_tuples(drawn):
     packed = [packing.pack(a) for a in monos]
     for a, u in zip(monos, packed):
         assert packing.unpack(u) == a
+        # The mask of the pure powers x_k^a_k, one for each a_k > 0.
+        bounds = {k: e for k, e in enumerate(a) if e}
+        bias, cut = packing.mask(bounds)
         for b, v in zip(monos, packed):
             assert (u < v) == (grevlex_key(a) < grevlex_key(b))
             assert packing.divides(u, v) == mono_divides(a, b)
+            assert bool((v + bias) & cut) == any(
+                b[k] >= e for k, e in bounds.items())
             if sum(a) + sum(b) <= packing.limit:
                 assert u + v == packing.pack(tuple(x + y for x, y in zip(a, b)))
 
@@ -419,7 +426,7 @@ def test_basis_of_shared_leads_is_a_groebner_basis(ideal):
     # its leads are pairwise distinct.  Every input and every S-pair of the
     # reduced basis reduce to zero modulo it.
     ring, gens = ideal
-    _, basis = _buchberger(gens, ring)
+    _, basis, _ = _buchberger(gens, ring)
     leads = [lt for lt, _ in basis]
     assert len(set(leads)) == len(leads)
     gb = groebner_basis(gens)
@@ -480,6 +487,65 @@ def test_truncated_normal_form_matches_full_basis():
 
     check()
     assert outcomes == {True, False, "lower"}
+
+
+@st.composite
+def pure_power_cases(draw):
+    """Homogeneous generators with 1-3 pure powers c * x_k^a among them
+    (possibly two of one variable), in a ring with or without a y-block,
+    and a form f: drawn freely, or a multiple of a generator."""
+    ring = PolyRing(draw(st.sampled_from([2, 3, 5, 7])),
+                    draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        k, a = draw(st.integers(0, ring.nvars - 1)), draw(st.integers(1, 4))
+        gens.append(ring.poly({tuple(a * (i == k) for i in range(ring.nvars)):
+                               draw(st.integers(1, ring.p - 1))}))
+    gens += draw(st.lists(forms(ring), max_size=2))
+    gens = draw(st.permutations(gens))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(gens)) * draw(forms(ring, max_degree=2))
+    else:
+        monos = list(exponent_vectors(draw(st.integers(1, 5)), ring.nvars))
+        monos = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5,
+                              unique=True))
+        coeffs = draw(st.lists(st.integers(1, ring.p - 1),
+                               min_size=len(monos), max_size=len(monos)))
+        f = ring.poly(dict(zip(monos, coeffs)))
+    return gens, f
+
+
+_X3_3 = PolyRing(3, 3)
+
+
+@SETTINGS
+@given(pure_power_cases())
+# Two powers of one variable.
+@example(([_XY.x(1) ** 2, _XY.x(1) ** 3,
+           _XY.x(1) * _XY.y(1) + _XY.x(2) ** 2],
+          _XY.x(1) * _XY.x(2) ** 2 + _XY.x(2) * _XY.y(1) ** 2))
+# A scaled pure power.
+@example(([3 * _X3.x(2) ** 2, _X3.x(1) * _X3.x(2) + _X3.x(3) ** 2],
+          _X3.x(1) ** 2 * _X3.x(2) + _X3.x(2) * _X3.x(3) ** 2))
+# Pure powers only.
+@example(([_XY.x(1) ** 2, 2 * _XY.y(1) ** 3],
+          _XY.x(1) * _XY.y(1) ** 2 + _XY.x(2) ** 3 + _XY.x(1) ** 3))
+# A pure power above f's degree.
+@example(([_X3.x(3) ** 4, _X3.x(1) ** 2 + _X3.x(2) * _X3.x(3)],
+          _X3.x(1) * _X3.x(3) + _X3.x(2) ** 2))
+# Pair lcms outgrow the fields, so the mask is rebuilt on widening.
+@example(([2 * _X3_3.x(2) ** 3,
+           parse_polynomial("2*x1^3 + x1*x3^2 + x3^3", 3, 0, 3),
+           parse_polynomial("2*x1^2*x2 + 2*x2*x3^2 + x3^3", 3, 0, 3)],
+          _X3_3.x(1) ** 2 * _X3_3.x(3) ** 3))
+def test_pure_power_ideals_match_the_textbook_basis(case):
+    # The kernel computes over S / M, M the ideal of the pure powers; the
+    # textbook algorithm, with neither packing nor mask nor criteria, is
+    # the oracle for the reduced basis and for the truncated normal form.
+    gens, f = case
+    oracle = textbook_groebner_basis(gens)
+    assert groebner_basis(gens) == oracle
+    assert _truncated_normal_form(f, gens) == normal_form(f, oracle)
 
 
 def monomials(ring, exps):
