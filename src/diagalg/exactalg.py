@@ -19,14 +19,16 @@ monomials is adding integers, and divisibility is one subtraction and one
 mask.  The width comes from the call's degree bound: the sum of the
 factors' degrees in ``*``, the degree of f in ``normal_form`` (reduction
 never raises it), of the lcm in ``s_polynomial``, and of the power (or q,
-if larger) in ``__pow__``; Buchberger's algorithm (:func:`_buchberger`)
-takes its degree limit if it has one, else it starts from twice its top
-input degree and widens when a pair's lcm outgrows the fields.  Packings
-are shared: one per number of variables and field width.  Because integer
-order is grevlex, the kernel takes the lead of a packed polynomial with an
-integer ``max``, and each polynomial ``groebner_basis`` returns keeps its
-lead.  One generator bypasses Buchberger's algorithm and the packing: the
-reduced basis of a principal ideal (f) is ``f.monic()``, f / lc(f).
+if larger) in ``__pow__``; a run of Buchberger's algorithm
+(:func:`_buchberger`) keeps one packing, for its degree limit if it has
+one, else for four times its top input degree, and restarts from the
+generators with twice the degree of a pair's lcm that outgrows the fields.
+Packings are shared: one per number of variables and field width.  Because
+integer order is grevlex, the kernel takes the lead of a packed polynomial
+with an integer ``max``, and each polynomial ``groebner_basis`` returns
+keeps its lead.  One generator bypasses Buchberger's algorithm and the
+packing: the reduced basis of a principal ideal (f) is ``f.monic()``,
+f / lc(f).
 
 Buchberger's algorithm reduces each generator by the basis built so far
 before it joins, so generators that share a lead (as the generators of a
@@ -687,13 +689,13 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
     return MultiPoly._raw(ring, packing.unpack_terms(remainder))
 
 
-def _chain_skip(i: int, j: int, lcm_ij: int, elements, pending,
+def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending,
                 packing) -> bool:
-    # Buchberger's chain criterion: skip (i, j) when some other element t of
-    # ``elements``, (index, lead) pairs of the basis and the pure powers,
-    # divides the lcm and both mixed pairs were already handled.  A pair
-    # that was never pushed (coprime leads) counts as handled.
-    for t, lt in elements:
+    # Buchberger's chain criterion: skip (i, j) when the lead of some other
+    # element t of ``basis`` divides the lcm and the pairs of t with i and
+    # with j were both handled.  A pair of coprime leads is never pushed,
+    # so it counts as handled.
+    for t, (lt, _) in enumerate(basis):
         if t == i or t == j:
             continue
         if packing.divides(lt, lcm_ij):
@@ -714,6 +716,11 @@ def _pure_power(g: MultiPoly):
     return None
 
 
+class _Outgrown(Exception):
+    """A pair's lcm, of total degree ``args[0]``, outgrew the fields of an
+    untruncated Buchberger run."""
+
+
 def _buchberger(gens, ring: PolyRing, limit: int | None = None):
     """Buchberger's algorithm on the nonzero polynomials ``gens`` of
     ``ring``, as (packing, basis, mask): a Groebner basis in the packing,
@@ -723,39 +730,57 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
     The pure powers c * x_k^a among ``gens`` (:func:`_pure_power`), with
     the least a of each variable, generate a monomial ideal M.  The rest of
     the basis is computed over S / M: the mask drops every term in M, which
-    is never reduced, and no reducer scan holds a pure power.  The pure
-    powers come last in the basis, x_k^a with an empty tail, in variable
-    order, so the basis has the leads of a Groebner basis of the whole
-    ideal.  Of the other generators, in the caller's order, each is fully
-    reduced by M and the basis so far and joins only as a nonzero
-    remainder (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
-    Ch. 2 Sec. 7-9).  So no lead divides a later lead, no lead is in M,
-    and the leads are pairwise distinct.  Then each nonzero S-pair
-    remainder joins.  The S-pair of x_k^a and g, whose lead has the
-    exponent e_k of x_k, is coprime when e_k = 0 and otherwise
-    x_k^(a - e_k) times the tail of g: an annihilator pair of g in S / M.
-    Two pure powers are coprime.
+    is never reduced.  The basis holds the pure powers first, x_k^a with an
+    empty tail, in variable order, so it has the leads of a Groebner basis
+    of the whole ideal; each reduction takes only the elements after them,
+    so no reducer scan holds a pure power.  Of the other generators, in the
+    caller's order, each is fully reduced by M and the basis so far and
+    joins only as a nonzero remainder (Cox, Little & O'Shea, *Ideals,
+    Varieties, and Algorithms*, Ch. 2 Sec. 7-9).  So no lead divides a
+    later lead, no joined lead is in M, and the leads are pairwise
+    distinct.  Then each nonzero S-pair remainder joins.  The S-pair of
+    x_k^a and g, whose lead has the exponent e_k of x_k, is x_k^(a - e_k)
+    times the tail of g: an annihilator pair of g in S / M.
 
-    Pair processing uses the normal selection strategy with the coprimality
-    and chain criteria; the chain criterion takes a pure power as the
-    middle element of a pair of basis elements, and a basis element as the
-    middle element of an annihilator pair.  With a ``limit``, no pair whose
-    lcm has a higher total degree is ever pushed, so for homogeneous
-    ``gens`` the result is a ``limit``-truncated Groebner basis: it gives
-    every form of degree at most ``limit`` its normal form modulo the ideal
-    (Becker & Weispfenning, GTM 141, 1993).  The chain criterion stays
-    sound under the limit: when the lead of t divides lcm(i, j), the lcms
-    of (i, t) and (j, t) divide it, so both pairs were pushed unless
-    coprime.  The packing then holds every monomial of degree at most
-    ``limit``; without one the fields widen, and the mask is rebuilt, when
-    a pair's lcm outgrows them.
+    A pair is the index pair (t, u), t < u, of two basis elements.  Pair
+    processing uses the normal selection strategy with the coprimality and
+    chain criteria: a pair of coprime leads (two pure powers, or x_k^a and
+    a g with e_k = 0, among them) is never pushed, and the chain criterion
+    takes any basis element, pure power or not, as the middle element of a
+    pair.  With a ``limit``, no pair whose lcm has a higher total degree is
+    ever pushed, so for homogeneous ``gens`` the result is a
+    ``limit``-truncated Groebner basis: it gives every form of degree at
+    most ``limit`` its normal form modulo the ideal (Becker & Weispfenning,
+    GTM 141, 1993).  The chain criterion stays sound under the limit: when
+    the lead of t divides lcm(i, j), the lcms of (i, t) and (j, t) divide
+    it, so both pairs were pushed unless coprime.
+
+    A run keeps one packing.  With a ``limit`` it holds every monomial of
+    degree at most ``limit`` and the generators, so nothing outgrows it.
+    Without one it holds four times the top degree of ``gens``; when a
+    pair's lcm outgrows that, the run restarts from the generators in a
+    packing for twice the lcm's degree.  Integer order is grevlex in every
+    packing, so a restarted run makes the same choices and returns the
+    same basis.  Twice the top degree would bound the lcm of every pair of
+    inputs, but bases outgrow it, and a restart redoes every reduction:
+    from twice the top degree, rounds 1-3 of the benchmark's ``oracle``
+    workload (seed 0) made 2,292 ``_reduce`` calls, 10% more than the 2,085
+    from four times, where no run restarts.
     """
-    p = ring.p
     top = max(g.total_degree() for g in gens)
-    # Without a limit, twice the top degree bounds the lcm of every pair of
-    # inputs; with one, no pushed lcm and no generator exceeds the packing.
-    packing = _packing(ring.nvars,
-                       2 * top if limit is None else max(top, limit))
+    degree = 4 * top if limit is None else max(top, limit)
+    while True:
+        try:
+            return _buchberger_run(gens, ring, limit,
+                                   _packing(ring.nvars, degree))
+        except _Outgrown as outgrown:
+            degree = 2 * outgrown.args[0]
+
+
+def _buchberger_run(gens, ring: PolyRing, limit, packing):
+    # One run of _buchberger in ``packing``; raises _Outgrown at the first
+    # pair lcm that the packing cannot hold.
+    p, nvars = ring.p, ring.nvars
     pure, others = {}, []
     for g in gens:
         power = _pure_power(g)
@@ -764,74 +789,41 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
         else:
             k, a = power
             pure[k] = min(pure.get(k, a), a)
-    # Pure power number s has the pair index ~s < 0, below every basis
-    # index, so one pair (t, u) with t < u names either kind of pair.
-    powers = [(k, a, tuple(a if i == k else 0 for i in range(ring.nvars)))
-              for k, a in sorted(pure.items())]
-    basis = []     # monic reducers (lead, tail) in insertion order
-    leads = []     # their leading exponent tuples, for the pair lcms
-    heap = []      # (packed lcm, i, j) of every pending pair
+    leads = [tuple(a if i == k else 0 for i in range(nvars))
+             for k, a in sorted(pure.items())]
+    basis = [(packing.pack(lt), []) for lt in leads]
+    s = len(basis)
+    bias, cut = packing.mask(pure)
+    heap = []      # (packed lcm, t, u) of every pending pair
     pending = set()
-
-    def masked():
-        # The mask, the pure powers as reducers and the (pair index, lead)
-        # of every element, in the current packing; rebuilt on widening.
-        reducers = [(packing.pack(exps), []) for _, _, exps in powers]
-        elements = [(~s, lt) for s, (lt, _) in enumerate(reducers)]
-        elements += [(t, lt) for t, (lt, _) in enumerate(basis)]
-        return packing.mask(pure), reducers, elements
-
-    (bias, cut), reducers, elements = masked()
-
-    def include(g):
-        nonlocal packing, bias, cut, reducers, elements
-        new = len(basis)
-        lt = packing.unpack(g[0])
-        lcms = {t: tuple(map(max, e, lt)) for t, e in enumerate(leads)}
-        for s, (k, a, _) in enumerate(powers):
-            if lt[k]:
-                lcms[~s] = lt[:k] + (a,) + lt[k + 1:]
-        if limit is not None:
-            lcms = {t: lcm for t, lcm in lcms.items() if sum(lcm) <= limit}
-        top = max(map(sum, lcms.values()), default=0)
-        if top > packing.limit:
-            # Widen the fields.  Repacking keeps the order of packed values,
-            # so the heap stays a heap.
-            old, packing = packing, _packing(ring.nvars, 2 * top)
-
-            def move(m):
-                return packing.pack(old.unpack(m))
-
-            basis[:] = [(move(lm), [(move(m), c) for m, c in tail])
-                        for lm, tail in basis]
-            heap[:] = [(move(lcm), i, j) for lcm, i, j in heap]
-            g = (move(g[0]), [(move(m), c) for m, c in g[1]])
-            (bias, cut), reducers, elements = masked()
+    todo = [packing.pack_terms(g.terms) for g in reversed(others)]
+    while todo or heap:
+        if todo:
+            work = todo.pop()  # the generators first, in the caller's order
+        else:
+            lcm, t, u = heappop(heap)
+            pending.remove((t, u))
+            if _chain_skip(t, u, lcm, basis, pending, packing):
+                continue
+            work = _s_poly(basis[t], basis[u], lcm, p)
+        r = _reduce(work, basis[s:], packing.guard, p, bias, cut)
+        if not r:
+            continue
+        g = _reducer(r, p)
+        lt, u = packing.unpack(g[0]), len(basis)
+        for t, e in enumerate(leads):
+            if not any(map(min, e, lt)):
+                continue  # coprime leads
+            lcm = tuple(map(max, e, lt))
+            degree = sum(lcm)
+            if limit is None or degree <= limit:
+                if degree > packing.limit:
+                    raise _Outgrown(degree)
+                heappush(heap, (packing.pack(lcm), t, u))
+                pending.add((t, u))
         basis.append(g)
         leads.append(lt)
-        elements.append((new, g[0]))
-        for t, lcm in lcms.items():
-            heappush(heap, (packing.pack(lcm), t, new))
-            pending.add((t, new))
-
-    for g in others:
-        terms = _reduce(packing.pack_terms(g.terms), basis, packing.guard, p,
-                        bias, cut)
-        if terms:
-            include(_reducer(terms, p))
-    while heap:
-        lcm_ij, i, j = heappop(heap)
-        pending.remove((i, j))
-        a = basis[i] if i >= 0 else reducers[~i]
-        if lcm_ij == a[0] + basis[j][0]:
-            continue  # coprime leading monomials
-        if _chain_skip(i, j, lcm_ij, elements, pending, packing):
-            continue
-        r = _reduce(_s_poly(a, basis[j], lcm_ij, p), basis, packing.guard, p,
-                    bias, cut)
-        if r:
-            include(_reducer(r, p))
-    return packing, basis + reducers, (bias, cut)
+    return packing, basis, (bias, cut)
 
 
 def groebner_basis(gens):

@@ -22,6 +22,7 @@ from .exactalg import (
     MONOMIAL_CAP,
     MultiPoly,
     PolyRing,
+    _monomial_count,
     _power,
     _truncated_normal_form,
     exponent_vectors,
@@ -139,6 +140,8 @@ def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
     if d + e < 1:
         raise PreconditionError(f"need degree d >= 1: {d}" if graded else
                                 f"need bidegree with d + e >= 1: ({d}, {e})")
+    if not isinstance(e_max, int) or e_max < 1:
+        raise PreconditionError(f"need an integer e_max >= 1: {e_max!r}")
     if f.is_zero or not f.is_bihomogeneous() or f.bidegree() != (d, e):
         raise PreconditionError(
             f"f must be homogeneous of degree {d}" if graded else
@@ -165,8 +168,6 @@ def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
             "nonzero coefficient"
         )
     f = f.monic()
-    if e_max < 1:
-        raise PreconditionError(f"need e_max >= 1: {e_max}")
     if not fedder_is_f_pure(f):
         return FrobeniusCertificate(
             verdict=VERDICT_NOT_F_PURE, p=p, m=m, n=n, degree=degree,
@@ -267,6 +268,8 @@ def random_biform(m: int, n: int, d: int, e: int, p: int, seed: int) -> MultiPol
     """Seeded dense form of bidegree (d, e): every monomial appears, the
     distinguished monomial x1^d*y1^e has coefficient 1, and all other
     coefficients are uniform in the nonzero residues.  Deterministic per seed.
+    A form of more than ``MONOMIAL_CAP`` terms is refused with
+    :class:`DegreeCapError` before any coefficient is drawn.
     """
     if m < 1 and d > 0:
         raise PreconditionError("d > 0 needs at least one x-variable")
@@ -275,6 +278,11 @@ def random_biform(m: int, n: int, d: int, e: int, p: int, seed: int) -> MultiPol
     if d < 0 or e < 0 or d + e < 1:
         raise PreconditionError(f"bidegree must be >= 0 and not (0, 0): ({d}, {e})")
     ring = PolyRing(p, m, n)
+    count = _monomial_count(d, m) * _monomial_count(e, n)
+    if count > MONOMIAL_CAP:
+        raise DegreeCapError(
+            f"a dense form of bidegree ({d}, {e}) in {m} + {n} variables has "
+            f"{count} terms, above the monomial cap {MONOMIAL_CAP}")
     rng = random.Random(seed)
     lead = _distinguished(m, n, d, e)
     terms = {}

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -511,6 +512,38 @@ def test_exit_code_certificate_socle_over_monomial_cap(capsys):
                        r"\[3163\]"):
         f_regular_certificate_graded(ring.x(1) ** 2 + ring.x(2) ** 2, 2, 3,
                                      3163, 2)
+
+
+def test_exit_code_sampled_form_over_monomial_cap(capsys):
+    # A dense form of about 1.9e12 (bigraded) or 5.9e16 (graded) terms is
+    # refused before any coefficient is drawn, where enumerating its
+    # monomials never ended.
+    for argv, count in [
+            (["--m", "4", "--n", "4", "--d", "200", "--e", "200", "--p", "5"],
+             comb(203, 3) ** 2),
+            (["--mode", "graded", "--m", "30", "--d", "30", "--p", "5"],
+             comb(59, 29))]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "frobenius", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_PRECONDITION, argv
+        assert out == ""
+        assert err.startswith("error: a dense form of bidegree ")
+        assert err.endswith(f"has {count} terms, above the monomial cap "
+                            "10000000\n")
+
+
+def test_exit_code_certificate_power_bound(capsys):
+    # --q-max is checked before the a-invariant decides the verdict, so a
+    # form with d >= m is refused as one with d < m is.
+    for m in ("2", "3"):
+        for q_max in ("0", "-3"):
+            code, out, err = run_cli(capsys, "frobenius", "--mode", "graded",
+                                     "--m", m, "--p", "5",
+                                     "--poly", "x1^2+x2^2", "--q-max", q_max)
+            assert code == cli.EXIT_PRECONDITION, (m, q_max)
+            assert out == ""
+            assert err == f"error: need an integer e_max >= 1: {q_max}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from diagalg import exactalg
 from diagalg.errors import (
     DegreeCapError,
     PreconditionError,
@@ -28,7 +29,11 @@ from diagalg.exactalg import (
     s_polynomial,
     standard_monomial_count,
 )
-from oracles import initial_ideal_dimension, mono_divides
+from oracles import (
+    initial_ideal_dimension,
+    mono_divides,
+    textbook_groebner_basis,
+)
 
 
 def ring3(p=5):
@@ -236,19 +241,34 @@ def test_buchberger_reduces_generators_on_entry():
     assert len(set(leads)) == len(leads)
 
 
-def test_groebner_widens_packed_fields():
+def test_groebner_widens_packed_fields(monkeypatch):
     # Mora's ideals: the basis reaches degree n^2 + 1 from generators of
-    # degree n + 1, so pair lcms outgrow the fields sized from the input
-    # (twice for n = 4).  Expected basis recorded with the tuple kernel.
+    # degree n + 1.  Expected n = 4 basis recorded with the tuple kernel.
+    # For n = 6 a pair lcm of degree above 31 outgrows the packing for four
+    # times the input degree 7, so the run restarts in a wider packing.
     ring = PolyRing(7, 4)
     x1, x2, x3, x4 = ring.gens()
-    n = 4
-    gens = [x1**(n + 1) - x2 * x3**(n - 1) * x4, x1 * x2**(n - 1) - x3**n,
-            x1**n * x3 - x2**n * x4]
-    assert [str(g) for g in groebner_basis(gens)] == [
+
+    def mora(n):
+        return [x1**(n + 1) - x2 * x3**(n - 1) * x4,
+                x1 * x2**(n - 1) - x3**n, x1**n * x3 - x2**n * x4]
+
+    assert [str(g) for g in groebner_basis(mora(4))] == [
         "x1*x2^3 + 6*x3^4", "x1^4*x3 + 6*x2^4*x4", "x1^5 + 6*x2*x3^3*x4",
         "x1^3*x3^5 + 6*x2^7*x4", "x1^2*x3^9 + 6*x2^10*x4",
         "x1*x3^13 + 6*x2^13*x4", "x3^17 + 6*x2^16*x4"]
+    degrees, packing = [], exactalg._packing
+
+    def counting_packing(nvars, degree):
+        degrees.append(degree)
+        return packing(nvars, degree)
+
+    gens = mora(6)
+    monkeypatch.setattr(exactalg, "_packing", counting_packing)
+    gb = groebner_basis(gens)
+    assert degrees[0] == 28 and len(degrees) == 2 and degrees[1] > 2 * 31
+    assert max(g.total_degree() for g in gb) == 37
+    assert gb == textbook_groebner_basis(gens)
 
 
 def test_groebner_reduced_property():

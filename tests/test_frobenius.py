@@ -7,7 +7,11 @@ from math import comb
 import pytest
 
 from diagalg import exactalg
-from diagalg.errors import PreconditionError, RingContextError
+from diagalg.errors import (
+    DegreeCapError,
+    PreconditionError,
+    RingContextError,
+)
 from diagalg.exactalg import PolyRing, groebner_basis, normal_form
 from diagalg.frobenius import (
     VERDICT_F_REGULAR,
@@ -168,8 +172,30 @@ def test_graded_certificate_context_checks():
     # A constant form would send a negative socle exponent into the search.
     with pytest.raises(PreconditionError, match=r"need degree d >= 1: 0"):
         f_regular_certificate_graded(ring.one(), 0, 3, 5)
-    with pytest.raises(PreconditionError, match=r"need e_max >= 1: 0"):
+    with pytest.raises(PreconditionError,
+                       match=r"need an integer e_max >= 1: 0"):
         f_regular_certificate_graded(witness_graded(2, 3, 5), 2, 3, 5, e_max=0)
+
+
+def test_certificate_power_bound_checked_before_any_verdict():
+    # e_max must be an integer >= 1 also where the a-invariant alone
+    # decides the verdict (d >= m), through both public functions.
+    x1, x2 = PolyRing(5, 2).gens()
+    ring = PolyRing(5, 2, 2)
+    g = ring.x(1) ** 2 * ring.y(1) + ring.x(2) ** 2 * ring.y(2)
+
+    def graded(e_max):
+        return f_regular_certificate_graded(x1**2 + x2**2, 2, 2, 5, e_max)
+
+    def bigraded(e_max):
+        return f_regular_certificate_bigraded(g, 2, 1, 2, 2, 5, e_max)
+
+    for certify in (graded, bigraded):
+        for e_max in (0, -3, 1.5):
+            with pytest.raises(PreconditionError,
+                               match=f"need an integer e_max >= 1: {e_max}"):
+                certify(e_max)
+        assert certify(1).verdict == VERDICT_NOT_F_REGULAR
 
 
 def test_graded_membership_monotone_on_witnesses():
@@ -222,10 +248,13 @@ def kernel_calls(monkeypatch):
     """Counts of the Groebner kernel's work, read through its private
     functions: the reducer leads of every ``_reduce`` call, the number of
     ``_s_poly`` calls, and the packed leads of the pure-power generators of
-    every ``_buchberger`` run."""
-    calls = {"reduce": [], "s_poly": 0, "pure": set()}
-    reduce, s_poly, buchberger = (exactalg._reduce, exactalg._s_poly,
-                                  exactalg._buchberger)
+    every ``_buchberger`` run.  A truncated run (one with a limit) holds
+    every monomial up to its limit, so it never restarts: it makes one
+    packing."""
+    calls = {"reduce": [], "s_poly": 0, "pure": set(), "packings": 0}
+    reduce, s_poly, buchberger, packing = (
+        exactalg._reduce, exactalg._s_poly, exactalg._buchberger,
+        exactalg._packing)
 
     def counting_reduce(work, reducers, *args):
         calls["reduce"].append({lt for lt, _ in reducers})
@@ -235,14 +264,21 @@ def kernel_calls(monkeypatch):
         calls["s_poly"] += 1
         return s_poly(*args)
 
+    def counting_packing(*args):
+        calls["packings"] += 1
+        return packing(*args)
+
     def recording_buchberger(gens, ring, limit=None):
-        packing, basis, mask = buchberger(gens, ring, limit)
-        calls["pure"] |= {packing.pack(next(iter(g.terms))) for g in gens
+        before = calls["packings"]
+        packed, basis, mask = buchberger(gens, ring, limit)
+        assert limit is None or calls["packings"] == before + 1
+        calls["pure"] |= {packed.pack(next(iter(g.terms))) for g in gens
                           if exactalg._pure_power(g) is not None}
-        return packing, basis, mask
+        return packed, basis, mask
 
     monkeypatch.setattr(exactalg, "_reduce", counting_reduce)
     monkeypatch.setattr(exactalg, "_s_poly", counting_s_poly)
+    monkeypatch.setattr(exactalg, "_packing", counting_packing)
     monkeypatch.setattr(exactalg, "_buchberger", recording_buchberger)
     return calls
 
@@ -280,13 +316,14 @@ def test_graded_certificate_forms_no_s_polynomial(kernel_calls):
 
 
 def test_bigraded_certificate_reduction_count(kernel_calls):
-    # (3,3,2,2) at p = 5, seed 0, e_max 1 made 44 _reduce calls when the
-    # pure powers were ordinary reducers (41 now).  Annihilator pairs that
-    # skipped the chain criterion made 52.
+    # (3,3,2,2) at p = 5, seed 0, e_max 1 makes 41 _reduce and 38 _s_poly
+    # calls.  It made 44 _reduce calls when the pure powers were ordinary
+    # reducers, and 52 when annihilator pairs skipped the chain criterion.
     f = random_biform(3, 3, 2, 2, 5, 0)
     cert = f_regular_certificate_bigraded(f, 2, 2, 3, 3, 5, 1)
     assert (cert.verdict, cert.q_used) == (VERDICT_F_REGULAR, 5)
-    assert len(kernel_calls["reduce"]) <= 44
+    assert len(kernel_calls["reduce"]) <= 41
+    assert kernel_calls["s_poly"] <= 38
 
 
 def test_graded_is_the_bigraded_case_n_0():
@@ -429,3 +466,8 @@ def test_random_biform_contract():
     ]:
         with pytest.raises(PreconditionError, match=message):
             random_biform(*args, 7, seed=0)
+    # A form of more terms than the monomial cap is refused before any
+    # monomial is enumerated.
+    with pytest.raises(DegreeCapError, match=f"has {comb(59, 29)} terms, "
+                       "above the monomial cap 10000000"):
+        random_biform(30, 0, 30, 0, 7, seed=0)

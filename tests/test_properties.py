@@ -516,6 +516,9 @@ def pure_power_cases(draw):
 
 
 _X3_3 = PolyRing(3, 3)
+# Mora's ideal for n = 6 over F_3, whose basis reaches degree 37.
+_MORA_6 = [parse_polynomial(text, 4, 0, 3) for text in
+           ("x1^7 - x2*x3^5*x4", "x1*x2^5 - x3^6", "x1^6*x3 - x2^6*x4")]
 
 
 @SETTINGS
@@ -533,11 +536,15 @@ _X3_3 = PolyRing(3, 3)
 # A pure power above f's degree.
 @example(([_X3.x(3) ** 4, _X3.x(1) ** 2 + _X3.x(2) * _X3.x(3)],
           _X3.x(1) * _X3.x(3) + _X3.x(2) ** 2))
-# Pair lcms outgrow the fields, so the mask is rebuilt on widening.
+# Pair lcms outgrow a packing for twice the input degree.
 @example(([2 * _X3_3.x(2) ** 3,
            parse_polynomial("2*x1^3 + x1*x3^2 + x3^3", 3, 0, 3),
            parse_polynomial("2*x1^2*x2 + 2*x2*x3^2 + x3^3", 3, 0, 3)],
           _X3_3.x(1) ** 2 * _X3_3.x(3) ** 3))
+# A pair lcm outgrows the packing for four times the input degree, so the
+# untruncated run restarts and builds its mask in the wider packing.
+@example((_MORA_6 + [_MORA_6[0].ring.x(1) ** 5],
+          parse_polynomial("x1^2*x2^3*x3^4 + x3^9", 4, 0, 3)))
 def test_pure_power_ideals_match_the_textbook_basis(case):
     # The kernel computes over S / M, M the ideal of the pure powers; the
     # textbook algorithm, with neither packing nor mask nor criteria, is
