@@ -127,6 +127,9 @@ def cmd_lcdim(args):
 # frobenius
 
 def cmd_frobenius(args):
+    if args.q_max is not None and args.q_max < 1:
+        raise PreconditionError(
+            f"--q-max must be an integer >= 1: {args.q_max}")
     p = args.p
     if args.mode == "graded" and args.n:
         raise PreconditionError("graded mode takes --n 0")

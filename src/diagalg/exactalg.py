@@ -60,8 +60,9 @@ LRU cache, so the degrees asked of one basis share one numerator.
 The two bounded LRU caches, of packings and of Hilbert numerators, hold
 only immutable values, and a ring holds its variable names from its
 construction, so every operation in this module is safe for concurrent
-use.  A polynomial keeps its lead and its bidegrees once found; two
-threads that find them store equal values.
+use.  A polynomial keeps its lead and its bidegrees once found, or as
+given by the code that built it; two threads that find them store equal
+values.
 """
 
 from __future__ import annotations
@@ -522,11 +523,14 @@ class MultiPoly:
     def monic(self) -> "MultiPoly":
         """f / lc(f): the lead first, then the other terms in f's order.
         Scaling keeps the monomials, so the result keeps the lead and the
-        bidegrees found so far.  With lc(f) = 1 the terms are copied, not
-        rescaled."""
+        bidegrees found so far.  A form with lc(f) = 1 whose lead is its
+        first term is already that, and is returned itself; with lc(f) = 1
+        and the lead elsewhere the terms are copied, not rescaled."""
         lead = self.leading_monomial()
         p = self.ring.p
         inv = pow(self.terms[lead], -1, p)
+        if inv == 1 and next(iter(self.terms)) == lead:
+            return self
         # The lead goes in first; updating its value keeps it first.
         terms = {lead: 1}
         if inv == 1:

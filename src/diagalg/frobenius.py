@@ -268,9 +268,19 @@ def random_biform(m: int, n: int, d: int, e: int, p: int, seed: int) -> MultiPol
     """Seeded dense form of bidegree (d, e): every monomial appears, the
     distinguished monomial x1^d*y1^e has coefficient 1, and all other
     coefficients are uniform in the nonzero residues.  Deterministic per seed.
-    A form of more than ``MONOMIAL_CAP`` terms is refused with
+    Non-integer m, n, d or e are refused with :class:`PreconditionError`
+    before any work, and a form of more than ``MONOMIAL_CAP`` terms with
     :class:`DegreeCapError` before any coefficient is drawn.
+
+    The form is built once, with the facts its construction fixes: its
+    lead x1^d*y1^e, the grevlex-largest monomial of bidegree (d, e), comes
+    first with coefficient 1 (``exponent_vectors`` yields it first), and
+    its one bidegree is (d, e).  So ``leading_monomial()``, ``bidegree()``
+    and ``monic()``, which returns the form itself, scan no term.
     """
+    for name, value in (("m", m), ("n", n), ("d", d), ("e", e)):
+        if not isinstance(value, int):
+            raise PreconditionError(f"{name} must be an integer: {value!r}")
     if m < 1 and d > 0:
         raise PreconditionError("d > 0 needs at least one x-variable")
     if n < 1 and e > 0:
@@ -283,11 +293,12 @@ def random_biform(m: int, n: int, d: int, e: int, p: int, seed: int) -> MultiPol
         raise DegreeCapError(
             f"a dense form of bidegree ({d}, {e}) in {m} + {n} variables has "
             f"{count} terms, above the monomial cap {MONOMIAL_CAP}")
-    rng = random.Random(seed)
-    lead = _distinguished(m, n, d, e)
-    terms = {}
-    for ex in exponent_vectors(d, m):
-        for ey in exponent_vectors(e, n):
-            mono = ex + ey
-            terms[mono] = 1 if mono == lead else rng.randrange(1, p)
-    return ring.poly(terms)
+    draw = random.Random(seed).randrange
+    ys = list(exponent_vectors(e, n))
+    monos = (ex + ey for ex in exponent_vectors(d, m) for ey in ys)
+    # The lead x1^d*y1^e comes first and draws no coefficient; every other
+    # coefficient is drawn in 1..p-1, so the terms are already normalized.
+    lead = next(monos)
+    terms = {lead: 1}
+    terms.update((mono, draw(1, p)) for mono in monos)
+    return MultiPoly._raw(ring, terms, lead, frozenset({(d, e)}))

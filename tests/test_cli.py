@@ -543,7 +543,25 @@ def test_exit_code_certificate_power_bound(capsys):
                                      "--poly", "x1^2+x2^2", "--q-max", q_max)
             assert code == cli.EXIT_PRECONDITION, (m, q_max)
             assert out == ""
-            assert err == f"error: need an integer e_max >= 1: {q_max}\n"
+            assert err == f"error: --q-max must be an integer >= 1: {q_max}\n"
+
+
+def test_certificate_power_bound_checked_before_any_form(capsys, monkeypatch):
+    # --q-max is refused before a form is parsed or sampled: the sampled
+    # form below has 207,025 terms.
+    calls = []
+    monkeypatch.setattr(cli.frob, "random_biform",
+                        lambda *args: calls.append("random_biform"))
+    monkeypatch.setattr(cli, "parse_polynomial",
+                        lambda *args: calls.append("parse_polynomial"))
+    for argv in (["--m", "4", "--n", "4", "--d", "12", "--e", "12"],
+                 ["--mode", "graded", "--m", "3", "--poly", "x1^2+x2^2"]):
+        code, out, err = run_cli(capsys, "frobenius", *argv, "--p", "5",
+                                 "--q-max", "0")
+        assert code == cli.EXIT_PRECONDITION, argv
+        assert out == ""
+        assert err == "error: --q-max must be an integer >= 1: 0\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -463,6 +463,8 @@ def test_random_biform_contract():
         ((0, 2, 1, 1), r"d > 0 needs at least one x-variable"),
         ((2, 0, 1, 1), r"e > 0 needs at least one y-variable"),
         ((2, 2, 0, 0), r"bidegree must be >= 0 and not \(0, 0\): \(0, 0\)"),
+        ((2, 2, 1.5, 1), r"d must be an integer: 1.5"),
+        ((2, 2, "1", 1), r"d must be an integer: '1'"),
     ]:
         with pytest.raises(PreconditionError, match=message):
             random_biform(*args, 7, seed=0)
@@ -471,3 +473,31 @@ def test_random_biform_contract():
     with pytest.raises(DegreeCapError, match=f"has {comb(59, 29)} terms, "
                        "above the monomial cap 10000000"):
         random_biform(30, 0, 30, 0, 7, seed=0)
+
+
+class _CountingTerms(dict):
+    """A term map that counts the monomials iterated over."""
+
+    iterated = 0
+
+    def __iter__(self):
+        for mono in super().__iter__():
+            self.iterated += 1
+            yield mono
+
+
+def test_sampled_form_count_scans_no_term(monkeypatch):
+    # A sampled form comes with its lead and its bidegree, so the Hilbert
+    # value of T/fT reads them without a grevlex key or a bidegree scan:
+    # monic() looks at the first term only and returns f itself.
+    keys = []
+    monkeypatch.setattr(exactalg, "_descending_grevlex", keys.append)
+    for shape in [(3, 3, 2, 1), (4, 4, 1, 3), (3, 0, 2, 0)]:
+        f = random_biform(*shape, 101, seed=7)
+        assert f._lead is not None and f._degrees is not None
+        f.terms = _CountingTerms(f.terms)
+        gb = groebner_basis([f])
+        assert gb[0] is f
+        exactalg.standard_monomial_count(gb, (4, 5))
+        assert f.terms.iterated <= 1, shape
+    assert keys == []

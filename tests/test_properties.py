@@ -2,7 +2,7 @@
 and their pure-power masks, products against the loop on exponent tuples, truncated powers against
 repeated products, Fedder's test against the truncated power, the kept
 leading monomial of arithmetic results and of Groebner bases, the lead of
-a form containing x1^d (x1^d*y1^e), reduced Groebner bases (independent
+a form containing x1^d (x1^d*y1^e), the facts a sampled form is built with, reduced Groebner bases (independent
 of generator order, repetition and scaling, and closed under S-pairs when
 generators share a lead), normal forms, truncated normal forms against
 the reduced basis, bases and truncated normal forms of ideals with pure
@@ -29,7 +29,7 @@ from diagalg.exactalg import (
     s_polynomial,
     standard_monomial_count,
 )
-from diagalg.frobenius import fedder_is_f_pure
+from diagalg.frobenius import fedder_is_f_pure, random_biform
 from diagalg.parsing import parse_polynomial
 from oracles import (
     enumerated_standard_count,
@@ -312,6 +312,10 @@ def test_kept_lead_is_the_grevlex_max(pair, k):
         expected = {lead: 1} | {e: c * inv % p for e, c in h.terms.items()}
         scaled = h.monic()
         assert list(scaled.terms.items()) == list(expected.items())
+        # A monic form with its lead first, each of ``monics`` included, is
+        # its own monic form; any other gives a new object.
+        assert (scaled is h) == (h.terms[lead] == 1
+                                 and next(iter(h.terms)) == lead)
         assert scaled.leading_monomial() == lead
         assert scaled._bidegrees() == h._bidegrees()
     results += monics
@@ -334,6 +338,35 @@ def test_distinguished_monomial_is_the_lead(drawn):
     # that monomial is the largest of its (bi)degree in grevlex.
     f, lead = drawn
     assert f.leading_monomial() == lead
+
+
+@st.composite
+def sampled_forms(draw):
+    """random_biform of a shape with m, n <= 4 and d + e <= 4."""
+    m, n = draw(st.sampled_from([(m, n) for m in range(5) for n in range(5)
+                                 if m + n]))
+    d, e = draw(st.sampled_from([(d, e) for d in range(5 if m else 1)
+                                 for e in range(5 - d if n else 1) if d + e]))
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    return random_biform(m, n, d, e, p, draw(st.integers(0, 2**31 - 1)))
+
+
+@SETTINGS
+@given(sampled_forms())
+def test_sampled_form_keeps_the_facts_a_scan_finds(f):
+    # random_biform sets the lead and the bidegree as it builds the form; a
+    # copy through ring.poly has to find them by scanning its terms.
+    fresh = f.ring.poly(dict(f.terms))
+    assert f.leading_monomial() == fresh.leading_monomial()
+    assert f._bidegrees() == fresh._bidegrees()
+    assert f.total_degree() == fresh.total_degree()
+    assert str(f) == str(fresh)
+    assert next(iter(f.terms.items())) == (f.leading_monomial(), 1)
+    assert list(f.monic().terms.items()) == list(f.terms.items())
+    d, e = f.bidegree()
+    for degree in [(d, e), (d + 1, e), (d, e + 1), (d + 2, e + 3)]:
+        assert (standard_monomial_count(groebner_basis([f]), degree)
+                == standard_monomial_count(groebner_basis([fresh]), degree))
 
 
 @SETTINGS
