@@ -2,9 +2,10 @@
 and their pure-power masks, products against the loop on exponent tuples, truncated powers against
 repeated products, Fedder's test against the truncated power, the kept
 leading monomial of arithmetic results and of Groebner bases, the lead of
-a form containing x1^d (x1^d*y1^e), the facts a sampled form is built with, reduced Groebner bases (independent
-of generator order, repetition and scaling, and closed under S-pairs when
-generators share a lead), normal forms, truncated normal forms against
+a form containing x1^d (x1^d*y1^e), the facts a sampled form is built
+with, reduced Groebner bases (independent of generator order,
+repetition and scaling, and closed under S-pairs when generators share a
+lead), normal forms, truncated normal forms against
 the reduced basis, bases and truncated normal forms of ideals with pure
 powers against a textbook Buchberger algorithm, standard monomial counts against enumeration and with
 a cold or warm numerator cache, regular sequences against the dimension
