@@ -44,25 +44,34 @@ EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
 
 
+def _check_printable(*values) -> None:
+    """Refuse, before any text is built, an integer with more digits than
+    the interpreter converts to text (``sys.get_int_max_str_digits``; a
+    limit of 0, or no such function, means no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for v in values:
+        # 2^(3 * limit) < 10^limit, so a shorter value needs no power of 10.
+        if limit and v.bit_length() > 3 * limit and abs(v) >= 10 ** limit:
+            raise PreconditionError(
+                f"a computed value has more than {limit} digits, too many "
+                "to print")
+
+
 # ---------------------------------------------------------------------------
 # classify
 
-def _hyp_spec(args) -> tuple[hyp.HypersurfaceSpec, DiagonalSpec]:
-    return (
-        hyp.HypersurfaceSpec(args.m, args.n, args.d, args.e),
-        DiagonalSpec(args.g, args.h),
-    )
-
-
-def _hyp_inputs(args) -> dict:
-    return {"m": args.m, "n": args.n, "d": args.d, "e": args.e,
-            "g": args.g, "h": args.h}
+def _hyp_spec(args) -> tuple[hyp.HypersurfaceSpec, DiagonalSpec, dict]:
+    # The hypersurface and diagonal of the six shape flags, and the flags
+    # as the document's "inputs".
+    return (hyp.HypersurfaceSpec(args.m, args.n, args.d, args.e),
+            DiagonalSpec(args.g, args.h),
+            {"m": args.m, "n": args.n, "d": args.d, "e": args.e,
+             "g": args.g, "h": args.h})
 
 
 def cmd_classify(args):
-    spec, diag = _hyp_spec(args)
+    spec, diag, inputs = _hyp_spec(args)
     report = hyp.classify(spec, diag)
-    inputs = _hyp_inputs(args)
     obstruction = report.cm_obstruction
     table = (["m", "n", "d", "e", "g", "h", "cohen_macaulay", "gorenstein",
               "rational_singularities", "f_regular_type", "a_invariant",
@@ -91,10 +100,11 @@ def cmd_classify(args):
 # hilbert
 
 def cmd_hilbert(args):
-    spec, diag = _hyp_spec(args)
+    spec, diag, inputs = _hyp_spec(args)
     check_rows(args.k_max + 1, "a Hilbert range")
     values = [(k, hyp.dim_piece(spec, diag, k)) for k in range(args.k_max + 1)]
-    doc = {"inputs": _hyp_inputs(args) | {"k_max": args.k_max},
+    _check_printable(*(dim for _, dim in values))
+    doc = {"inputs": inputs | {"k_max": args.k_max},
            "values": [{"k": k, "dim": dim} for k, dim in values]}
     return doc, (["k", "dim"], values), [
         "k    dim", *(f"{k:<4} {dim}" for k, dim in values)]
@@ -104,13 +114,13 @@ def cmd_hilbert(args):
 # lcdim
 
 def cmd_lcdim(args):
-    spec, diag = _hyp_spec(args)
+    spec, diag, inputs = _hyp_spec(args)
     dims = hyp.lc_dim_table(spec, diag, k_lo=args.k_min, k_hi=args.k_max)
     rows = [(q, k, dim) for (q, k), dim in sorted(dims.items())]
     a_inv = hyp.a_invariant(spec, diag)
     top = spec.m + spec.n - 2
-    doc = {"inputs": _hyp_inputs(args) | {"k_min": args.k_min,
-                                          "k_max": args.k_max},
+    _check_printable(a_inv, top, *(v for row in rows for v in row))
+    doc = {"inputs": inputs | {"k_min": args.k_min, "k_max": args.k_max},
            "a_invariant": a_inv,
            "top_q": top,
            "entries": [{"q": q, "k": k, "dim": dim} for q, k, dim in rows]}
@@ -235,6 +245,18 @@ def cmd_rees(args):
     powers = [{"r": r, "a_invariant": rees.a_inv_quotient_power(
         spec.a, spec.k, spec.s, r)} for r in range(1, 4)]
     lo, hi = window.start, window.stop - 1
+    dims = []
+    if spec.m is not None:
+        check_rows(args.i_max, "a Rees dimension range")
+        dims = [{"i": i, "dim": rees.dim_lc_rees_diag(spec, args.g, args.h, i)}
+                for i in range(1, args.i_max + 1)]
+        if not rees.cm_criteria_consistent(spec.m, spec.k, spec.s, args.g,
+                                           args.h):
+            raise InternalDefectError(
+                f"Rees Cohen-Macaulay criteria disagree for {spec} at "
+                f"diagonal ({args.g},{args.h}); please report")
+    _check_printable(lo, hi, *(entry["a_invariant"] for entry in powers),
+                     *(entry["dim"] for entry in dims))
     doc = {
         "mode": "rigidity",
         "inputs": {"a": spec.a, "dim": spec.dimA, "s": spec.s, "k": spec.k,
@@ -253,19 +275,9 @@ def cmd_rees(args):
              *(f"  a-invariant of power r={entry['r']}: {entry['a_invariant']}"
                for entry in powers)]
     if spec.m is not None:
-        check_rows(args.i_max, "a Rees dimension range")
-        doc["dims"] = [
-            {"i": i, "dim": rees.dim_lc_rees_diag(spec, args.g, args.h, i)}
-            for i in range(1, args.i_max + 1)
-        ]
-        if not rees.cm_criteria_consistent(spec.m, spec.k, spec.s, args.g,
-                                           args.h):
-            raise InternalDefectError(
-                f"Rees Cohen-Macaulay criteria disagree for {spec} at "
-                f"diagonal ({args.g},{args.h}); please report")
+        doc["dims"] = dims
         doc["criteria_consistent"] = True
-        lines += [f"  dim at i={entry['i']}: {entry['dim']}"
-                  for entry in doc["dims"]]
+        lines += [f"  dim at i={entry['i']}: {entry['dim']}" for entry in dims]
         lines.append("  criteria consistent: True")
     return doc, None, lines
 

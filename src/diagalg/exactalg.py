@@ -3,9 +3,10 @@
 Sparse multivariate polynomials in two blocks of variables (x1..xm, y1..yn),
 powers modulo (v^q : v each variable), Buchberger's algorithm, normal forms
 and standard-monomial counts (graded Hilbert functions), all under the one
-monomial order grevlex (:func:`grevlex_key`).  Everything is exact: coefficients are residues
-modulo the prime ``PolyRing.p`` (inverses are ``pow(c, -1, p)``) and all
-combinatorics use Python integers.
+monomial order grevlex (on exponent tuples, :func:`_descending_grevlex`).
+Everything is exact: coefficients are residues modulo the prime
+``PolyRing.p`` (inverses are ``pow(c, -1, p)``) and all combinatorics use
+Python integers.
 
 Monomials are plain exponent tuples of length ``m + n`` at the API
 (``MultiPoly.terms``, printing, parsing, every signature); the x-block
@@ -38,12 +39,13 @@ of smaller lead: a lead divides only monomials at or above itself.
 
 Division and Buchberger's algorithm reduce by monic pairs (lead, tail),
 all made by :func:`_reducer`.  A monomial ideal of pure powers x_k^a is a
-mask instead (:meth:`_Packing.mask`): a monomial is in it exactly when its
-biased fields set a guard bit.  Powers drop the terms with an exponent
->= q that way.  Buchberger's algorithm and the truncated normal form drop
-the terms in the ideal of the pure-power generators, so they work over
-S / M and never scan a pure power as a reducer; all generators of a
-certificate's J_q but two are pure powers.  A mask of 0 drops nothing.
+mask (bias, cut) instead (:meth:`_Packing.mask`): a packed monomial u is
+in it exactly when ``(u + bias) & cut`` is nonzero.  Products and powers
+drop the terms with an exponent >= q that way.  Buchberger's algorithm and
+the truncated normal form drop the terms in the ideal of the pure-power
+generators, so they work over S / M and never scan a pure power as a
+reducer; all generators of a certificate's J_q but two are pure powers.
+The mask (0, 0) drops nothing.
 
 Callers inside the package that only need a yes/no or one remainder leave
 the packing to this module: Fedder's test asks :func:`_power` only whether
@@ -125,18 +127,19 @@ def _is_prime(p: int) -> bool:
 # ---------------------------------------------------------------------------
 # Monomials: exponent tuples at the API, packed integers inside the kernel.
 
-def grevlex_key(exps):
-    """Sort key of the graded reverse lexicographic order; max picks the lead.
-
-    Variable precedence is the index order x1 > ... > xm > y1 > ... > yn.
-    """
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 def _descending_grevlex(exps):
-    # Sorts distinct monomials as grevlex_key does with reverse=True, and
-    # min picks the lead, with one slice instead of a generator per key.
+    # Sort key of the graded reverse lexicographic order, largest first:
+    # higher total degree, then the smaller last exponent that differs.  So
+    # sorting lists distinct monomials in descending grevlex order and min
+    # picks the lead.  Variable precedence is the index order
+    # x1 > ... > xm > y1 > ... > yn.
     return (-sum(exps), exps[::-1])
+
+
+def _var_power(nvars: int, k: int, a: int) -> tuple:
+    # The exponent tuple of x_k^a, the a-th power of the variable of 0-based
+    # index k among ``nvars``.
+    return (0,) * k + (a,) + (0,) * (nvars - 1 - k)
 
 
 class _Packing:
@@ -220,10 +223,11 @@ def _packing(nvars: int, degree: int) -> _Packing:
     return _packing_of_width(nvars, max(degree, 0).bit_length() + 1)
 
 
-def _mul(a: dict, b: dict, p: int, bias: int, guard: int) -> dict:
+def _mul(a: dict, b: dict, p: int, bias: int, cut: int) -> dict:
     """Product of the packed polynomials a and b (see :class:`_Packing`)
-    without the monomials u that have ``(u + bias) & guard`` set; a guard
-    of 0 keeps them all.  A square (``a is b``) forms each cross term once,
+    without the monomials u in the ideal of the mask (bias, cut), those
+    with ``(u + bias) & cut`` set (:meth:`_Packing.mask`); a cut of 0 keeps
+    them all.  A square (``a is b``) forms each cross term once,
     with its coefficient doubled, and each diagonal term once."""
     _check_product(len(a), len(b))
     out = {}
@@ -232,26 +236,26 @@ def _mul(a: dict, b: dict, p: int, bias: int, guard: int) -> dict:
         items = list(a.items())
         for i, (ma, ca) in enumerate(items):
             m = ma + ma
-            if not (m + bias) & guard:
+            if not (m + bias) & cut:
                 out[m] = get(m, 0) + ca * ca
             ca += ca
             for mb, cb in items[i + 1:]:
                 m = ma + mb
-                if not (m + bias) & guard:
+                if not (m + bias) & cut:
                     out[m] = get(m, 0) + ca * cb
     else:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = ma + mb
-                if not (m + bias) & guard:
+                if not (m + bias) & cut:
                     out[m] = get(m, 0) + ca * cb
     return {m: v for m, c in out.items() if (v := c % p)}
 
 
 def _power(f: "MultiPoly", k: int, q: int | None):
     """``pow(f, k, q)`` as (packing, packed terms): f^k without its terms
-    that have an exponent >= q (with no ``q``, all of f^k: bias and guard
-    0, as in ``*``).
+    that have an exponent >= q (with no ``q``, all of f^k: the mask (0, 0),
+    as in ``*``).
 
     Computed by square and multiply on packed monomials, dropping such
     terms as soon as they appear, which is exact: every product with
@@ -279,16 +283,16 @@ def _power(f: "MultiPoly", k: int, q: int | None):
     p = ring.p
     packing = _packing(nv, top if q is None else max(top, q))
     # Every variable is bounded by q.
-    bias, guard = packing.mask({} if q is None else dict.fromkeys(range(nv), q))
+    bias, cut = packing.mask({} if q is None else dict.fromkeys(range(nv), q))
     base = {m: c for m, c in packing.pack_terms(f.terms).items()
-            if not (m + bias) & guard}
+            if not (m + bias) & cut}
     result = {0: 1}  # the constant 1, which packs to 0
     while k:
         bit, k = k & 1, k >> 1
         if bit:
-            result = _mul(result, base, p, bias, guard)
+            result = _mul(result, base, p, bias, cut)
         if k:
-            base = _mul(base, base, p, bias, guard)
+            base = _mul(base, base, p, bias, cut)
     return packing, result
 
 
@@ -345,8 +349,7 @@ class PolyRing:
         """The variable of 0-based index ``idx``: x1..xm, then y1..yn."""
         if not isinstance(idx, int) or not 0 <= idx < self.nvars:
             raise PreconditionError(f"no variable of index {idx!r} in {self!r}")
-        exps = tuple(1 if i == idx else 0 for i in range(self.nvars))
-        return MultiPoly._raw(self, {exps: 1})
+        return MultiPoly._raw(self, {_var_power(self.nvars, idx, 1): 1})
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
@@ -523,9 +526,10 @@ class MultiPoly:
     def monic(self) -> "MultiPoly":
         """f / lc(f): the lead first, then the other terms in f's order.
         Scaling keeps the monomials, so the result keeps the lead and the
-        bidegrees found so far.  A form with lc(f) = 1 whose lead is its
-        first term is already that, and is returned itself; with lc(f) = 1
-        and the lead elsewhere the terms are copied, not rescaled."""
+        bidegrees found so far.  Two paths: a form with lc(f) = 1 whose
+        lead is its first term is already that, and is returned itself;
+        any other form is rescaled into a new one (with lc(f) = 1 that
+        only moves the lead first, since c * 1 mod p = c)."""
         lead = self.leading_monomial()
         p = self.ring.p
         inv = pow(self.terms[lead], -1, p)
@@ -533,10 +537,7 @@ class MultiPoly:
             return self
         # The lead goes in first; updating its value keeps it first.
         terms = {lead: 1}
-        if inv == 1:
-            terms.update(self.terms)
-        else:
-            terms.update([(e, c * inv % p) for e, c in self.terms.items()])
+        terms.update([(e, c * inv % p) for e, c in self.terms.items()])
         return MultiPoly._raw(self.ring, terms, lead, self._degrees)
 
     # -- comparisons and printing -------------------------------------------
@@ -784,7 +785,7 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
 def _buchberger_run(gens, ring: PolyRing, limit, packing):
     # One run of _buchberger in ``packing``; raises _Outgrown at the first
     # pair lcm that the packing cannot hold.
-    p, nvars = ring.p, ring.nvars
+    p = ring.p
     pure, others = {}, []
     for g in gens:
         power = _pure_power(g)
@@ -793,8 +794,7 @@ def _buchberger_run(gens, ring: PolyRing, limit, packing):
         else:
             k, a = power
             pure[k] = min(pure.get(k, a), a)
-    leads = [tuple(a if i == k else 0 for i in range(nvars))
-             for k, a in sorted(pure.items())]
+    leads = [_var_power(ring.nvars, k, a) for k, a in sorted(pure.items())]
     basis = [(packing.pack(lt), []) for lt in leads]
     s = len(basis)
     bias, cut = packing.mask(pure)
@@ -836,11 +836,12 @@ def groebner_basis(gens):
     Deterministic: the output is the reduced basis sorted by leading monomial,
     so it does not depend on the order of the input generators.  The basis
     comes from :func:`_buchberger` on the packed generators (see
-    :class:`_Packing`) and is then minimalized and interreduced.  The
-    minimal basis is sorted by lead, and the tail of each element, which
-    lies below its lead, is reduced only by the elements before it: a
-    larger lead divides no smaller monomial (Becker & Weispfenning, GTM
-    141, Sec. 5.4).  Every lead is read off the packed terms, and each
+    :class:`_Packing`) and is then minimalized and interreduced in one pass
+    over its elements sorted by lead.  An element whose lead a kept lead
+    divides is dropped; any other has its tail, which lies below its lead,
+    reduced by the elements kept before it, and is kept: a larger lead
+    divides no smaller monomial (Becker & Weispfenning, GTM 141, Sec.
+    5.4).  Every lead is read off the packed terms, and each
     returned polynomial keeps its lead, so ``leading_monomial()`` on it
     costs nothing.
 
@@ -862,32 +863,25 @@ def groebner_basis(gens):
     p = ring.p
     packing, basis, _ = _buchberger(gens, ring)
 
-    # Minimalize: drop elements whose lead is divisible by another kept lead.
-    kept = []
-    for g in sorted(basis, key=lambda g: g[0]):
-        if not any(packing.divides(u[0], g[0]) for u in kept):
-            kept.append(g)
+    # The leads are pairwise distinct, so sorting never compares tails.  The
+    # kept leads are mutually indivisible, so each keeps coefficient 1.  The
+    # first tail goes through _reduce with no reducer, so that all tails
+    # come in descending order.
+    reduced = []
+    for lt, tail in sorted(basis):
+        if not any(packing.divides(u, lt) for u, _ in reduced):
+            tail = list(_reduce(dict(tail), reduced, packing.guard, p).items())
+            reduced.append((lt, tail))
 
-    if len(kept) == 1:
+    if len(reduced) == 1:
         # The ideal is principal.  Its reduced basis is the monic form of
         # the first generator with the kept lead, in that generator's term
-        # order, as for one generator.  Without one, the kept element is a
-        # remainder of _reduce, in descending order like every tail below.
-        lead = packing.unpack(kept[0][0])
+        # order, as for one generator.  Without one, the kept element is
+        # returned, its tail in descending order.
+        lead = packing.unpack(reduced[0][0])
         for g in gens:
             if g.leading_monomial() == lead:
                 return [g.monic()]
-
-    # Interreduce tails for the unique reduced basis, still sorted by lead;
-    # the leads are mutually indivisible, so each keeps coefficient 1.  A
-    # lead divides only monomials at or above itself, so each tail, below
-    # its lead, is reduced by the smaller leads alone: the elements already
-    # in ``reduced``.  The first tail goes through _reduce with no reducer,
-    # so that all tails come in descending order.
-    reduced = []
-    for lt, tail in kept:
-        tail = list(_reduce(dict(tail), reduced, packing.guard, p).items())
-        reduced.append((lt, tail))
     return [MultiPoly._raw(ring, packing.unpack_terms(dict([(lt, 1), *tail])),
                            packing.unpack(lt))
             for lt, tail in reduced]
@@ -997,7 +991,7 @@ def _hilbert_numerator(leads: tuple, m: int) -> tuple:
         # among the generators would have: v^e is not in I.
         exps = sorted(g[v] for g in gens if g[v])
         e = exps[(len(exps) - 1) // 2]
-        pivot = tuple(e if k == v else 0 for k in range(len(gens[0])))
+        pivot = _var_power(len(gens[0]), v, e)
         # I + (v^e): v^e replaces the generators it divides; no generator
         # divides v^e, so the result is minimal.
         stack.append(([g for g in gens if g[v] < e] + [pivot], si, sj))
@@ -1088,7 +1082,7 @@ def is_regular_sequence(gens) -> bool:
     nvars = ring.nvars
     packing, basis, _ = _buchberger(gens, ring)
     leads = tuple(packing.unpack(lt) for lt, _ in basis)
-    pure = tuple(tuple(g.total_degree() if k == i else 0 for k in range(nvars))
+    pure = tuple(_var_power(nvars, i, g.total_degree())
                  for i, g in enumerate(gens))
     # Stanley's criterion is singly graded: with m = nvars every variable,
     # y's included, is in the first block, so the numerators compare by

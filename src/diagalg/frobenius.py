@@ -12,6 +12,7 @@ tested powers yields "inconclusive", never "false".
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -25,6 +26,7 @@ from .exactalg import (
     _monomial_count,
     _power,
     _truncated_normal_form,
+    _var_power,
     exponent_vectors,
     groebner_basis,
     normal_form,
@@ -125,6 +127,9 @@ def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
     homogeneous, so the socle's remainder is read off a basis truncated at
     its degree; :func:`recheck_certificate` recomputes it as
     ``normal_form(socle, groebner_basis(gens))``."""
+    for name, value in (("d", d), ("e", e), ("m", m), ("n", n), ("p", p)):
+        if not isinstance(value, int):
+            raise PreconditionError(f"{name} must be an integer: {value!r}")
     ring = f.ring
     # Past the bidegree check, n = 0 forces e = 0.
     graded = n == e == 0
@@ -146,15 +151,14 @@ def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
         raise PreconditionError(
             f"f must be homogeneous of degree {d}" if graded else
             f"f must be bihomogeneous of bidegree ({d}, {e})")
-    degree = (d,) if graded else (d, e)
+    certificate = functools.partial(FrobeniusCertificate, p=p, m=m, n=n,
+                                    degree=(d,) if graded else (d, e))
     if d >= m or (n and e >= n):
         why = (f"the hypersurface has a-invariant d - m = {d - m} >= 0"
                if graded else "a negative multigraded a-invariant requires "
                f"d < m and e < n; got (d, e) = ({d}, {e})")
-        return FrobeniusCertificate(
-            verdict=VERDICT_NOT_F_REGULAR, p=p, m=m, n=n, degree=degree,
-            details=f"not F-regular: {why}",
-        )
+        return certificate(VERDICT_NOT_F_REGULAR,
+                           details=f"not F-regular: {why}")
     # The socle argument needs the distinguished variables to stay a system
     # of parameters on the hypersurface, which the parameter-space
     # normalization (pure power present) guarantees.  Scaling f leaves the
@@ -169,18 +173,13 @@ def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
         )
     f = f.monic()
     if not fedder_is_f_pure(f):
-        return FrobeniusCertificate(
-            verdict=VERDICT_NOT_F_PURE, p=p, m=m, n=n, degree=degree,
+        return certificate(
+            VERDICT_NOT_F_PURE,
             details="Frobenius-power exclusion test failed: the hypersurface "
-                    "is not F-pure, hence not F-regular",
-        )
+                    "is not F-pure, hence not F-regular")
     assumptions = [ASSUMPTION_F_PURE, ASSUMPTION_REGULAR_LOCUS]
     tested: list[int] = []
     nvars = ring.nvars
-
-    def pure(var: int, k: int) -> tuple:
-        # The exponent vector of the k-th power of the variable numbered var.
-        return tuple(k if i == var else 0 for i in range(nvars))
 
     for power in range(1, e_max + 1):
         q = p ** power
@@ -193,27 +192,26 @@ def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
                 f"the socle x1^{delta} at q={q} exceeds the monomial cap "
                 f"{MONOMIAL_CAP}{after}")
         # x1^q - y1^q (y1 is variable m), then x2^q, ..., xm^q, y2^q, ...
-        gens = ([MultiPoly._raw(ring, {pure(0, q): 1, pure(m, q): p - 1})]
+        gens = ([MultiPoly._raw(ring, {_var_power(nvars, 0, q): 1,
+                                       _var_power(nvars, m, q): p - 1})]
                 if n else [])
-        gens += [MultiPoly._raw(ring, {pure(i, q): 1})
+        gens += [MultiPoly._raw(ring, {_var_power(nvars, i, q): 1})
                  for i in range(1, nvars) if i != m]
         gens.append(f)
-        socle = MultiPoly._raw(ring, {pure(0, delta): 1})
+        socle = MultiPoly._raw(ring, {_var_power(nvars, 0, delta): 1})
         remainder = _truncated_normal_form(socle, gens)
         tested.append(q)
         if remainder:
-            return FrobeniusCertificate(
-                verdict=VERDICT_F_REGULAR, p=p, m=m, n=n, degree=degree,
-                q_used=q, tested_powers=tested,
+            return certificate(
+                VERDICT_F_REGULAR, q_used=q, tested_powers=tested,
                 ideal_generators=[str(g) for g in gens],
                 socle=str(socle),
                 normal_form=str(remainder),
                 assumptions=assumptions,
                 details=f"socle excluded from the Frobenius-power ideal at q={q}",
             )
-    return FrobeniusCertificate(
-        verdict=VERDICT_INCONCLUSIVE, p=p, m=m, n=n, degree=degree,
-        tested_powers=tested, assumptions=assumptions,
+    return certificate(
+        VERDICT_INCONCLUSIVE, tested_powers=tested, assumptions=assumptions,
         details=f"socle contained in the Frobenius-power ideal for all "
                 f"tested q up to p^{e_max}; no verdict",
     )
@@ -258,10 +256,8 @@ def witness_graded(d: int, m: int, p: int) -> MultiPoly:
     if m < d + 1:
         raise PreconditionError(f"need m >= d + 1 variables: m={m}, d={d}")
     ring = PolyRing(p, m)
-    tail = ring.one()
-    for i in range(2, d + 2):
-        tail = tail * ring.x(i)
-    return ring.x(1) ** d + tail
+    return MultiPoly._raw(ring, {_var_power(m, 0, d): 1,
+                                 (0,) + (1,) * d + (0,) * (m - d - 1): 1})
 
 
 def random_biform(m: int, n: int, d: int, e: int, p: int, seed: int) -> MultiPoly:

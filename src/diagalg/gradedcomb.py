@@ -24,6 +24,9 @@ class DiagonalSpec:
     h: int
 
     def __post_init__(self):
+        for name, value in (("g", self.g), ("h", self.h)):
+            if not isinstance(value, int):
+                raise PreconditionError(f"{name} must be an integer: {value!r}")
         if self.g < 1 or self.h < 1:
             raise PreconditionError(f"diagonal needs g, h >= 1: ({self.g}, {self.h})")
 

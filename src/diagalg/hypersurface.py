@@ -43,6 +43,10 @@ class HypersurfaceSpec:
     e: int
 
     def __post_init__(self):
+        for name, value in (("m", self.m), ("n", self.n), ("d", self.d),
+                            ("e", self.e)):
+            if not isinstance(value, int):
+                raise PreconditionError(f"{name} must be an integer: {value!r}")
         if self.m < 2 or self.n < 2:
             raise PreconditionError(f"need m, n >= 2: ({self.m}, {self.n})")
         if self.d < 0 or self.e < 0 or self.d + self.e < 1:

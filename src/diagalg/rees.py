@@ -30,6 +30,10 @@ class ReesSpec:
     m: int | None = None
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("dimA", self.dimA), ("s", self.s),
+                            ("k", self.k), ("m", self.m)):
+            if not (isinstance(value, int) or name == "m" and value is None):
+                raise PreconditionError(f"{name} must be an integer: {value!r}")
         if self.dimA < 2:
             raise PreconditionError(f"need dimA >= 2: {self.dimA}")
         if not 2 <= self.s <= self.dimA:
@@ -57,6 +61,10 @@ class CISpec:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
+        for value in (self.m, *self.degrees):
+            if not isinstance(value, int):
+                raise PreconditionError(
+                    f"m and each degree must be integers: {value!r}")
         if not self.degrees or len(self.degrees) > self.m:
             raise PreconditionError(
                 f"need 1 <= #degrees <= m: {len(self.degrees)} forms, m={self.m}"

@@ -25,8 +25,10 @@ def tuple_product(f, g):
     return f.ring.poly(out)
 
 
-def _textbook_key(exps):
-    # grevlex: higher degree first, then the smaller last exponent.
+def grevlex_key(exps):
+    """Sort key of the graded reverse lexicographic order on exponent
+    tuples, x1 > ... > xm > y1 > ... > yn: higher degree first, then the
+    smaller last exponent that differs; max picks the lead."""
     return sum(exps), tuple(-e for e in reversed(exps))
 
 
@@ -36,7 +38,7 @@ def _textbook_divide(terms, basis, p):
     terms = dict(terms)
     remainder = {}
     while terms:
-        lead = max(terms, key=_textbook_key)
+        lead = max(terms, key=grevlex_key)
         c = terms.pop(lead)
         for glead, gterms in basis:
             if mono_divides(glead, lead):
@@ -65,7 +67,7 @@ def textbook_groebner_basis(gens):
     and interreduced, sorted by lead."""
     ring = _common_ring(gens)
     p = ring.p
-    basis = [(max(g.terms, key=_textbook_key), dict(g.terms)) for g in gens]
+    basis = [(max(g.terms, key=grevlex_key), dict(g.terms)) for g in gens]
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop()
@@ -82,9 +84,9 @@ def textbook_groebner_basis(gens):
         remainder = _textbook_divide(s, basis, p)
         if remainder:
             pairs += [(t, len(basis)) for t in range(len(basis))]
-            basis.append((max(remainder, key=_textbook_key), remainder))
+            basis.append((max(remainder, key=grevlex_key), remainder))
     minimal = []
-    for lead, terms in sorted(basis, key=lambda g: _textbook_key(g[0])):
+    for lead, terms in sorted(basis, key=lambda g: grevlex_key(g[0])):
         if not any(mono_divides(other, lead) for other, _ in minimal):
             minimal.append((lead, terms))
     reduced = []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from diagalg import cli
+from diagalg import cli, rees
 from diagalg.errors import DegreeCapError, InternalDefectError
 from diagalg.exactalg import PolyRing
 from diagalg.frobenius import f_regular_certificate_graded, random_biform
@@ -588,6 +588,42 @@ def test_exit_code_row_and_variable_caps(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "row cap 100000" in err or "variable cap 1000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lcdim", "--m", "3000", "--n", "3000", "--d", "1", "--e", "1",
+     "--g", "1000", "--h", "1000"),
+    ("lcdim", "--m", "3000", "--n", "3000", "--d", "1", "--e", "1",
+     "--g", "1000", "--h", "1000", "--format", "json"),
+    ("lcdim", "--m", "3000", "--n", "3000", "--d", "1", "--e", "1",
+     "--g", "1000", "--h", "1000", "--format", "csv"),
+    ("hilbert", "--m", "3000", "--n", "3000", "--d", "1", "--e", "1",
+     "--g", "1000", "--h", "1000", "--k-max", "8"),
+    ("rees", "--m", "12000", "--k", "12000", "--s", "3", "--i-max", "1"),
+], ids=["lcdim-text", "lcdim-json", "lcdim-csv", "hilbert", "rees"])
+def test_exit_code_value_too_long_to_print(capsys, argv):
+    # Python converts an int of more digits than sys.get_int_max_str_digits()
+    # (4300 by default) to text only by raising ValueError, which used to
+    # end these commands with a traceback and exit 1.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too many to print" in err
+
+
+def test_long_values_below_the_digit_limit_print(capsys):
+    # About 7.5 kB of digits, each value below the interpreter's limit.
+    code, out, _ = run_cli(capsys, "rees", "--m", "6000", "--k", "6000",
+                           "--s", "3", "--i-max", "2")
+    assert code == cli.EXIT_OK
+    spec = rees.ReesSpec.polynomial_base(6000, 3, 6000)
+    for i in (1, 2):
+        dim = rees.dim_lc_rees_diag(spec, 1, 1, i)
+        assert f"  dim at i={i}: {dim}\n" in out
+    assert len(out) > 7000
 
 
 def test_exit_code_certificate_needs_x1(capsys):

@@ -21,7 +21,6 @@ from diagalg.exactalg import (
     _hilbert_numerator,
     check_rows,
     exponent_vectors,
-    grevlex_key,
     groebner_basis,
     is_regular_sequence,
     normal_form,
@@ -30,6 +29,7 @@ from diagalg.exactalg import (
     standard_monomial_count,
 )
 from oracles import (
+    grevlex_key,
     initial_ideal_dimension,
     mono_divides,
     textbook_groebner_basis,

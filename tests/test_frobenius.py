@@ -175,6 +175,12 @@ def test_graded_certificate_context_checks():
     with pytest.raises(PreconditionError,
                        match=r"need an integer e_max >= 1: 0"):
         f_regular_certificate_graded(witness_graded(2, 3, 5), 2, 3, 5, e_max=0)
+    # Non-integer d, m or p used to raise TypeError or AttributeError.
+    for args, name in (((2.0, 3, 5), "d"), ((2, 3.0, 5), "m"),
+                       ((2, 3, 5.0), "p")):
+        with pytest.raises(PreconditionError,
+                           match=f"{name} must be an integer"):
+            f_regular_certificate_graded(witness_graded(2, 3, 5), *args)
 
 
 def test_certificate_power_bound_checked_before_any_verdict():
@@ -400,6 +406,11 @@ def test_bigraded_certificate_context_checks():
     with pytest.raises(PreconditionError,
                        match=r"need bidegree with d \+ e >= 1: \(0, 0\)"):
         f_regular_certificate_bigraded(ring.one(), 0, 0, 2, 2, 5)
+    for args, name in (((1, 1.0, 2, 2, 5), "e"), ((1, 1, 2, 2.0, 5), "n")):
+        with pytest.raises(PreconditionError,
+                           match=f"{name} must be an integer"):
+            f_regular_certificate_bigraded(witness_bigraded(1, 1, 2, 2, 5),
+                                           *args)
     with pytest.raises(PreconditionError,
                        match=r"f must be bihomogeneous of bidegree \(2, 1\)"):
         f_regular_certificate_bigraded(witness_bigraded(1, 1, 2, 2, 5),

@@ -17,6 +17,8 @@ def test_diagonal_spec_validation():
     DiagonalSpec(1, 1)
     with pytest.raises(PreconditionError):
         DiagonalSpec(0, 1)
+    with pytest.raises(PreconditionError, match=r"g must be an integer: 1\.5"):
+        DiagonalSpec(1.5, 1)
     d11 = DiagonalSpec(1, 1)
     with pytest.raises(PreconditionError):
         dim_tensor_diag(0, 2, 0, 0, 0, d11)

@@ -55,6 +55,9 @@ def test_hypersurface_spec_validation():
         HypersurfaceSpec(1, 2, 1, 1)
     with pytest.raises(PreconditionError):
         HypersurfaceSpec(2, 2, 0, 0)
+    # A non-integer shape used to reach the closed forms and raise TypeError.
+    with pytest.raises(PreconditionError, match=r"m must be an integer: 3\.5"):
+        classify(HypersurfaceSpec(3.5, 3, 2, 1), DiagonalSpec(1, 1))
 
 
 def test_validate_generic_normal_examples():

@@ -20,10 +20,10 @@ from diagalg.exactalg import (
     PolyRing,
     _buchberger,
     _hilbert_numerator,
+    _descending_grevlex,
     _Packing,
     _truncated_normal_form,
     exponent_vectors,
-    grevlex_key,
     groebner_basis,
     is_regular_sequence,
     normal_form,
@@ -34,6 +34,7 @@ from diagalg.frobenius import fedder_is_f_pure, random_biform
 from diagalg.parsing import parse_polynomial
 from oracles import (
     enumerated_standard_count,
+    grevlex_key,
     initial_ideal_dimension,
     mono_divides,
     textbook_groebner_basis,
@@ -116,7 +117,9 @@ def test_grevlex_key_is_the_textbook_order(vectors):
     # so one pair per example would rarely tell them apart.
     for a in vectors:
         for b in vectors:
-            assert (grevlex_key(a) > grevlex_key(b)) == _textbook_greater(a, b)
+            greater = _textbook_greater(a, b)
+            assert (grevlex_key(a) > grevlex_key(b)) == greater
+            assert (_descending_grevlex(a) < _descending_grevlex(b)) == greater
 
 
 @st.composite

@@ -56,6 +56,13 @@ def test_rees_spec_validation():
         CISpec(2, (2, 2, 2))
     with pytest.raises(PreconditionError, match="degrees must be positive"):
         CISpec(3, (2, 0))
+    # Non-integer shapes: the first used to answer True, the second to raise
+    # TypeError.
+    with pytest.raises(PreconditionError,
+                       match=r"m and each degree must be integers: 2\.5"):
+        ci_diagonal_is_cm(CISpec(4, (2.5, 2)), 9, 1)
+    with pytest.raises(PreconditionError, match=r"a must be an integer: -3\.0"):
+        dim_lc_rees_diag(ReesSpec.polynomial_base(3.0, 2, 2), 1, 1, 1)
 
 
 def test_a_inv_quotient_power():
