@@ -6,10 +6,20 @@ non-vanishing window for the first interesting local cohomology of the
 diagonal, Cohen-Macaulay criteria in both the "window" and the classical
 complete-intersection normalizations, and exact dimension counts when the
 base is a polynomial ring.
+
+Hilbert functions of complete intersections are read off the Hilbert series
+prod(1 - t^d) / (1 - t)^m.  Its numerator is expanded once per multiset of
+degrees (:func:`_ci_numerator`) and kept in one bounded LRU cache, so the
+many degrees and filtration steps a Rees dimension asks of one complete
+intersection share one expansion.  The kept numerators are tuples of
+integer pairs, so no caller can change one, and the cache is safe for
+concurrent use.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -76,6 +86,10 @@ class CISpec:
 def a_inv_quotient_power(a: int, k: int, s: int, r: int) -> int:
     """a-invariant of the quotient by the r-th power of the ideal:
     a + k*s + r*k - k."""
+    for value in (a, k, s, r):
+        if not isinstance(value, int):
+            raise PreconditionError(
+                f"a, k, s and r must be integers: {value!r}")
     if r < 1:
         raise PreconditionError(f"need power r >= 1: {r}")
     return a + k * s + r * k - k
@@ -84,6 +98,10 @@ def a_inv_quotient_power(a: int, k: int, s: int, r: int) -> int:
 def rigidity_window(a: int, k: int, s: int, g: int) -> range:
     """Indices i with nonzero (dimA - s + 1)-st local cohomology of the
     diagonal: the integers 1 <= i <= (a + k*s - k)/g, possibly empty."""
+    for value in (a, k, s, g):
+        if not isinstance(value, int):
+            raise PreconditionError(
+                f"a, k, s and g must be integers: {value!r}")
     if g < 1:
         raise PreconditionError(f"need g >= 1: {g}")
     return range(1, (a + k * s - k) // g + 1)
@@ -122,26 +140,78 @@ def cm_criteria_consistent(m: int, k: int, s: int, g: int, h: int) -> bool:
     return window_cm == classical_cm
 
 
+# Degree multisets whose Hilbert numerator is kept for reuse.
+_NUMERATORS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_NUMERATORS_KEPT)
+def _ci_numerator(degrees: tuple) -> tuple:
+    """The numerator prod(1 - t^d) over the sorted positive ``degrees``, as
+    the ascending pairs ``(u, c)`` of its nonzero coefficients c of t^u.
+
+    Each distinct degree d of multiplicity e contributes (1 - t^d)^e, whose
+    e + 1 terms the binomial theorem gives with C(e, i + 1) =
+    C(e, i) * (e - i) / (i + 1); the factors are then multiplied out.  The
+    value is kept for the last ``_NUMERATORS_KEPT`` multisets and is a tuple
+    of tuples, so no caller can change a kept one.
+    """
+    factors = []
+    for d, group in itertools.groupby(degrees):
+        e = len(tuple(group))
+        factor, c = [], 1
+        for i in range(e + 1):
+            factor.append((d * i, c))
+            c = -c * (e - i) // (i + 1)
+        factors.append(factor)
+    # The first factor is taken as it is, not multiplied by 1, so a single
+    # degree's coefficients are not copied.
+    numerator = dict(factors[0] if factors else [(0, 1)])
+    for factor in factors[1:]:
+        out: dict = {}
+        for u, a in numerator.items():
+            for v, b in factor:
+                out[u + v] = out.get(u + v, 0) + a * b
+        numerator = out
+    return tuple(sorted((u, c) for u, c in numerator.items() if c))
+
+
 def ci_quotient_hilbert(m: int, degrees, j: int) -> int:
     """Hilbert function of the quotient of an m-variable polynomial ring by a
     complete intersection of forms of the given degrees: the coefficient of
-    t^j in prod(1 - t^d) / (1 - t)^m."""
-    degrees = tuple(degrees)
-    if m < 1 or any(d < 1 for d in degrees):
-        raise PreconditionError(f"need m >= 1 and positive degrees: m={m}, {degrees}")
+    t^j in prod(1 - t^d) / (1 - t)^m.
+
+    The value is sum c * C(j - u + m - 1, m - 1) over the terms c * t^u of
+    the kept numerator (:func:`_ci_numerator`) with u <= j, in ascending u.
+    Each binomial comes from the last by C(N - 1, K) = C(N, K) * (N - K) / N,
+    one factor per unit of the gap between the two u, or from ``comb`` when
+    the gap is longer than comb's own work, min(m - 1, j - u) factors.
+    """
+    key = tuple(sorted(degrees))
+    # A sum of integers is an integer; any other number makes it another
+    # type.  So no kept numerator has a degree that is not an integer.
+    if not isinstance(sum(key), int):
+        raise PreconditionError(f"degrees must be integers: {key}")
+    if m < 1 or key and key[0] < 1:
+        raise PreconditionError(f"need m >= 1 and positive degrees: m={m}, {key}")
+    if len(key) > m:
+        raise PreconditionError(
+            f"need #degrees <= m: {len(key)} forms, m={m}")
     if j < 0:
         return 0
-    numerator = {0: 1}
-    for d in degrees:
-        out: dict = {}
-        for u, c in numerator.items():
-            out[u] = out.get(u, 0) + c
-            out[u + d] = out.get(u + d, 0) - c
-        numerator = out
+    lower = m - 1
     total = 0
-    for u, c in numerator.items():
-        if u <= j:
-            total += c * comb(j - u + m - 1, m - 1)
+    last = None  # the N of the last binomial C(N, lower)
+    for u, c in _ci_numerator(key):
+        if u > j:
+            break
+        n = j - u + lower
+        if last is None or last - n > min(lower, j - u):
+            binom = comb(n, lower)
+        else:
+            for above in range(last, n, -1):
+                binom = binom * (above - lower) // above
+        last = n
+        total += c * binom
     return total
 
 
@@ -157,13 +227,16 @@ def dim_lc_ci_quotient_power(m: int, k: int, s: int, r: int, t: int) -> int:
         raise PreconditionError(f"need power r >= 1: {r}")
     if m < 1 or k < 1:
         raise PreconditionError(f"need m >= 1 and k >= 1: m={m}, k={k}")
+    if not 1 <= s <= m:
+        raise PreconditionError(f"need 1 <= s <= m: s={s}, m={m}")
+    degrees = (k,) * s
     dual_top = k * s - m
     total = 0
     # The Hilbert function is 0 in negative degrees, so every rho below
     # (t - dual_top) / k adds 0: start at the first one that may not.
     for rho in range(max(0, -((dual_top - t) // k)), r):
         total += comb(s - 1 + rho, rho) * ci_quotient_hilbert(
-            m, (k,) * s, dual_top - (t - rho * k)
+            m, degrees, dual_top - (t - rho * k)
         )
     return total
 

@@ -171,6 +171,23 @@ def blowup_example_range(degf: int, k: int, dimA: int) -> range:
     return range(1, degf + k * (dimA - 2) - (dimA + 1) + 1)
 
 
+def expanded_ci_quotient_hilbert(m: int, degrees, j: int) -> int:
+    """``rees.ci_quotient_hilbert`` by the schoolbook route: multiply out
+    prod(1 - t^d) one factor at a time, then add c * C(j - u + m - 1, m - 1)
+    over its terms c * t^u with u <= j, each binomial from ``comb``."""
+    if j < 0:
+        return 0
+    numerator = {0: 1}
+    for d in degrees:
+        out = {}
+        for u, c in numerator.items():
+            out[u] = out.get(u, 0) + c
+            out[u + d] = out.get(u + d, 0) - c
+        numerator = out
+    return sum(c * comb(j - u + m - 1, m - 1)
+               for u, c in numerator.items() if u <= j)
+
+
 def full_sum_dim_lc_ci_quotient_power(m: int, k: int, s: int, r: int,
                                       t: int) -> int:
     """``rees.dim_lc_ci_quotient_power`` as the plain sum over every

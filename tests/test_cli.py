@@ -287,6 +287,18 @@ def test_rees_ci_mode(capsys):
     assert doc["mode"] == "ci" and doc["cohen_macaulay"] is True
 
 
+def test_rees_expands_one_numerator(capsys):
+    # The four dimensions evaluate the complete intersection's Hilbert
+    # function 7 times over one degree multiset, so its numerator is
+    # expanded once and read from the cache six times.
+    rees._ci_numerator.cache_clear()
+    code, _, _ = run_cli(capsys, "rees", "--m", "5", "--k", "4", "--s", "4",
+                         "--h", "2", "--i-max", "4")
+    assert code == cli.EXIT_OK
+    info = rees._ci_numerator.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+
+
 def test_classify_text_mentions_caveat(capsys):
     code, out, _ = run_cli(capsys, "classify", "--m", "2", "--n", "3",
                            "--d", "5", "--e", "1")

@@ -9,7 +9,9 @@ lead), normal forms, truncated normal forms against
 the reduced basis, bases and truncated normal forms of ideals with pure
 powers against a textbook Buchberger algorithm, standard monomial counts against enumeration and with
 a cold or warm numerator cache, regular sequences against the dimension
-of the initial ideal and the parse/print round trip."""
+of the initial ideal, Hilbert functions of complete intersections against
+the schoolbook expansion of their numerator and the parse/print round
+trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,8 +34,10 @@ from diagalg.exactalg import (
 )
 from diagalg.frobenius import fedder_is_f_pure, random_biform
 from diagalg.parsing import parse_polynomial
+from diagalg.rees import ci_quotient_hilbert
 from oracles import (
     enumerated_standard_count,
+    expanded_ci_quotient_hilbert,
     grevlex_key,
     initial_ideal_dimension,
     mono_divides,
@@ -663,6 +667,31 @@ def test_regular_sequence_matches_initial_ideal_dimension():
 
     check()
     assert outcomes == {True, False}
+
+
+@st.composite
+def ci_hilbert_cases(draw):
+    """m = 1..12 variables, 0..m degrees and a few j from -3 to past the
+    numerator's degree.  Degrees 1..3 leave gaps in the numerator shorter
+    than m - 1; degrees m..4m + 4 leave longer ones."""
+    m = draw(st.integers(1, 12))
+    degree = st.one_of(st.integers(1, 3), st.integers(m, 4 * m + 4))
+    degrees = draw(st.lists(degree, max_size=m))
+    js = draw(st.lists(st.integers(-3, sum(degrees) + 3), min_size=1,
+                       max_size=4))
+    return m, degrees, js
+
+
+@SETTINGS
+@given(ci_hilbert_cases())
+# Three hundred quadrics in as many variables: an artinian quotient whose
+# numerator's coefficients, up to C(300, 150), cancel to its h-vector.
+@example((300, [2] * 300, [0, 1, 150, 299, 300, 301, 599, 600, 601]))
+def test_ci_hilbert_matches_the_expanded_numerator(case):
+    m, degrees, js = case
+    for j in js:
+        assert (ci_quotient_hilbert(m, degrees, j)
+                == expanded_ci_quotient_hilbert(m, degrees, j)), j
 
 
 @SETTINGS

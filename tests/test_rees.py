@@ -65,6 +65,32 @@ def test_rees_spec_validation():
         dim_lc_rees_diag(ReesSpec.polynomial_base(3.0, 2, 2), 1, 1, 1)
 
 
+def test_scalar_functions_refuse_bad_arguments():
+    # Each call below used to answer, or to raise from math.comb: s = 0
+    # raised ValueError, four linear forms in two variables gave -2 (no
+    # complete intersection has more forms than variables), and r = 1.5
+    # gave the a-invariant 2.0.
+    with pytest.raises(PreconditionError, match="need 1 <= s <= m"):
+        dim_lc_ci_quotient_power(3, 2, 0, 2, -10)
+    with pytest.raises(PreconditionError, match="need 1 <= s <= m"):
+        dim_lc_ci_quotient_power(2, 2, 3, 1, 0)
+    with pytest.raises(PreconditionError, match="need #degrees <= m: 4 forms"):
+        ci_quotient_hilbert(2, (1, 1, 1, 1), 1)
+    with pytest.raises(PreconditionError, match="positive degrees"):
+        ci_quotient_hilbert(2, (2, 0), 1)
+    with pytest.raises(PreconditionError,
+                       match=r"degrees must be integers: \(2\.0, 2\)"):
+        ci_quotient_hilbert(2, (2.0, 2), 1)
+    with pytest.raises(PreconditionError,
+                       match=r"a, k, s and r must be integers: 1\.5"):
+        a_inv_quotient_power(-3, 2, 2, 1.5)
+    with pytest.raises(PreconditionError,
+                       match=r"a, k, s and g must be integers: 2\.0"):
+        rigidity_window(-3, 2, 2.0, 1)
+    with pytest.raises(PreconditionError, match="must be integers: 1.5"):
+        rigidity_is_cm(-3, 2, 2, 1.5)
+
+
 def test_a_inv_quotient_power():
     assert a_inv_quotient_power(-3, 2, 2, 1) == 1
     for r in range(1, 6):
@@ -245,7 +271,7 @@ def test_dim_lc_ci_quotient_power_full_sum_oracle():
     # The sum skips the rho whose Hilbert degree is negative; the plain sum
     # over every rho < r must agree, also where every term is skipped.
     for m in range(1, 5):
-        for s in range(1, 5):
+        for s in range(1, m + 1):
             for k in range(1, 5):
                 for r in range(1, 6):
                     for t in range(-4, 30):
