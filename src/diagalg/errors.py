@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one integer
+check."""
 
 
 class DiagalgError(Exception):
@@ -31,3 +32,19 @@ class PolyParseError(PreconditionError):
 
 class InternalDefectError(DiagalgError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def check_integers(names: str, *values) -> None:
+    """Refuse the first of ``values`` that is not an ``int`` with
+    :class:`PreconditionError` "<name> must be an integer: <repr>".
+
+    ``names`` is space-separated, one name per value; the last name also
+    covers any further values, so ``check_integers("m degree", m,
+    *degrees)`` names each degree "degree".  The names are split only on
+    failure, so a passing check costs one ``isinstance`` per value."""
+    for value in values:
+        if not isinstance(value, int):
+            # By identity, not ==: 1.0 == 1 would name an earlier argument.
+            index = next(i for i, v in enumerate(values) if v is value)
+            name = names.split()[:index + 1][-1]
+            raise PreconditionError(f"{name} must be an integer: {value!r}")

@@ -80,6 +80,7 @@ from .errors import (
     DegreeCapError,
     PreconditionError,
     RingContextError,
+    check_integers,
 )
 
 # Refuse products that would form more candidate monomials than this.  A
@@ -1045,6 +1046,7 @@ def standard_monomial_count(gb, degree) -> int:
 
 def power_ideal_gens(gens, r: int):
     """Generators of I^r: all degree-r products of ``gens``, deduplicated."""
+    check_integers("r", r)
     gens = list(gens)
     if r < 1:
         raise PreconditionError(f"power must be >= 1: {r}")

@@ -18,7 +18,12 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 
-from .errors import DegreeCapError, PreconditionError, RingContextError
+from .errors import (
+    DegreeCapError,
+    PreconditionError,
+    RingContextError,
+    check_integers,
+)
 from .exactalg import (
     MONOMIAL_CAP,
     MultiPoly,
@@ -127,9 +132,7 @@ def _certificate(f: MultiPoly, d: int, e: int, m: int, n: int, p: int,
     homogeneous, so the socle's remainder is read off a basis truncated at
     its degree; :func:`recheck_certificate` recomputes it as
     ``normal_form(socle, groebner_basis(gens))``."""
-    for name, value in (("d", d), ("e", e), ("m", m), ("n", n), ("p", p)):
-        if not isinstance(value, int):
-            raise PreconditionError(f"{name} must be an integer: {value!r}")
+    check_integers("d e m n p", d, e, m, n, p)
     ring = f.ring
     # Past the bidegree check, n = 0 forces e = 0.
     graded = n == e == 0
@@ -251,6 +254,7 @@ def recheck_certificate(cert: FrobeniusCertificate) -> bool:
 
 def witness_graded(d: int, m: int, p: int) -> MultiPoly:
     """x1^d + x2*...*x_{d+1} in m variables over F_p."""
+    check_integers("d m", d, m)
     if d < 1:
         raise PreconditionError(f"need d >= 1: {d}")
     if m < d + 1:
@@ -274,9 +278,7 @@ def random_biform(m: int, n: int, d: int, e: int, p: int, seed: int) -> MultiPol
     its one bidegree is (d, e).  So ``leading_monomial()``, ``bidegree()``
     and ``monic()``, which returns the form itself, scan no term.
     """
-    for name, value in (("m", m), ("n", n), ("d", d), ("e", e)):
-        if not isinstance(value, int):
-            raise PreconditionError(f"{name} must be an integer: {value!r}")
+    check_integers("m n d e", m, n, d, e)
     if m < 1 and d > 0:
         raise PreconditionError("d > 0 needs at least one x-variable")
     if n < 1 and e > 0:

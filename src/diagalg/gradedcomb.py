@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_integers
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,7 @@ class DiagonalSpec:
     h: int
 
     def __post_init__(self):
-        for name, value in (("g", self.g), ("h", self.h)):
-            if not isinstance(value, int):
-                raise PreconditionError(f"{name} must be an integer: {value!r}")
+        check_integers("g h", self.g, self.h)
         if self.g < 1 or self.h < 1:
             raise PreconditionError(f"diagonal needs g, h >= 1: ({self.g}, {self.h})")
 

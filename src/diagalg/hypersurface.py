@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .errors import InternalDefectError, PreconditionError
+from .errors import InternalDefectError, PreconditionError, check_integers
 from .exactalg import check_rows
 from .gradedcomb import (
     DiagonalSpec,
@@ -43,10 +43,7 @@ class HypersurfaceSpec:
     e: int
 
     def __post_init__(self):
-        for name, value in (("m", self.m), ("n", self.n), ("d", self.d),
-                            ("e", self.e)):
-            if not isinstance(value, int):
-                raise PreconditionError(f"{name} must be an integer: {value!r}")
+        check_integers("m n d e", self.m, self.n, self.d, self.e)
         if self.m < 2 or self.n < 2:
             raise PreconditionError(f"need m, n >= 2: ({self.m}, {self.n})")
         if self.d < 0 or self.e < 0 or self.d + self.e < 1:

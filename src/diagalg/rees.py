@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import PreconditionError, UnsupportedModeError
+from .errors import PreconditionError, UnsupportedModeError, check_integers
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,9 @@ class ReesSpec:
     m: int | None = None
 
     def __post_init__(self):
-        for name, value in (("a", self.a), ("dimA", self.dimA), ("s", self.s),
-                            ("k", self.k), ("m", self.m)):
-            if not (isinstance(value, int) or name == "m" and value is None):
-                raise PreconditionError(f"{name} must be an integer: {value!r}")
+        check_integers("a dimA s k", self.a, self.dimA, self.s, self.k)
+        if self.m is not None:
+            check_integers("m", self.m)
         if self.dimA < 2:
             raise PreconditionError(f"need dimA >= 2: {self.dimA}")
         if not 2 <= self.s <= self.dimA:
@@ -71,10 +70,7 @@ class CISpec:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        for value in (self.m, *self.degrees):
-            if not isinstance(value, int):
-                raise PreconditionError(
-                    f"m and each degree must be integers: {value!r}")
+        check_integers("m degree", self.m, *self.degrees)
         if not self.degrees or len(self.degrees) > self.m:
             raise PreconditionError(
                 f"need 1 <= #degrees <= m: {len(self.degrees)} forms, m={self.m}"
@@ -86,10 +82,7 @@ class CISpec:
 def a_inv_quotient_power(a: int, k: int, s: int, r: int) -> int:
     """a-invariant of the quotient by the r-th power of the ideal:
     a + k*s + r*k - k."""
-    for value in (a, k, s, r):
-        if not isinstance(value, int):
-            raise PreconditionError(
-                f"a, k, s and r must be integers: {value!r}")
+    check_integers("a k s r", a, k, s, r)
     if r < 1:
         raise PreconditionError(f"need power r >= 1: {r}")
     return a + k * s + r * k - k
@@ -98,10 +91,7 @@ def a_inv_quotient_power(a: int, k: int, s: int, r: int) -> int:
 def rigidity_window(a: int, k: int, s: int, g: int) -> range:
     """Indices i with nonzero (dimA - s + 1)-st local cohomology of the
     diagonal: the integers 1 <= i <= (a + k*s - k)/g, possibly empty."""
-    for value in (a, k, s, g):
-        if not isinstance(value, int):
-            raise PreconditionError(
-                f"a, k, s and g must be integers: {value!r}")
+    check_integers("a k s g", a, k, s, g)
     if g < 1:
         raise PreconditionError(f"need g >= 1: {g}")
     return range(1, (a + k * s - k) // g + 1)
@@ -117,6 +107,7 @@ def ci_diagonal_is_cm(ci: CISpec, g: int, h: int) -> bool:
     complete intersection, in the standard Rees normalization:
     requires g/h > max degree, and holds iff g > (h-1)*dmax - m + sum(degrees).
     """
+    check_integers("g h", g, h)
     if g < 1 or h < 1:
         raise PreconditionError(f"need g, h >= 1: ({g}, {h})")
     dmax = max(ci.degrees)
@@ -190,7 +181,7 @@ def ci_quotient_hilbert(m: int, degrees, j: int) -> int:
     # A sum of integers is an integer; any other number makes it another
     # type.  So no kept numerator has a degree that is not an integer.
     if not isinstance(sum(key), int):
-        raise PreconditionError(f"degrees must be integers: {key}")
+        check_integers("degree", *key)
     if m < 1 or key and key[0] < 1:
         raise PreconditionError(f"need m >= 1 and positive degrees: m={m}, {key}")
     if len(key) > m:

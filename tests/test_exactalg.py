@@ -637,6 +637,9 @@ def test_power_ideal_gens_examples():
     assert power_ideal_gens([x1], 3) == [x1**3]
     with pytest.raises(PreconditionError):
         power_ideal_gens([x1], 0)
+    # Used to raise TypeError from itertools.
+    with pytest.raises(PreconditionError, match=r"r must be an integer: 1\.5"):
+        power_ideal_gens([x1], 1.5)
     assert power_ideal_gens([], 2) == []
 
 

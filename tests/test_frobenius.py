@@ -455,6 +455,9 @@ def test_witness_constructors():
         witness_graded(3, 3, 5)
     with pytest.raises(PreconditionError, match=r"need d >= 1: 0"):
         witness_graded(0, 3, 5)
+    # Used to raise TypeError from a tuple product.
+    with pytest.raises(PreconditionError, match=r"d must be an integer: 2\.0"):
+        witness_graded(2.0, 3, 5)
     with pytest.raises(PreconditionError):
         witness_bigraded(1, 2, 2, 2, 5)
 

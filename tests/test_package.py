@@ -1,9 +1,11 @@
 """The package's export list matches what it actually exposes, every name
-on it is used outside the tests, and README's Python quickstart runs and
-prints what its comments say."""
+on it is used outside the tests, the library imports only its own modules
+and the standard library, and README's Python quickstart runs and prints
+what its comments say."""
 
 import ast
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -36,6 +38,21 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = [name for name in diagalg.__all__
               if not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+def test_library_imports_only_the_standard_library():
+    outside = []
+    for path in sorted((ROOT / "src" / "diagalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [(path.name, module) for module in modules
+                        if module.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_readme_quickstart_values():

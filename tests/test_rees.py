@@ -59,7 +59,7 @@ def test_rees_spec_validation():
     # Non-integer shapes: the first used to answer True, the second to raise
     # TypeError.
     with pytest.raises(PreconditionError,
-                       match=r"m and each degree must be integers: 2\.5"):
+                       match=r"degree must be an integer: 2\.5"):
         ci_diagonal_is_cm(CISpec(4, (2.5, 2)), 9, 1)
     with pytest.raises(PreconditionError, match=r"a must be an integer: -3\.0"):
         dim_lc_rees_diag(ReesSpec.polynomial_base(3.0, 2, 2), 1, 1, 1)
@@ -79,15 +79,15 @@ def test_scalar_functions_refuse_bad_arguments():
     with pytest.raises(PreconditionError, match="positive degrees"):
         ci_quotient_hilbert(2, (2, 0), 1)
     with pytest.raises(PreconditionError,
-                       match=r"degrees must be integers: \(2\.0, 2\)"):
+                       match=r"degree must be an integer: 2\.0"):
         ci_quotient_hilbert(2, (2.0, 2), 1)
     with pytest.raises(PreconditionError,
-                       match=r"a, k, s and r must be integers: 1\.5"):
+                       match=r"r must be an integer: 1\.5"):
         a_inv_quotient_power(-3, 2, 2, 1.5)
     with pytest.raises(PreconditionError,
-                       match=r"a, k, s and g must be integers: 2\.0"):
+                       match=r"s must be an integer: 2\.0"):
         rigidity_window(-3, 2, 2.0, 1)
-    with pytest.raises(PreconditionError, match="must be integers: 1.5"):
+    with pytest.raises(PreconditionError, match=r"g must be an integer: 1\.5"):
         rigidity_is_cm(-3, 2, 2, 1.5)
 
 
@@ -142,6 +142,9 @@ def test_ci_criterion_examples():
         ci_diagonal_is_cm(CISpec(3, (2, 2)), 1, 1)  # hypothesis g/h > max degree
     with pytest.raises(PreconditionError, match="need g, h >= 1"):
         ci_diagonal_is_cm(CISpec(3, (1,)), 0, 1)
+    # Used to answer True.
+    with pytest.raises(PreconditionError, match=r"g must be an integer: 9\.5"):
+        ci_diagonal_is_cm(CISpec(4, (2, 2)), 9.5, 1)
 
 
 def test_consistency_examples_and_grid():
