@@ -1025,6 +1025,14 @@ def standard_monomial_count(gb, degree) -> int:
     ring = _common_ring(gb)
 
     bigraded = not isinstance(degree, int)
+    if bigraded:
+        try:
+            a, b = degree
+        except (TypeError, ValueError):
+            raise PreconditionError(
+                f"degree must be an integer or a pair of integers: {degree!r}"
+            ) from None
+        check_integers("degree", a, b)
     for g in gb:
         if g.is_zero:
             raise PreconditionError("zero polynomial in the basis")
@@ -1036,7 +1044,6 @@ def standard_monomial_count(gb, degree) -> int:
     numerator = _hilbert_numerator(tuple(g.leading_monomial() for g in gb),
                                    ring.m)
     if bigraded:
-        a, b = degree
         return sum(c * _monomial_count(a - i, ring.m)
                    * _monomial_count(b - j, ring.n)
                    for (i, j), c in numerator)

@@ -14,12 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import InternalDefectError, PreconditionError, check_integers
 from .exactalg import check_rows
-from .gradedcomb import (
-    DiagonalSpec,
-    _ceil_div,
-    dim_lc_tensor_diag,
-    dim_tensor_diag,
-)
+from .gradedcomb import DiagonalSpec, _ceil_div, _dim_poly, _dim_top
 
 CAVEAT_GENERIC = (
     "rational-singularities and F-regular-type flags assume a generic form "
@@ -127,8 +122,10 @@ def _quotient_piece(spec: HypersurfaceSpec, diag: DiagonalSpec,
                     i: int, j: int, k: int) -> int:
     # The defining form is a nonzerodivisor, so the (i, j)-shifted quotient
     # count is the tensor count at (i, j) minus its (-d, -e) shift.
-    total = dim_tensor_diag(spec.m, spec.n, i, j, k, diag)
-    sub = dim_tensor_diag(spec.m, spec.n, i - spec.d, j - spec.e, k, diag)
+    a = i + diag.g * k
+    b = j + diag.h * k
+    total = _dim_poly(spec.m, a) * _dim_poly(spec.n, b)
+    sub = _dim_poly(spec.m, a - spec.d) * _dim_poly(spec.n, b - spec.e)
     if sub > total:
         raise InternalDefectError(
             f"negative Hilbert value at shift ({i}, {j}) k={k} for {spec}; please report"
@@ -138,13 +135,41 @@ def _quotient_piece(spec: HypersurfaceSpec, diag: DiagonalSpec,
 
 def dim_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, k: int) -> int:
     """Dimension of the index-k graded piece of the diagonal subalgebra."""
+    check_integers("k", k)
     return _quotient_piece(spec, diag, 0, 0, k)
 
 
 def canonical_piece_dim(spec: HypersurfaceSpec, diag: DiagonalSpec, k: int) -> int:
     """Dimension of the index-k piece of the graded canonical module, i.e. of
     the (d - m, e - n)-shifted diagonal of the hypersurface ring."""
+    check_integers("k", k)
     return _quotient_piece(spec, diag, *canonical_shift(spec), k)
+
+
+def _lc_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int, k: int) -> int:
+    # The Kunneth summands of the (-d, -e)-shifted tensor diagonal, read off
+    # the binomial cores.  Below the top only the q + 1 = n and q + 1 = m
+    # summands can be nonzero (m, n >= 2 rule out q + 1 = m + n - 1).
+    m, n = spec.m, spec.n
+    top = m + n - 2
+    if q < 0 or q > top:
+        return 0
+    gk, hk = diag.g * k, diag.h * k
+    a, b = gk - spec.d, hk - spec.e
+    if q < top:
+        total = 0
+        if q + 1 == n:
+            total += _dim_poly(m, a) * _dim_top(n, b)
+        if q + 1 == m:
+            total += _dim_top(m, a) * _dim_poly(n, b)
+        return total
+    big = _dim_top(m, a) * _dim_top(n, b)
+    small = _dim_top(m, gk) * _dim_top(n, hk)
+    if small > big:
+        raise InternalDefectError(
+            f"top local cohomology came out negative at k={k} for {spec}"
+        )
+    return big - small
 
 
 def dim_lc_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int, k: int) -> int:
@@ -155,19 +180,8 @@ def dim_lc_piece(spec: HypersurfaceSpec, diag: DiagonalSpec, q: int, k: int) -> 
     the kernel of a surjection between top tensor local cohomologies, so the
     dimensions subtract.  Above the top it vanishes.
     """
-    m, n, d, e = spec.m, spec.n, spec.d, spec.e
-    top = m + n - 2
-    if q < 0 or q > top:
-        return 0
-    if q < top:
-        return dim_lc_tensor_diag(q + 1, m, n, -d, -e, k, diag)
-    big = dim_lc_tensor_diag(m + n - 1, m, n, -d, -e, k, diag)
-    small = dim_lc_tensor_diag(m + n - 1, m, n, 0, 0, k, diag)
-    if small > big:
-        raise InternalDefectError(
-            f"top local cohomology came out negative at k={k} for {spec}"
-        )
-    return big - small
+    check_integers("q k", q, k)
+    return _lc_piece(spec, diag, q, k)
 
 
 def a_invariant(spec: HypersurfaceSpec, diag: DiagonalSpec) -> int:
@@ -228,6 +242,7 @@ def lc_dim_table(spec: HypersurfaceSpec, diag: DiagonalSpec,
     a_inv = a_invariant(spec, diag)
     hi = a_inv if k_hi is None else k_hi
     lo = a_inv - 8 if k_lo is None else k_lo
+    check_integers("k_lo k_hi", lo, hi)
     lower = [(q, window) for q, window in
              zip((spec.n - 1, spec.m - 1), _obstruction_windows(spec, diag))
              if window]
@@ -236,11 +251,11 @@ def lc_dim_table(spec: HypersurfaceSpec, diag: DiagonalSpec,
                "a local-cohomology table")
     for q, window in lower:
         for k in window:
-            value = dim_lc_piece(spec, diag, q, k)
+            value = _lc_piece(spec, diag, q, k)
             if value:
                 table[(q, k)] = value
     for k in range(lo, hi + 1):
-        value = dim_lc_piece(spec, diag, top, k)
+        value = _lc_piece(spec, diag, top, k)
         if value:
             table[(top, k)] = value
     return table

@@ -21,9 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .errors import PreconditionError, UnsupportedModeError, check_integers
+from .gradedcomb import _dim_poly
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,30 @@ def rigidity_window(a: int, k: int, s: int, g: int) -> range:
     check_integers("a k s g", a, k, s, g)
     if g < 1:
         raise PreconditionError(f"need g >= 1: {g}")
+    return _window(a, k, s, g)
+
+
+def _window(a: int, k: int, s: int, g: int) -> range:
+    # rigidity_window on checked arguments.
     return range(1, (a + k * s - k) // g + 1)
 
 
 def rigidity_is_cm(a: int, k: int, s: int, g: int) -> bool:
     """Cohen-Macaulay exactly when the window is empty, i.e. g > a + k*s - k."""
     return not rigidity_window(a, k, s, g)
+
+
+def _check_forms(m: int, k: int, s: int) -> None:
+    # s forms of degree k in m variables: a complete intersection's shape.
+    if m < 1 or k < 1:
+        raise PreconditionError(f"need m >= 1 and k >= 1: m={m}, k={k}")
+    if not 1 <= s <= m:
+        raise PreconditionError(f"need 1 <= s <= m: s={s}, m={m}")
+
+
+def _ci_is_cm(m: int, dmax: int, dsum: int, g: int, h: int) -> bool:
+    # The classical criterion on checked arguments with g/h > dmax.
+    return g > (h - 1) * dmax - m + dsum
 
 
 def ci_diagonal_is_cm(ci: CISpec, g: int, h: int) -> bool:
@@ -116,19 +134,24 @@ def ci_diagonal_is_cm(ci: CISpec, g: int, h: int) -> bool:
             f"theorem hypothesis violated: need g/h > max degree, "
             f"got g={g}, h={h}, max degree={dmax}"
         )
-    return g > (h - 1) * dmax - ci.m + sum(ci.degrees)
+    return _ci_is_cm(ci.m, dmax, sum(ci.degrees), g, h)
 
 
 def cm_criteria_consistent(m: int, k: int, s: int, g: int, h: int) -> bool:
     """Cross-validate the two Cohen-Macaulay criteria on a polynomial base.
 
     The window normalization at diagonal (g, h) corresponds to the standard
-    Rees normalization at diagonal (g + k*h, h).  This must always return
+    Rees normalization at diagonal (g + k*h, h), for the complete
+    intersection of s k-forms in m variables.  This must always return
     True; a False is a defect report, not an answer.
     """
-    window_cm = rigidity_is_cm(-m, k, s, g)
-    classical_cm = ci_diagonal_is_cm(CISpec(m, (k,) * s), g + k * h, h)
-    return window_cm == classical_cm
+    check_integers("m k s g h", m, k, s, g, h)
+    _check_forms(m, k, s)
+    if g < 1 or h < 1:
+        raise PreconditionError(f"need g, h >= 1: ({g}, {h})")
+    # g >= 1 gives g + k*h > h*k, the classical criterion's hypothesis.
+    window_cm = not _window(-m, k, s, g)
+    return window_cm == _ci_is_cm(m, k, k * s, g + k * h, h)
 
 
 # Degree multisets whose Hilbert numerator is kept for reuse.
@@ -174,19 +197,25 @@ def ci_quotient_hilbert(m: int, degrees, j: int) -> int:
     The value is sum c * C(j - u + m - 1, m - 1) over the terms c * t^u of
     the kept numerator (:func:`_ci_numerator`) with u <= j, in ascending u.
     Each binomial comes from the last by C(N - 1, K) = C(N, K) * (N - K) / N,
-    one factor per unit of the gap between the two u, or from ``comb`` when
-    the gap is longer than comb's own work, min(m - 1, j - u) factors.
+    one factor per unit of the gap between the two u, or from the binomial
+    core when the gap is longer than its own work, min(m - 1, j - u)
+    factors.
     """
+    degrees = tuple(degrees)
+    # No kept numerator has a degree that is not an integer: the cache's
+    # keys compare 2.0 equal to 2.
+    check_integers("m j degree", m, j, *degrees)
     key = tuple(sorted(degrees))
-    # A sum of integers is an integer; any other number makes it another
-    # type.  So no kept numerator has a degree that is not an integer.
-    if not isinstance(sum(key), int):
-        check_integers("degree", *key)
     if m < 1 or key and key[0] < 1:
         raise PreconditionError(f"need m >= 1 and positive degrees: m={m}, {key}")
     if len(key) > m:
         raise PreconditionError(
             f"need #degrees <= m: {len(key)} forms, m={m}")
+    return _hilbert(m, key, j)
+
+
+def _hilbert(m: int, key: tuple, j: int) -> int:
+    # ci_quotient_hilbert on checked arguments and the sorted degrees.
     if j < 0:
         return 0
     lower = m - 1
@@ -197,7 +226,7 @@ def ci_quotient_hilbert(m: int, degrees, j: int) -> int:
             break
         n = j - u + lower
         if last is None or last - n > min(lower, j - u):
-            binom = comb(n, lower)
+            binom = _dim_poly(m, j - u)
         else:
             for above in range(last, n, -1):
                 binom = binom * (above - lower) // above
@@ -214,21 +243,22 @@ def dim_lc_ci_quotient_power(m: int, k: int, s: int, r: int, t: int) -> int:
     intersection quotient, whose top local cohomology is read off the Hilbert
     function via Gorenstein duality: dim H(A/I)_u = HF_{A/I}((k*s - m) - u).
     """
+    check_integers("m k s r t", m, k, s, r, t)
     if r < 1:
         raise PreconditionError(f"need power r >= 1: {r}")
-    if m < 1 or k < 1:
-        raise PreconditionError(f"need m >= 1 and k >= 1: m={m}, k={k}")
-    if not 1 <= s <= m:
-        raise PreconditionError(f"need 1 <= s <= m: s={s}, m={m}")
-    degrees = (k,) * s
+    _check_forms(m, k, s)
+    return _lc_power(m, k, s, r, t)
+
+
+def _lc_power(m: int, k: int, s: int, r: int, t: int) -> int:
+    # dim_lc_ci_quotient_power on checked arguments.
+    key = (k,) * s
     dual_top = k * s - m
     total = 0
     # The Hilbert function is 0 in negative degrees, so every rho below
     # (t - dual_top) / k adds 0: start at the first one that may not.
     for rho in range(max(0, -((dual_top - t) // k)), r):
-        total += comb(s - 1 + rho, rho) * ci_quotient_hilbert(
-            m, degrees, dual_top - (t - rho * k)
-        )
+        total += _dim_poly(s, rho) * _hilbert(m, key, dual_top - (t - rho * k))
     return total
 
 
@@ -241,10 +271,9 @@ def dim_lc_rees_diag(spec: ReesSpec, g: int, h: int, i: int) -> int:
             "exact dimensions need a polynomial base; build the input with "
             "ReesSpec.polynomial_base"
         )
+    check_integers("g h i", g, h, i)
     if g < 1 or h < 1:
         raise PreconditionError(f"need g, h >= 1: ({g}, {h})")
     if i < 1:
         raise PreconditionError(f"need index i >= 1: {i}")
-    return dim_lc_ci_quotient_power(
-        spec.m, spec.k, spec.s, h * i, g * i + spec.k * h * i
-    )
+    return _lc_power(spec.m, spec.k, spec.s, h * i, g * i + spec.k * h * i)

@@ -558,6 +558,21 @@ def test_count_rejects_inhomogeneous():
         standard_monomial_count([g], (1, 0))
     with pytest.raises(PreconditionError):
         standard_monomial_count([], 3)  # no ring to count in
+
+
+@pytest.mark.parametrize("degree, named", [
+    (2.0, r"degree must be an integer or a pair of integers: 2\.0"),
+    ("2", r"degree must be an integer or a pair of integers: '2'"),
+    ((1, 1.0), r"degree must be an integer: 1\.0"),
+    ((1, "1"), r"degree must be an integer: '1'"),
+    ((1, 1, 1), r"degree must be an integer or a pair of integers"),
+])
+def test_count_refuses_a_degree_that_is_not_an_integer_or_pair(degree, named):
+    # A float raised "cannot unpack non-iterable float object", a pair with
+    # a float a TypeError from inside the count.
+    ring = PolyRing(5, 2, 2)
+    with pytest.raises(PreconditionError, match=named):
+        standard_monomial_count([ring.x(1) ** 2], degree)
     with pytest.raises(PreconditionError, match="zero polynomial in the basis"):
         standard_monomial_count([ring.zero()], 1)
 

@@ -28,6 +28,28 @@ def test_diagonal_spec_validation():
         dim_lc_tensor_diag(5, 0, 2, 0, 0, 0, d11)
 
 
+D11 = DiagonalSpec(1, 1)
+
+
+@pytest.mark.parametrize("bad", [3.0, "3"])
+@pytest.mark.parametrize("name, call", [
+    ("m", lambda v: dim_poly(v, 2)),
+    ("k", lambda v: dim_poly(3, v)),
+    ("m", lambda v: dim_top_lc(v, -3)),
+    ("k", lambda v: dim_top_lc(2, v)),
+    ("n", lambda v: dim_tensor_diag(2, v, 0, 0, 1, D11)),
+    ("k", lambda v: dim_tensor_diag(2, 2, 0, 0, v, D11)),
+    ("q", lambda v: dim_lc_tensor_diag(v, 2, 2, 0, 0, -3, D11)),
+    ("i", lambda v: dim_lc_tensor_diag(3, 2, 2, v, 0, -3, D11)),
+])
+def test_closed_forms_refuse_non_integers(name, call, bad):
+    # dim_lc_tensor_diag(3.0, 2, 2, 0, 0, -3, D11) returned 4, and a string
+    # q or a non-integer i returned 0; the others raised TypeError.
+    with pytest.raises(PreconditionError,
+                       match=rf"^{name} must be an integer: {bad!r}$"):
+        call(bad)
+
+
 def test_dim_poly_examples():
     assert dim_poly(3, 2) == 6
     for m in range(1, 8):

@@ -131,6 +131,23 @@ def test_dim_lc_piece_examples():
             assert dim_lc_piece(cm_spec, D11, q, k) == 0
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1"])
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda spec, v: dim_piece(spec, D11, v)),
+    ("k", lambda spec, v: canonical_piece_dim(spec, D11, v)),
+    ("q", lambda spec, v: dim_lc_piece(spec, D11, v, 0)),
+    ("k", lambda spec, v: dim_lc_piece(spec, D11, 2, v)),
+    ("k_lo", lambda spec, v: lc_dim_table(spec, D11, k_lo=v)),
+    ("k_hi", lambda spec, v: lc_dim_table(spec, D11, k_hi=v)),
+])
+def test_closed_forms_refuse_non_integers(name, call, bad):
+    # dim_lc_piece(spec, D11, 1.0, 0) returned 0; the others raised
+    # TypeError from math.comb or from integer arithmetic.
+    with pytest.raises(PreconditionError,
+                       match=rf"^{name} must be an integer: {bad!r}$"):
+        call(HypersurfaceSpec(2, 2, 1, 1), bad)
+
+
 def test_a_invariant_examples():
     assert a_invariant(HypersurfaceSpec(3, 3, 3, 3), D11) == 0
     assert a_invariant(HypersurfaceSpec(3, 3, 2, 2), D11) == -1

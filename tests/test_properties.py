@@ -10,8 +10,9 @@ the reduced basis, bases and truncated normal forms of ideals with pure
 powers against a textbook Buchberger algorithm, standard monomial counts against enumeration and with
 a cold or warm numerator cache, regular sequences against the dimension
 of the initial ideal, Hilbert functions of complete intersections against
-the schoolbook expansion of their numerator and the parse/print round
-trip."""
+the schoolbook expansion of their numerator, the closed forms of
+`hypersurface` and `rees` against their public Kunneth and Hilbert-sum
+compositions, and the parse/print round trip."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,11 +34,21 @@ from diagalg.exactalg import (
     standard_monomial_count,
 )
 from diagalg.frobenius import fedder_is_f_pure, random_biform
+from diagalg.gradedcomb import DiagonalSpec, dim_lc_tensor_diag, dim_tensor_diag
+from diagalg.hypersurface import (
+    HypersurfaceSpec,
+    a_invariant,
+    canonical_piece_dim,
+    canonical_shift,
+    dim_piece,
+    lc_dim_table,
+)
 from diagalg.parsing import parse_polynomial
-from diagalg.rees import ci_quotient_hilbert
+from diagalg.rees import ReesSpec, ci_quotient_hilbert, dim_lc_rees_diag
 from oracles import (
     enumerated_standard_count,
     expanded_ci_quotient_hilbert,
+    full_sum_dim_lc_ci_quotient_power,
     grevlex_key,
     initial_ideal_dimension,
     mono_divides,
@@ -692,6 +703,59 @@ def test_ci_hilbert_matches_the_expanded_numerator(case):
     for j in js:
         assert (ci_quotient_hilbert(m, degrees, j)
                 == expanded_ci_quotient_hilbert(m, degrees, j)), j
+
+
+@st.composite
+def sweep_shapes(draw):
+    """A hypersurface shape and a diagonal from the benchmark's sweep range:
+    m, n in 2..6, d, e in 0..8 and not both 0, g, h in 1..4."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    d = draw(st.integers(0, 8))
+    e = draw(st.integers(0 if d else 1, 8))
+    return (HypersurfaceSpec(m, n, d, e),
+            DiagonalSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+
+
+@SETTINGS
+@given(sweep_shapes())
+def test_closed_forms_match_their_public_compositions(shape):
+    spec, diag = shape
+    m, n, d, e = spec.m, spec.n, spec.d, spec.e
+    top = m + n - 2
+
+    def kunneth(q, k):
+        # H^q of the diagonal: H^(q+1) of the (-d, -e)-shifted tensor
+        # diagonal below the top, a difference of two top ones at it.
+        if q < top:
+            return dim_lc_tensor_diag(q + 1, m, n, -d, -e, k, diag)
+        return (dim_lc_tensor_diag(top + 1, m, n, -d, -e, k, diag)
+                - dim_lc_tensor_diag(top + 1, m, n, 0, 0, k, diag))
+
+    # Below the top every nonzero piece lies in 0 <= k <= 6 on this range;
+    # the top rows are the default k range.
+    a_inv = a_invariant(spec, diag)
+    expected = {(q, k): value for q in range(top) for k in range(-20, 21)
+                if (value := kunneth(q, k))}
+    expected |= {(top, k): value for k in range(a_inv - 8, a_inv + 1)
+                 if (value := kunneth(top, k))}
+    assert lc_dim_table(spec, diag) == expected
+
+    i, j = canonical_shift(spec)
+    for k in range(-3, 12):
+        assert dim_piece(spec, diag, k) == (
+            dim_tensor_diag(m, n, 0, 0, k, diag)
+            - dim_tensor_diag(m, n, -d, -e, k, diag))
+        assert canonical_piece_dim(spec, diag, k) == (
+            dim_tensor_diag(m, n, i, j, k, diag)
+            - dim_tensor_diag(m, n, i - d, j - e, k, diag))
+
+    # The Rees side of a sweep op: s = min(m, n) forms of degree max(d, 1).
+    rees = ReesSpec.polynomial_base(m, min(m, n), max(d, 1))
+    g, h = diag.g, diag.h
+    for index in range(1, 5):
+        assert dim_lc_rees_diag(rees, g, h, index) == (
+            full_sum_dim_lc_ci_quotient_power(
+                m, rees.k, rees.s, h * index, (g + rees.k * h) * index))
 
 
 @SETTINGS

@@ -91,6 +91,25 @@ def test_scalar_functions_refuse_bad_arguments():
         rigidity_is_cm(-3, 2, 2, 1.5)
 
 
+@pytest.mark.parametrize("bad", [2.0, 2.5, "2"])
+@pytest.mark.parametrize("name, call", [
+    ("m", lambda v: ci_quotient_hilbert(v, (1,), 1)),
+    ("j", lambda v: ci_quotient_hilbert(3, (1,), v)),
+    ("k", lambda v: dim_lc_ci_quotient_power(3, v, 2, 1, 4)),
+    ("t", lambda v: dim_lc_ci_quotient_power(3, 2, 2, 1, v)),
+    ("i", lambda v: dim_lc_rees_diag(ReesSpec.polynomial_base(3, 2, 2), 1, 1, v)),
+    ("h", lambda v: dim_lc_rees_diag(ReesSpec.polynomial_base(3, 2, 2), 1, v, 1)),
+    ("h", lambda v: cm_criteria_consistent(3, 2, 2, 1, v)),
+])
+def test_closed_forms_refuse_non_integers(name, call, bad):
+    # Each raised TypeError (ci_quotient_hilbert(2.5, (1,), 1) and
+    # dim_lc_ci_quotient_power(3, 2.0, 2, 1, 4) from range()), except
+    # cm_criteria_consistent(3, 2, 2, 1, 2.0), which named g for h's 2.0.
+    with pytest.raises(PreconditionError,
+                       match=rf"^{name} must be an integer: {bad!r}$"):
+        call(bad)
+
+
 def test_a_inv_quotient_power():
     assert a_inv_quotient_power(-3, 2, 2, 1) == 1
     for r in range(1, 6):
