@@ -11,19 +11,21 @@ Python integers.
 Monomials are plain exponent tuples of length ``m + n`` at the API
 (``MultiPoly.terms``, printing, parsing, every signature); the x-block
 occupies the first ``m`` positions.  Inside the kernel (products and powers,
-``normal_form``, ``s_polynomial`` and ``groebner_basis``) each monomial is
-one Python integer (:class:`_Packing`).  From the most significant end it
-holds 2 * (m + n) fields of equal width: the total degree, the prefix sums
-e0 + ... + ek for k = m + n - 2 down to 0, then the exponents, each exponent
-field with a guard bit on top.  So grevlex is integer order, multiplying
-monomials is adding integers, and divisibility is one subtraction and one
-mask.  The width comes from the call's degree bound: the sum of the
-factors' degrees in ``*``, the degree of f in ``normal_form`` (reduction
-never raises it), of the lcm in ``s_polynomial``, and of the power (or q,
-if larger) in ``__pow__``; a run of Buchberger's algorithm
-(:func:`_buchberger`) keeps one packing, for its degree limit if it has
-one, else for four times its top input degree, and restarts from the
-generators with twice the degree of a pair's lcm that outgrows the fields.
+``power_ideal_gens``, ``normal_form``, ``s_polynomial`` and
+``groebner_basis``) each monomial is one Python integer (:class:`_Packing`).
+From the most significant end it holds 2 * (m + n) fields of equal width:
+the total degree, the prefix sums e0 + ... + ek for k = m + n - 2 down to
+0, then the exponents, each exponent field with a guard bit on top.  So
+grevlex is integer order, multiplying monomials is adding integers, and
+divisibility is one subtraction and one mask.  The width comes from the
+call's degree bound: the sum of the factors' degrees in ``*``, r times the
+top generator degree in ``power_ideal_gens``, the degree of f in
+``normal_form`` (reduction never raises it), of the lcm in
+``s_polynomial``, and of the power (or q, if larger) in ``__pow__``; a run
+of Buchberger's algorithm (:func:`_buchberger`) keeps one packing, for its
+degree limit if it has one, else for four times its top input degree, and
+restarts from the generators with twice the degree of a pair's lcm that
+outgrows the fields.
 Packings are shared: one per number of variables and field width.  Because
 integer order is grevlex, the kernel takes the lead of a packed polynomial
 with an integer ``max``, and each polynomial ``groebner_basis`` returns
@@ -33,9 +35,14 @@ f / lc(f).
 
 Buchberger's algorithm reduces each generator by the basis built so far
 before it joins, so generators that share a lead (as the generators of a
-power I^r of dense forms do) leave one reducer per lead, not one each.  The
-reduced basis interreduces each element's tail only against the elements
-of smaller lead: a lead divides only monomials at or above itself.
+power I^r of dense forms do) leave one reducer per lead, not one each.
+Every element that joins is reduced against every element made before it,
+so a term of its tail can be divisible only by the lead of an element made
+after it.  When no later lead has a lower degree, that lead is the
+term itself, and ``groebner_basis`` reduces the tail in one pass by
+substituting the reduced tails of such terms; otherwise it divides the
+tail by the elements of smaller lead, since a lead divides only monomials
+at or above itself.
 
 Division and Buchberger's algorithm reduce by monic pairs (lead, tail),
 all made by :func:`_reducer`.  A monomial ideal of pure powers x_k^a is a
@@ -155,11 +162,13 @@ class _Packing:
       while the product's degree stays within ``limit``);
     - u divides v exactly when d = v - u has d >= 0 and ``not d & guard``:
       the lowest exponent field with v < u borrows and sets its guard bit;
+    - the total degree of u is its top field, ``u >> degree_shift``;
     - some x_k^(a_k) divides u exactly when ``(u + bias) & cut`` is nonzero,
       for the (bias, cut) of :meth:`mask`.
     """
 
-    __slots__ = ("width", "limit", "guard", "_weights", "_shifts")
+    __slots__ = ("width", "limit", "guard", "degree_shift", "_weights",
+                 "_shifts")
 
     def __init__(self, nvars: int, degree: int):
         width = max(degree, 0).bit_length() + 1
@@ -169,6 +178,7 @@ class _Packing:
         # field nvars - 1 - k and prefix sum k in field nvars + k.
         ones = ((1 << (width * nvars)) - 1) // ((1 << width) - 1)
         self.guard = ones << (width - 1)
+        self.degree_shift = width * (2 * nvars - 1)
         self._shifts = tuple(width * (nvars - 1 - k) for k in range(nvars))
         # Exponent k adds 1 to its own field and to prefix sums k..nvars-1.
         self._weights = tuple(
@@ -182,10 +192,6 @@ class _Packing:
     def unpack(self, v: int) -> tuple:
         mask = (1 << self.width) - 1
         return tuple([v >> shift & mask for shift in self._shifts])
-
-    def divides(self, u: int, v: int) -> bool:
-        d = v - u
-        return d >= 0 and not d & self.guard
 
     def mask(self, bounds: dict) -> tuple[int, int]:
         """(bias, cut) for the monomial ideal of the x_k^a, a = bounds[k]
@@ -206,6 +212,16 @@ class _Packing:
 
     def unpack_terms(self, terms: dict) -> dict:
         return {self.unpack(v): c for v, c in terms.items()}
+
+    def unpack_polys(self, polys: list) -> list:
+        """:meth:`unpack_terms` of each packed polynomial in ``polys``,
+        unpacking each distinct monomial once: the polynomials of one
+        Groebner basis or ideal power share most of theirs."""
+        exps = {}
+        for terms in polys:
+            exps.update(terms)
+        exps = {v: self.unpack(v) for v in exps}
+        return [{exps[v]: c for v, c in terms.items()} for terms in polys]
 
 
 # Packings kept for reuse, one per (number of variables, field width).
@@ -578,10 +594,16 @@ class MultiPoly:
 # Division and Buchberger's algorithm.
 
 def _common_ring(polys) -> PolyRing:
-    rings = {f.ring for f in polys}
-    if len(rings) != 1:
-        raise RingContextError(f"mixed ring contexts: {sorted(map(repr, rings))}")
-    return next(iter(rings))
+    # The ring of the first polynomial of the nonempty list ``polys``, when
+    # every other ring is it or equal to it; the identity test spares
+    # hashing the rings in the common case of one ring object.
+    ring = polys[0].ring
+    for f in polys:
+        if f.ring is not ring and f.ring != ring:
+            rings = {g.ring for g in polys}
+            raise RingContextError(
+                f"mixed ring contexts: {sorted(map(repr, rings))}")
+    return ring
 
 
 def _reducer(terms: dict, p: int):
@@ -696,18 +718,17 @@ def normal_form(f: MultiPoly, gb) -> MultiPoly:
 
 
 def _chain_skip(i: int, j: int, lcm_ij: int, basis, pending,
-                packing) -> bool:
+                guard: int) -> bool:
     # Buchberger's chain criterion: skip (i, j) when the lead of some other
     # element t of ``basis`` divides the lcm and the pairs of t with i and
     # with j were both handled.  A pair of coprime leads is never pushed,
-    # so it counts as handled.
+    # so it counts as handled.  The divisibility test of _Packing is
+    # written out, and the index pairs are formed only past it.
     for t, (lt, _) in enumerate(basis):
-        if t == i or t == j:
-            continue
-        if packing.divides(lt, lcm_ij):
-            a = (min(i, t), max(i, t))
-            b = (min(j, t), max(j, t))
-            if a not in pending and b not in pending:
+        d = lcm_ij - lt
+        if d >= 0 and not d & guard and t != i and t != j:
+            if (((i, t) if i < t else (t, i)) not in pending
+                    and ((j, t) if j < t else (t, j)) not in pending):
                 return True
     return False
 
@@ -769,9 +790,9 @@ def _buchberger(gens, ring: PolyRing, limit: int | None = None):
     packing, so a restarted run makes the same choices and returns the
     same basis.  Twice the top degree would bound the lcm of every pair of
     inputs, but bases outgrow it, and a restart redoes every reduction:
-    from twice the top degree, rounds 1-3 of the benchmark's ``oracle``
-    workload (seed 0) made 2,292 ``_reduce`` calls, 10% more than the 2,085
-    from four times, where no run restarts.
+    from twice the top degree, the runs of the 60 ``gb`` ops in rounds 1-3
+    of the benchmark's ``oracle`` workload (seed 0) made 1,151 ``_reduce``
+    calls, 15% more than the 998 from four times, where no run restarts.
     """
     top = max(g.total_degree() for g in gens)
     degree = 4 * top if limit is None else max(top, limit)
@@ -808,7 +829,7 @@ def _buchberger_run(gens, ring: PolyRing, limit, packing):
         else:
             lcm, t, u = heappop(heap)
             pending.remove((t, u))
-            if _chain_skip(t, u, lcm, basis, pending, packing):
+            if _chain_skip(t, u, lcm, basis, pending, packing.guard):
                 continue
             work = _s_poly(basis[t], basis[u], lcm, p)
         r = _reduce(work, basis[s:], packing.guard, p, bias, cut)
@@ -842,7 +863,22 @@ def groebner_basis(gens):
     divides is dropped; any other has its tail, which lies below its lead,
     reduced by the elements kept before it, and is kept: a larger lead
     divides no smaller monomial (Becker & Weispfenning, GTM 141, Sec.
-    5.4).  Every lead is read off the packed terms, and each
+    5.4).
+
+    Most tails need no division.  Each element g joined the basis as a
+    remainder reduced against every element made before it, and no term of
+    it lies in the ideal of the pure powers, so only a lead L made after g
+    can divide a term t of its tail.  When every lead made after g has
+    degree at least deg lt(g) (a suffix minimum over the order the elements
+    were made), L | t and deg L >= deg lt(g) >= deg t force L = t.  The
+    element of lead t comes before g in the pass, and is kept, since a
+    kept lead dividing t would be t itself; so c * t becomes -c times its
+    reduced tail, the other terms stay, and the sum, sorted in descending
+    order, is the reduced tail.  Otherwise (mixed degrees given in
+    descending degree, or some inhomogeneous inputs) the tail is divided
+    by the kept elements (:func:`_reduce`).  Either way the result is the
+    unique normal form, so the two branches agree.  Every lead is read off
+    the packed terms, each distinct monomial is unpacked once, and each
     returned polynomial keeps its lead, so ``leading_monomial()`` on it
     costs nothing.
 
@@ -863,29 +899,53 @@ def groebner_basis(gens):
         return [gens[0].monic()]
     p = ring.p
     packing, basis, _ = _buchberger(gens, ring)
+    guard, shift = packing.guard, packing.degree_shift
 
-    # The leads are pairwise distinct, so sorting never compares tails.  The
-    # kept leads are mutually indivisible, so each keeps coefficient 1.  The
-    # first tail goes through _reduce with no reducer, so that all tails
-    # come in descending order.
-    reduced = []
-    for lt, tail in sorted(basis):
-        if not any(packing.divides(u, lt) for u, _ in reduced):
-            tail = list(_reduce(dict(tail), reduced, packing.guard, p).items())
-            reduced.append((lt, tail))
+    # Each entry is (lead, floor, tail), floor the least degree of a lead
+    # made after it (above every degree for the last).  The leads are
+    # pairwise distinct, so sorting never compares the rest.
+    entries = []
+    floor = packing.limit + 1
+    for lt, tail in reversed(basis):
+        entries.append((lt, floor, tail))
+        floor = min(floor, lt >> shift)
+    entries.sort()
+
+    # The kept leads are mutually indivisible, so each keeps coefficient 1.
+    reduced = {}  # kept lead: its reduced tail, in ascending order of lead
+    for lt, floor, tail in entries:
+        if any((d := lt - u) >= 0 and not d & guard for u in reduced):
+            continue
+        if lt >> shift <= floor:
+            # Each term that is a kept lead becomes minus its coefficient
+            # times that lead's reduced tail; no other term is reducible.
+            out = {}
+            get = out.get
+            for u, c in tail:
+                sub = reduced.get(u)
+                if sub is None:
+                    out[u] = get(u, 0) + c
+                else:
+                    for v, cv in sub:
+                        out[v] = get(v, 0) - c * cv
+            tail = sorted([(u, v) for u, c in out.items() if (v := c % p)],
+                          reverse=True)
+        else:
+            tail = list(_reduce(dict(tail), reduced.items(), guard, p).items())
+        reduced[lt] = tail
 
     if len(reduced) == 1:
         # The ideal is principal.  Its reduced basis is the monic form of
         # the first generator with the kept lead, in that generator's term
         # order, as for one generator.  Without one, the kept element is
         # returned, its tail in descending order.
-        lead = packing.unpack(reduced[0][0])
+        lead = packing.unpack(next(iter(reduced)))
         for g in gens:
             if g.leading_monomial() == lead:
                 return [g.monic()]
-    return [MultiPoly._raw(ring, packing.unpack_terms(dict([(lt, 1), *tail])),
-                           packing.unpack(lt))
-            for lt, tail in reduced]
+    polys = packing.unpack_polys([dict([(lt, 1), *tail])
+                                  for lt, tail in reduced.items()])
+    return [MultiPoly._raw(ring, terms, next(iter(terms))) for terms in polys]
 
 
 def _truncated_normal_form(f: MultiPoly, gens) -> MultiPoly:
@@ -1052,17 +1112,38 @@ def standard_monomial_count(gb, degree) -> int:
 
 
 def power_ideal_gens(gens, r: int):
-    """Generators of I^r: all degree-r products of ``gens``, deduplicated."""
+    """Generators of I^r: all degree-r products of ``gens``, deduplicated,
+    in ``itertools.combinations_with_replacement`` order, the first of
+    equal products kept; each product's terms come in the order that the
+    fold g1 * g2 * ... of ``*`` gives them."""
     check_integers("r", r)
     gens = list(gens)
     if r < 1:
         raise PreconditionError(f"power must be >= 1: {r}")
     if not gens:
         return []
-    _common_ring(gens)
-    return list(dict.fromkeys(
-        functools.reduce(operator.mul, combo)
-        for combo in itertools.combinations_with_replacement(gens, r)))
+    ring = _common_ring(gens)
+    if r == 1:
+        return list(dict.fromkeys(gens))
+    # Level k holds (last index, product) for the products of k factors in
+    # combinations_with_replacement order; each extends by the factors from
+    # its last index on, so level r is in that order too.  Each product is
+    # formed as the fold g1 * g2 * ... would form it, so its terms come in
+    # the same order.
+    packing = _packing(ring.nvars, r * max(g.total_degree() for g in gens))
+    factors = [packing.pack_terms(g.terms) for g in gens]
+    # A factor times itself takes the square's path of _mul, which forms
+    # the same terms in the same order.
+    level = list(enumerate(factors))
+    for _ in range(r - 1):
+        level = [(j, _mul(product, factors[j], ring.p, 0, 0))
+                 for i, product in level for j in range(i, len(factors))]
+    # Equal products keep the first, and only distinct ones are unpacked.
+    distinct = {}
+    for _, product in level:
+        distinct.setdefault(frozenset(product.items()), product)
+    return [MultiPoly._raw(ring, terms)
+            for terms in packing.unpack_polys(list(distinct.values()))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Brute-force references that the tests compare the library against, and
-statements of the paper that only the tests evaluate."""
+"""Brute-force references that the tests compare the library against,
+statements of the paper that only the tests evaluate, and a counter of the
+kernel's division calls."""
 
+import contextlib
 import itertools
 from math import comb
+from unittest import mock
 
+from diagalg import exactalg
 from diagalg.errors import PreconditionError
 from diagalg.exactalg import MultiPoly, PolyRing, _common_ring, exponent_vectors
 from diagalg.gradedcomb import DiagonalSpec
@@ -237,3 +241,29 @@ def witness_fpure(d: int, m: int, p: int, e: int | None = None,
     for j in range(1, e + 1):
         f = f * ring.y(j)
     return f
+
+
+@contextlib.contextmanager
+def reduce_calls():
+    """Count the calls of ``exactalg._reduce`` within the block: under
+    ``"run"`` those made while ``exactalg._buchberger`` runs, under
+    ``"finish"`` the others, such as those ``groebner_basis`` makes after
+    Buchberger's algorithm returns."""
+    counts = {"run": 0, "finish": 0}
+    phase = ["finish"]
+    reduce, buchberger = exactalg._reduce, exactalg._buchberger
+
+    def counted_reduce(*args, **kwargs):
+        counts[phase[0]] += 1
+        return reduce(*args, **kwargs)
+
+    def phased_buchberger(*args, **kwargs):
+        phase[0] = "run"
+        try:
+            return buchberger(*args, **kwargs)
+        finally:
+            phase[0] = "finish"
+
+    with mock.patch.object(exactalg, "_reduce", counted_reduce), \
+            mock.patch.object(exactalg, "_buchberger", phased_buchberger):
+        yield counts

@@ -5,7 +5,9 @@ leading monomial of arithmetic results and of Groebner bases, the lead of
 a form containing x1^d (x1^d*y1^e), the facts a sampled form is built
 with, reduced Groebner bases (independent of generator order,
 repetition and scaling, and closed under S-pairs when generators share a
-lead), normal forms, truncated normal forms against
+lead), the substituted tails of the reduced basis against a textbook
+Buchberger algorithm, generators of ideal powers against the fold of
+products, normal forms, truncated normal forms against
 the reduced basis, bases and truncated normal forms of ideals with pure
 powers against a textbook Buchberger algorithm, standard monomial counts against enumeration and with
 a cold or warm numerator cache, regular sequences against the dimension
@@ -13,6 +15,10 @@ of the initial ideal, Hilbert functions of complete intersections against
 the schoolbook expansion of their numerator, the closed forms of
 `hypersurface` and `rees` against their public Kunneth and Hilbert-sum
 compositions, and the parse/print round trip."""
+
+import functools
+import itertools
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +36,7 @@ from diagalg.exactalg import (
     groebner_basis,
     is_regular_sequence,
     normal_form,
+    power_ideal_gens,
     s_polynomial,
     standard_monomial_count,
 )
@@ -52,6 +59,7 @@ from oracles import (
     grevlex_key,
     initial_ideal_dimension,
     mono_divides,
+    reduce_calls,
     textbook_groebner_basis,
     tuple_product,
 )
@@ -174,12 +182,14 @@ def test_packed_monomials_agree_with_tuples(drawn):
     packed = [packing.pack(a) for a in monos]
     for a, u in zip(monos, packed):
         assert packing.unpack(u) == a
+        assert u >> packing.degree_shift == sum(a)
         # The mask of the pure powers x_k^a_k, one for each a_k > 0.
         bounds = {k: e for k, e in enumerate(a) if e}
         bias, cut = packing.mask(bounds)
         for b, v in zip(monos, packed):
             assert (u < v) == (grevlex_key(a) < grevlex_key(b))
-            assert packing.divides(u, v) == mono_divides(a, b)
+            d = v - u
+            assert (d >= 0 and not d & packing.guard) == mono_divides(a, b)
             assert bool((v + bias) & cut) == any(
                 b[k] >= e for k, e in bounds.items())
             if sum(a) + sum(b) <= packing.limit:
@@ -487,6 +497,69 @@ def test_basis_of_shared_leads_is_a_groebner_basis(ideal):
     for i, a in enumerate(gb):
         for b in gb[i + 1:]:
             assert not normal_form(s_polynomial(a, b), gb)
+
+
+def test_substituted_tails_match_the_textbook_basis():
+    # After Buchberger's algorithm, groebner_basis reduces a kept tail by
+    # substituting the reduced tails of the later leads among its terms
+    # when no later lead has a lower degree, else by division (_reduce).
+    # Both give the textbook reduced basis, its tails in descending order;
+    # generators of one degree never need the division.
+    branches = set()
+
+    @SETTINGS
+    @given(st.one_of(ideals(), shared_lead_ideals()))
+    # A cubic before a linear form: the later lead x1 divides x1*x3^2.
+    @example((_X3, [_X3.x(2) ** 3 + _X3.x(1) * _X3.x(3) ** 2,
+                    _X3.x(1) + _X3.x(2)]))
+    # One degree: the second generator joins with the lead x2^2, a term of
+    # the first.
+    @example((_X3, [_X3.x(1) ** 2 + _X3.x(2) ** 2 + _X3.x(3) ** 2,
+                    _X3.x(1) ** 2 + 2 * _X3.x(2) ** 2]))
+    def check(ideal):
+        _, gens = ideal
+        with reduce_calls() as calls:
+            gb = groebner_basis(gens)
+        assert gb == textbook_groebner_basis(gens)
+        if len(gb) > 1:
+            for g in gb:
+                assert list(g.terms) == sorted(g.terms, key=grevlex_key,
+                                               reverse=True)
+        if len(gens) > 1:
+            if calls["finish"]:
+                branches.add("division")
+            if calls["finish"] < len(gb):
+                branches.add("substitution")
+        if (len({g.total_degree() for g in gens}) == 1
+                and all(g.is_homogeneous() for g in gens)):
+            assert calls["finish"] == 0
+
+    check()
+    assert branches == {"division", "substitution"}
+
+
+@SETTINGS
+@given(st.data())
+def test_power_ideal_gens_is_the_deduplicated_fold_of_products(data):
+    # One packing, each product of r - 1 factors extended by the factors
+    # from its last index on: the same list as the fold of MultiPoly
+    # products over combinations_with_replacement, in order and in each
+    # product's order of terms, with repeated, scaled, inhomogeneous and
+    # zero generators.
+    ring, gens = data.draw(ideals())
+    gens += data.draw(st.lists(polys(ring), max_size=2))
+    repeats = data.draw(st.lists(st.sampled_from(gens), max_size=2))
+    scaled = [c * g for c, g in zip(
+        data.draw(st.lists(st.integers(1, ring.p - 1), max_size=2)), gens)]
+    inputs = data.draw(st.permutations(gens + repeats + scaled))
+    r = data.draw(st.integers(1, 3))
+    expected = list(dict.fromkeys(
+        functools.reduce(operator.mul, combo)
+        for combo in itertools.combinations_with_replacement(inputs, r)))
+    got = power_ideal_gens(inputs, r)
+    assert got == expected
+    assert [list(g.terms.items()) for g in got] == [
+        list(g.terms.items()) for g in expected]
 
 
 @SETTINGS
