@@ -31,8 +31,7 @@ import sys
 from . import frobenius as frob
 from . import hypersurface as hyp
 from . import rees
-from .errors import InternalDefectError, PreconditionError
-from .exactalg import check_rows
+from .errors import InternalDefectError, PreconditionError, check_rows
 from .gradedcomb import DiagonalSpec
 from .parsing import parse_polynomial
 
@@ -288,7 +287,7 @@ def cmd_rees(args):
 def figure_grid(m: int, n: int, d_max: int, e_max: int) -> dict:
     """Classification reports for every (d, e) in [1, d_max] x [1, e_max]
     at the diagonal (1, 1).  Needs m, n >= 3 and at most
-    ``exactalg.ROW_CAP`` cells."""
+    ``errors.ROW_CAP`` cells."""
     if m < 3 or n < 3:
         raise PreconditionError(f"the flag grid needs m, n >= 3: ({m}, {n})")
     check_rows(max(d_max, 0) * max(e_max, 0), "a flag grid")

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and its one integer
-check."""
+"""Exception hierarchy shared across the package, its one integer check
+(:func:`check_integers`) and its one row budget (:data:`ROW_CAP`,
+:func:`check_rows`)."""
 
 
 class DiagalgError(Exception):
@@ -48,3 +49,16 @@ def check_integers(names: str, *values) -> None:
             index = next(i for i, v in enumerate(values) if v is value)
             name = names.split()[:index + 1][-1]
             raise PreconditionError(f"{name} must be an integer: {value!r}")
+
+
+# Refuse tables, grids and ranges of more rows than this before any work:
+# each row is one closed-form evaluation and one line of output.
+ROW_CAP = 100_000
+
+
+def check_rows(rows: int, what: str) -> None:
+    """Refuse ``what``, a table, grid or range of ``rows`` rows, when it
+    has more than :data:`ROW_CAP`; call it before computing any row."""
+    if rows > ROW_CAP:
+        raise DegreeCapError(f"{what} of {rows} rows exceeds the row cap "
+                             f"{ROW_CAP}")

@@ -93,9 +93,6 @@ from .errors import (
 # Refuse products that would form more candidate monomials than this.  A
 # square of an N-term polynomial counts as N * N, a conservative bound.
 MONOMIAL_CAP = 10_000_000
-# Refuse tables, grids and ranges of more rows than this before any work:
-# each row is one closed-form evaluation and one line of output.
-ROW_CAP = 100_000
 # Refuse rings of more variables than this: a packing holds one weight of
 # about 2 * N fields per variable, so its memory grows as N^2.
 VARIABLE_CAP = 1000
@@ -107,14 +104,6 @@ def _check_product(ta: int, tb: int) -> None:
     if ta * tb > MONOMIAL_CAP:
         raise DegreeCapError(f"a product of {ta} by {tb} terms exceeds the "
                              f"monomial cap {MONOMIAL_CAP}")
-
-
-def check_rows(rows: int, what: str) -> None:
-    """Refuse ``what``, a table, grid or range of ``rows`` rows, when it
-    has more than :data:`ROW_CAP`; call it before computing any row."""
-    if rows > ROW_CAP:
-        raise DegreeCapError(f"{what} of {rows} rows exceeds the row cap "
-                             f"{ROW_CAP}")
 
 
 def _is_prime(p: int) -> bool:
@@ -355,12 +344,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c: int) -> "MultiPoly":
-        if not isinstance(c, int):
-            raise PreconditionError(f"coefficient must be an integer: {c!r}")
-        c %= self.p
-        if c == 0:
-            return self.zero()
-        return MultiPoly._raw(self, {(0,) * self.nvars: c})
+        return MultiPoly(self, {(0,) * self.nvars: c})
 
     def gen(self, idx: int) -> "MultiPoly":
         """The variable of 0-based index ``idx``: x1..xm, then y1..yn."""
@@ -469,10 +453,7 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
-                raise RingContextError(
-                    f"mixed ring contexts: {self.ring!r} vs {other.ring!r}"
-                )
+            _common_ring((self, other))
             return other
         if isinstance(other, int):
             return self.ring.const(other)
@@ -594,8 +575,8 @@ class MultiPoly:
 # Division and Buchberger's algorithm.
 
 def _common_ring(polys) -> PolyRing:
-    # The ring of the first polynomial of the nonempty list ``polys``, when
-    # every other ring is it or equal to it; the identity test spares
+    # The ring of the first polynomial of the nonempty sequence ``polys``,
+    # when every other ring is it or equal to it; the identity test spares
     # hashing the rings in the common case of one ring object.
     ring = polys[0].ring
     for f in polys:

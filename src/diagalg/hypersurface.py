@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .errors import InternalDefectError, PreconditionError, check_integers
-from .exactalg import check_rows
+from .errors import (InternalDefectError, PreconditionError, check_integers,
+                     check_rows)
 from .gradedcomb import DiagonalSpec, _ceil_div, _dim_poly, _dim_top
 
 CAVEAT_GENERIC = (
@@ -235,7 +235,7 @@ def lc_dim_table(spec: HypersurfaceSpec, diag: DiagonalSpec,
     completely.  The top degree q = m + n - 2 is nonzero for every k <= the
     a-invariant, so its rows are truncated to [k_lo, k_hi]; the defaults are
     a_invariant - 8 and a_invariant.  A table of more rows than the row cap
-    is refused before any dimension is computed (``exactalg.check_rows``).
+    is refused before any dimension is computed (``errors.check_rows``).
     """
     table: dict = {}
     top = spec.m + spec.n - 2

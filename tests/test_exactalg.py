@@ -9,18 +9,18 @@ import pytest
 
 from diagalg import exactalg
 from diagalg.errors import (
+    ROW_CAP,
     DegreeCapError,
     PreconditionError,
     RingContextError,
+    check_rows,
 )
 from diagalg.exactalg import (
-    ROW_CAP,
     VARIABLE_CAP,
     MultiPoly,
     PolyRing,
     _buchberger,
     _hilbert_numerator,
-    check_rows,
     exponent_vectors,
     groebner_basis,
     is_regular_sequence,
@@ -116,8 +116,14 @@ def test_poly_arithmetic_mod_p():
 def test_poly_context_mismatch():
     a = ring3(5).x(1)
     b = ring3(7).x(1)
-    with pytest.raises(RingContextError):
-        a + b
+    # Arithmetic refuses two rings with the text of groebner_basis and
+    # normal_form, whichever operand comes first.
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+               lambda: a.__rsub__(b), lambda: b + a, lambda: b * a):
+        with pytest.raises(RingContextError, match=re.escape(
+                "mixed ring contexts: ['PolyRing(p=5, m=3, n=0)', "
+                "'PolyRing(p=7, m=3, n=0)']")):
+            op()
     # Anything but a polynomial of the ring or an int is not coerced.
     for op in (lambda: a + "x", lambda: a * 1.5, lambda: a - "x",
                lambda: "x" - a):
@@ -209,6 +215,8 @@ def test_equal_rings_that_are_distinct_objects_mix():
     assert gb == groebner_basis([f, a.x(2) ** 2 + a.x(1) * a.x(3)])
     assert not normal_form(f * b.x(3), gb)
     assert power_ideal_gens([f, g], 2)[1] == f * g
+    # So does arithmetic, from either side.
+    assert f + g == g + f and f * g == g * f and g.__rsub__(f) == f - g
 
 
 def test_groebner_deterministic_and_permutation_stable():

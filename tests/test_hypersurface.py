@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from diagalg.errors import DegreeCapError, PreconditionError
-from diagalg.exactalg import ROW_CAP, groebner_basis, standard_monomial_count
+from diagalg.errors import ROW_CAP, DegreeCapError, PreconditionError
+from diagalg.exactalg import groebner_basis, standard_monomial_count
 from diagalg.frobenius import random_biform
 from diagalg.gradedcomb import DiagonalSpec
 from diagalg.hypersurface import (

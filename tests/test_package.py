@@ -1,7 +1,8 @@
 """The package's export list matches what it actually exposes, every name
 on it is used outside the tests, the library imports only its own modules
-and the standard library, and README's Python quickstart runs and prints
-what its comments say."""
+and the standard library, its modules import each other only downward
+through the layers, and README's Python quickstart runs and prints what
+its comments say."""
 
 import ast
 import re
@@ -53,6 +54,34 @@ def test_library_imports_only_the_standard_library():
             outside += [(path.name, module) for module in modules
                         if module.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# The package modules each module may import.  The closed forms and the
+# Groebner kernel that checks them share only ``errors``, so no closed form
+# computes through its oracle; ``cli`` is unconstrained.
+LAYERS = {
+    "errors": set(),
+    "gradedcomb": {"errors"},
+    "hypersurface": {"errors", "gradedcomb"},
+    "rees": {"errors", "gradedcomb"},
+    "exactalg": {"errors"},
+    "parsing": {"errors", "exactalg"},
+    "frobenius": {"errors", "exactalg", "parsing"},
+}
+
+
+def test_modules_import_only_their_lower_layers():
+    crossing = []
+    for name, allowed in LAYERS.items():
+        path = ROOT / "src" / "diagalg" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # "from .m import x" names m; "from . import m" names m.
+                imported = ([node.module] if node.module
+                            else [alias.name for alias in node.names])
+                crossing += [f"{name} -> {module}" for module in imported
+                             if module not in allowed]
+    assert crossing == []
 
 
 def test_readme_quickstart_values():
