@@ -226,21 +226,18 @@ def cmd_rees(args):
 
     if args.k is None or args.s is None:
         raise PreconditionError("rigidity mode requires --k and --s")
-    if args.m is not None:
-        # Given --a or --dim must agree with the polynomial base; ReesSpec
-        # checks that.
-        spec = rees.ReesSpec(a=-args.m if args.a is None else args.a,
-                             dimA=args.m if args.dim is None else args.dim,
-                             s=args.s, k=args.k, m=args.m)
-    else:
-        if args.a is None or args.dim is None:
-            raise PreconditionError("need either --m or both --a and --dim")
-        spec = rees.ReesSpec(a=args.a, dimA=args.dim, s=args.s, k=args.k)
+    if args.m is None and (args.a is None or args.dim is None):
+        raise PreconditionError("need either --m or both --a and --dim")
+    # With --m, a given --a or --dim must agree with the polynomial base;
+    # ReesSpec checks that.
+    spec = rees.ReesSpec(a=-args.m if args.a is None else args.a,
+                         dimA=args.m if args.dim is None else args.dim,
+                         s=args.s, k=args.k, m=args.m)
     if args.g < 1 or args.h < 1:
         raise PreconditionError(f"need g, h >= 1: ({args.g}, {args.h})")
 
     window = rees.rigidity_window(spec.a, spec.k, spec.s, args.g)
-    is_cm = rees.rigidity_is_cm(spec.a, spec.k, spec.s, args.g)
+    is_cm = not window
     powers = [{"r": r, "a_invariant": rees.a_inv_quotient_power(
         spec.a, spec.k, spec.s, r)} for r in range(1, 4)]
     lo, hi = window.start, window.stop - 1
@@ -453,7 +450,3 @@ def main(argv=None) -> int:
         print(f"internal defect: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -107,8 +107,7 @@ def _check_product(ta: int, tb: int) -> None:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+    # Needs p >= 2, which PolyRing.__post_init__ checks first.
     if p < 4:
         return True
     if p % 2 == 0:
@@ -377,6 +376,10 @@ class MultiPoly:
 
     ``terms`` maps exponent tuples to nonzero residues in 1..p-1.  Instances
     must be treated as immutable; all arithmetic returns new objects.
+
+    ``f == c`` for an int ``c`` compares f with ``c mod p``, but ``hash``
+    does not follow it: ``ring.const(3) == 8`` holds over p = 5, yet the two
+    hash apart.  So do not mix polynomials and ints as dict or set keys.
     """
 
     __slots__ = ("ring", "terms", "_lead", "_degrees")
@@ -416,9 +419,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -567,8 +567,7 @@ class MultiPoly:
                 parts.append(f"{c}*{factors}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return str(self)
+    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ exit codes, figure boundaries."""
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -160,6 +161,20 @@ def test_ci_diffs_every_slow_golden():
     for name, command in CI_GOLDENS.items():
         assert (f"timeout 60 diagalg {command} | diff - tests/golden/{name}"
                 in workflow), name
+
+
+def test_ci_bounds_every_console_script_call():
+    # A hang fails CI within minutes: the job has a time limit, and each
+    # console-script call outside a comment runs under `timeout`.
+    workflow = WORKFLOW.read_text()
+    assert re.search(r"^    timeout-minutes: \d+$", workflow, re.M)
+    calls = [call.group(1)
+             for line in workflow.splitlines()
+             if not line.lstrip().startswith("#")
+             for call in re.finditer(r"(timeout \d+ )?\bdiagalg (?=[a-z\"-])",
+                                     line)]
+    assert len(calls) >= len(CI_GOLDENS)
+    assert all(calls)
 
 
 def test_shared_parser_keeps_calls_apart(capsys):
@@ -729,6 +744,25 @@ def test_exit_code_internal_defect_leaves_stdout_empty(capsys, monkeypatch,
         assert code == cli.EXIT_INTERNAL, fmt
         assert out == ""
         assert err == "internal defect: synthetic defect\n"
+
+
+@pytest.mark.parametrize("argv, name, core, message", [
+    (["hilbert", "--m", "3", "--n", "3", "--d", "1", "--e", "1"],
+     "_dim_poly", lambda m, k: 100 - k, "negative Hilbert value"),
+    (["lcdim", "--m", "3", "--n", "3", "--d", "1", "--e", "1"],
+     "_dim_top", lambda m, k: 100 + k,
+     "top local cohomology came out negative"),
+])
+def test_exit_code_negative_dimension(capsys, monkeypatch, argv, name, core,
+                                      message):
+    # A binomial core that breaks the closed forms' guards (see
+    # test_hypersurface.py::test_negative_dimension_guards) exits 3.
+    monkeypatch.setattr(cli.hyp, name, core)
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == cli.EXIT_INTERNAL, fmt
+        assert out == ""
+        assert err.startswith(f"internal defect: {message}")
 
 
 def test_exit_code_rees_criteria_inconsistent(capsys, monkeypatch):

@@ -26,6 +26,8 @@ def test_diagonal_spec_validation():
     # block check can raise.
     with pytest.raises(PreconditionError):
         dim_lc_tensor_diag(5, 0, 2, 0, 0, 0, d11)
+    with pytest.raises(PreconditionError, match=r"^need m >= 1: 0$"):
+        dim_top_lc(0, 1)
 
 
 D11 = DiagonalSpec(1, 1)

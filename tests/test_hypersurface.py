@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
-from diagalg.errors import ROW_CAP, DegreeCapError, PreconditionError
+from diagalg import hypersurface
+from diagalg.errors import (ROW_CAP, DegreeCapError, InternalDefectError,
+                             PreconditionError)
 from diagalg.exactalg import groebner_basis, standard_monomial_count
 from diagalg.frobenius import random_biform
 from diagalg.gradedcomb import DiagonalSpec
@@ -129,6 +131,19 @@ def test_dim_lc_piece_examples():
     for q in range(0, 4):
         for k in range(-10, 11):
             assert dim_lc_piece(cm_spec, D11, q, k) == 0
+
+
+def test_negative_dimension_guards(monkeypatch):
+    # No input reaches these guards, so break the binomial cores: a Hilbert
+    # function that falls with k, and a top dimension that rises with it.
+    spec = HypersurfaceSpec(3, 3, 1, 1)
+    monkeypatch.setattr(hypersurface, "_dim_poly", lambda m, k: 100 - k)
+    with pytest.raises(InternalDefectError, match="negative Hilbert value"):
+        dim_piece(spec, D11, 2)
+    monkeypatch.setattr(hypersurface, "_dim_top", lambda m, k: 100 + k)
+    with pytest.raises(InternalDefectError,
+                       match="top local cohomology came out negative"):
+        dim_lc_piece(spec, D11, 4, -5)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1"])

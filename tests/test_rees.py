@@ -66,7 +66,7 @@ def test_rees_spec_validation():
 
 
 def test_scalar_functions_refuse_bad_arguments():
-    # Each call below used to answer, or to raise from math.comb: s = 0
+    # Most calls below used to answer, or to raise from math.comb: s = 0
     # raised ValueError, four linear forms in two variables gave -2 (no
     # complete intersection has more forms than variables), and r = 1.5
     # gave the a-invariant 2.0.
@@ -89,6 +89,12 @@ def test_scalar_functions_refuse_bad_arguments():
         rigidity_window(-3, 2, 2.0, 1)
     with pytest.raises(PreconditionError, match=r"g must be an integer: 1\.5"):
         rigidity_is_cm(-3, 2, 2, 1.5)
+    with pytest.raises(PreconditionError, match=r"need g, h >= 1: \(0, 1\)"):
+        cm_criteria_consistent(3, 2, 2, 0, 1)
+    with pytest.raises(PreconditionError, match=r"need g, h >= 1: \(1, 0\)"):
+        dim_lc_rees_diag(ReesSpec.polynomial_base(3, 2, 2), 1, 0, 1)
+    with pytest.raises(PreconditionError, match="need power r >= 1: 0"):
+        dim_lc_ci_quotient_power(3, 2, 2, 0, 4)
 
 
 @pytest.mark.parametrize("bad", [2.0, 2.5, "2"])
