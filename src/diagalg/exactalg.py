@@ -66,12 +66,21 @@ Standard-monomial counts and the regular-sequence test read the Hilbert
 numerator of a lead ideal (:func:`_hilbert_numerator`) from one bounded
 LRU cache, so the degrees asked of one basis share one numerator.
 
+Printing reads each monomial's text, such as ``x1^2*y1``, from a table
+shared by the rings of one shape (m, n), whatever their p
+(:func:`_monomial_texts`); only the coefficients are formatted per call.
+A table stops growing at ``_TEXTS_KEPT`` = 2048 texts, after which a
+monomial it lacks is formatted afresh, and an LRU cache keeps the tables
+of the last ``_SHAPES_KEPT`` = 16 shapes.
+
 The two bounded LRU caches, of packings and of Hilbert numerators, hold
 only immutable values, and a ring holds its variable names from its
-construction, so every operation in this module is safe for concurrent
-use.  A polynomial keeps its lead and its bidegrees once found, or as
-given by the code that built it; two threads that find them store equal
-values.
+construction.  A text table only gains entries, each the one text of its
+monomial, and a lock makes its size check and insertion one step, so a
+print reads either no entry or the right one, and the table keeps its
+bound.  So every operation in this module is safe for concurrent use.  A
+polynomial keeps its lead and its bidegrees once found, or as given by
+the code that built it; two threads that find them store equal values.
 """
 
 from __future__ import annotations
@@ -79,6 +88,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import threading
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import comb
@@ -269,24 +279,33 @@ def _power(f: "MultiPoly", k: int, q: int | None):
     (monomials of degree <= k * deg in the v variables that occur in f);
     it is refused before any work when both exceed the monomial cap, with
     or without ``q``.  Like ``*``, each product it forms is refused when
-    it would form more candidate monomials than the cap.
+    it would form more candidate monomials than the cap.  A single term
+    c * x^e skips all of that, past the checks of k and q: its power is
+    c^k * x^(k * e), or nothing when some k * e_i >= q.
     """
     if not isinstance(k, int) or k < 0:
         raise PreconditionError(f"exponent must be a nonnegative integer: {k!r}")
     ring = f.ring
     t, nv = len(f.terms), ring.nvars
     top = k * f.total_degree()
-    used = sum(map(any, zip(*f.terms)))
-    if (t >= 2 and comb(top + used, used) > MONOMIAL_CAP
-            and comb(t + k - 1, k) > MONOMIAL_CAP):
-        raise DegreeCapError(
-            f"power {k} of a {t}-term polynomial may exceed the "
-            f"monomial cap {MONOMIAL_CAP}"
-        )
+    if t >= 2:
+        used = sum(map(any, zip(*f.terms)))
+        if (comb(top + used, used) > MONOMIAL_CAP
+                and comb(t + k - 1, k) > MONOMIAL_CAP):
+            raise DegreeCapError(
+                f"power {k} of a {t}-term polynomial may exceed the "
+                f"monomial cap {MONOMIAL_CAP}"
+            )
     if q is not None and (not isinstance(q, int) or q < 1):
         raise PreconditionError(f"q must be an integer >= 1: {q!r}")
     p = ring.p
     packing = _packing(nv, top if q is None else max(top, q))
+    if t == 1:
+        # (c * x^e)^k = c^k * x^(k * e), dropped when some k * e_i >= q.
+        ((exps, c),) = f.terms.items()
+        if q is not None and k * max(exps) >= q:
+            return packing, {}
+        return packing, {packing.pack([k * e for e in exps]): pow(c, k, p)}
     # Every variable is bounded by q.
     bias, cut = packing.mask({} if q is None else dict.fromkeys(range(nv), q))
     base = {m: c for m, c in packing.pack_terms(f.terms).items()
@@ -301,19 +320,54 @@ def _power(f: "MultiPoly", k: int, q: int | None):
     return packing, result
 
 
+# ---------------------------------------------------------------------------
+# Printing: one table of monomial texts per ring shape.
+
+# Texts kept in one table, and tables kept, one per ring shape (m, n).
+# perfbench's certify deck prints at most about 250 distinct monomials per
+# shape (seed 0, rounds 0-39).
+_TEXTS_KEPT = 2048
+_SHAPES_KEPT = 16
+# Makes a table's size check and insertion one step; lookups take no lock.
+_TEXTS_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _monomial_texts(m: int, n: int) -> dict:
+    """The table {exponent tuple: text, such as "x1^2*y1"} shared by the
+    rings with m x- and n y-variables, whatever their p: a text names
+    only variables.  It fills as monomials are printed and stops growing
+    at ``_TEXTS_KEPT`` entries; a monomial it lacks is formatted afresh."""
+    return {}
+
+
+def _monomial_text(ring: "PolyRing", mon: tuple) -> str:
+    # The text of ``mon`` in ``ring``, "" for the constant monomial, stored
+    # in the ring's table while the table has room.
+    text = "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(ring._names, mon) if e])
+    with _TEXTS_LOCK:
+        if len(ring._texts) < _TEXTS_KEPT:
+            ring._texts[mon] = text
+    return text
+
+
 @dataclass(frozen=True, slots=True)
 class PolyRing:
     """The ring F_p[x1..xm, y1..yn] with deg x_i = (1,0) and deg y_j = (0,1).
 
     ``p`` is a prime with 2 <= p < 2**31.  ``n`` may be zero for a
     single-block (ordinary graded) polynomial ring.  ``_names`` holds the
-    variable names x1..xm, y1..yn, in index order, for printing.
+    variable names x1..xm, y1..yn, in index order, and ``_texts`` the
+    shared table of monomial texts of its shape (:func:`_monomial_texts`),
+    both for printing.
     """
 
     p: int
     m: int
     n: int = 0
     _names: tuple = field(init=False, repr=False, compare=False)
+    _texts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, m, n = self.p, self.m, self.n
@@ -331,6 +385,7 @@ class PolyRing:
         object.__setattr__(self, "_names",
                            tuple(f"x{i}" for i in range(1, m + 1))
                            + tuple(f"y{j}" for j in range(1, n + 1)))
+        object.__setattr__(self, "_texts", _monomial_texts(m, n))
 
     @property
     def nvars(self) -> int:
@@ -428,7 +483,10 @@ class MultiPoly:
         return max(map(sum, self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        return len({i + j for i, j in self._bidegrees()}) <= 1
+        # One bidegree, as a basis element or a sampled form has, needs no
+        # set of total degrees.
+        degrees = self._bidegrees()
+        return len(degrees) <= 1 or len({i + j for i, j in degrees}) == 1
 
     def _bidegrees(self) -> frozenset:
         # The (x-degree, y-degree) of every term, found on the first call
@@ -551,20 +609,24 @@ class MultiPoly:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __str__(self):
+        # The terms in descending grevlex order, each monomial's text read
+        # from the ring's shared table; coefficients are formatted here.
         if not self.terms:
             return "0"
-        names = self.ring._names
+        ring = self.ring
+        known = ring._texts.get
         parts = []
         for mon in sorted(self.terms, key=_descending_grevlex):
             c = self.terms[mon]
-            factors = "*".join([name if e == 1 else f"{name}^{e}"
-                                for name, e in zip(names, mon) if e])
-            if not factors:
+            text = known(mon)
+            if text is None:
+                text = _monomial_text(ring, mon)
+            if not text:
                 parts.append(str(c))
             elif c == 1:
-                parts.append(factors)
+                parts.append(text)
             else:
-                parts.append(f"{c}*{factors}")
+                parts.append(f"{c}*{text}")
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -631,6 +693,10 @@ def _reduce(work: dict, reducers, guard: int, p: int, bias: int = 0,
     """
     if cut:
         work = {u: c for u, c in work.items() if not (u + bias) & cut}
+    if not reducers:
+        # Nothing divides a term: the remainder is ``work`` in descending
+        # order, as the heap would pop it.
+        return {u: v for u in sorted(work, reverse=True) if (v := work[u] % p)}
     heap = [-u for u in work]
     heapify(heap)
     pop, push, get = heappop, heappush, work.get
@@ -796,12 +862,23 @@ def _buchberger_run(gens, ring: PolyRing, limit, packing):
         else:
             k, a = power
             pure[k] = min(pure.get(k, a), a)
-    leads = [_var_power(ring.nvars, k, a) for k, a in sorted(pure.items())]
-    basis = [(packing.pack(lt), []) for lt in leads]
+    powers = sorted(pure.items())  # (k, a) of each pure power x_k^a
+    basis = [(packing.pack(_var_power(ring.nvars, k, a)), [])
+             for k, a in powers]
     s = len(basis)
+    leads = []     # the exponent tuples of the leads of basis[s:]
     bias, cut = packing.mask(pure)
+    weights, shift = packing._weights, packing.degree_shift
     heap = []      # (packed lcm, t, u) of every pending pair
     pending = set()
+
+    def push(lcm: int, degree: int, t: int, u: int):
+        if limit is None or degree <= limit:
+            if degree > packing.limit:
+                raise _Outgrown(degree)
+            heappush(heap, (lcm, t, u))
+            pending.add((t, u))
+
     todo = [packing.pack_terms(g.terms) for g in reversed(others)]
     while todo or heap:
         if todo:
@@ -816,17 +893,17 @@ def _buchberger_run(gens, ring: PolyRing, limit, packing):
         if not r:
             continue
         g = _reducer(r, p)
-        lt, u = packing.unpack(g[0]), len(basis)
-        for t, e in enumerate(leads):
-            if not any(map(min, e, lt)):
-                continue  # coprime leads
-            lcm = tuple(map(max, e, lt))
-            degree = sum(lcm)
-            if limit is None or degree <= limit:
-                if degree > packing.limit:
-                    raise _Outgrown(degree)
-                heappush(heap, (packing.pack(lcm), t, u))
-                pending.add((t, u))
+        lead, u = g[0], len(basis)
+        lt, top = packing.unpack(lead), lead >> shift
+        # The lead is outside M, so its exponent e of x_k is below a, and
+        # the lcm with x_k^a raises that one exponent from e to a.
+        for t, (k, a) in enumerate(powers):
+            if e := lt[k]:  # else coprime leads
+                push(lead + (a - e) * weights[k], top + a - e, t, u)
+        for t, e in enumerate(leads, s):
+            if any(map(min, e, lt)):  # else coprime leads
+                lcm = tuple(map(max, e, lt))
+                push(packing.pack(lcm), sum(lcm), t, u)
         basis.append(g)
         leads.append(lt)
     return packing, basis, (bias, cut)

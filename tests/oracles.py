@@ -36,6 +36,23 @@ def grevlex_key(exps):
     return sum(exps), tuple(-e for e in reversed(exps))
 
 
+def textbook_str(f):
+    """``str(f)`` formatted from the variable names alone: the terms in
+    descending grevlex order, ``c*x1^2*y1`` with the factor 1 and the
+    exponent 1 left out, and ``0`` for the zero polynomial."""
+    m = f.ring.m
+    names = [f"x{i + 1}" for i in range(m)] + [
+        f"y{j + 1}" for j in range(f.ring.n)]
+    parts = []
+    for exps in sorted(f.terms, key=grevlex_key, reverse=True):
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(names, exps) if e]
+        c = f.terms[exps]
+        parts.append("*".join(([str(c)] if c != 1 or not factors else [])
+                              + factors))
+    return " + ".join(parts) or "0"
+
+
 def _textbook_divide(terms, basis, p):
     """Remainder of {exponent tuple: coefficient} under division by the
     (lead, terms) pairs of ``basis``, largest term first."""

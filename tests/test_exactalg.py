@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 from math import comb
 
 import pytest
@@ -36,6 +38,7 @@ from oracles import (
     mono_divides,
     reduce_calls,
     textbook_groebner_basis,
+    textbook_str,
 )
 
 
@@ -149,6 +152,89 @@ def test_poly_str_canonical():
     assert str(ring.zero()) == "0"
     assert str(4 * x2**3 * x3**3) == "4*x2^3*x3^3"
     assert str(ring.const(3)) == "3"
+
+
+@pytest.fixture
+def fresh_texts(monkeypatch):
+    # Rings built under this fixture get empty monomial-text tables of
+    # their own, one per shape, whatever earlier prints stored.
+    tables = {}
+    monkeypatch.setattr(exactalg, "_monomial_texts",
+                        lambda m, n: tables.setdefault((m, n), {}))
+    return tables
+
+
+def test_printing_ignores_what_the_text_table_holds(fresh_texts):
+    # Rings of one shape (m, n) share one table of monomial texts whatever
+    # their p.  Each print matches the formatter that reads only the
+    # variable names: with the table empty, once a ring of another p has
+    # filled it, and once it holds every text printed.
+    rng = random.Random(35)
+    rings = [PolyRing(p, 2, 2) for p in (7, 5, 2)]
+    assert rings[0]._texts is rings[1]._texts is rings[2]._texts
+    assert rings[0]._texts == {}
+    assert PolyRing(7, 3, 1)._texts is not rings[0]._texts
+    terms = {(2, 0, 1, 0): 1, (0, 1, 0, 2): 4, (1, 1, 1, 0): 3,
+             (0, 0, 0, 0): 2, (0, 0, 0, 1): 1}
+    for ring in rings * 2:
+        polys = [random_poly(ring, rng, max_terms=6) for _ in range(6)]
+        polys += [ring.zero(), ring.one(), ring.const(-1), ring.const(3),
+                  ring.poly(terms)]
+        for f in polys:
+            assert str(f) == textbook_str(f)
+    # The same monomials print the same in p = 7 and p = 5.
+    assert str(rings[0].poly(terms)) == str(rings[1].poly(terms)) == (
+        "x1^2*y1 + 3*x1*x2*y1 + 4*x2*y2^2 + y2 + 2")
+    assert str(rings[2].zero()) == "0" and str(rings[2].const(3)) == "1"
+
+
+def test_text_table_stops_growing_at_its_bound(fresh_texts, monkeypatch):
+    monkeypatch.setattr(exactalg, "_TEXTS_KEPT", 4)
+    ring = PolyRing(5, 2, 1)
+    cubic = ring.poly({e: 1 + i % 4
+                       for i, e in enumerate(exponent_vectors(3, 3))})
+    quadric = ring.poly({e: 2 for e in exponent_vectors(2, 3)})
+    for f in (cubic, quadric, cubic + quadric + 1) * 2:
+        assert str(f) == textbook_str(f)
+        assert len(ring._texts) == 4
+
+
+def test_concurrent_prints_share_one_bounded_table(fresh_texts, monkeypatch):
+    # Eight threads, more than CI's runners have cores, print polynomials
+    # of one shape into one table, with a thread switch forced every
+    # microsecond.
+    # Every print is right, and the table ends at its bound, not past it.
+    monkeypatch.setattr(exactalg, "_TEXTS_KEPT", 30)
+    ring = PolyRing(5, 3, 2)
+    monos = list(exponent_vectors(3, 5))  # 35 cubics
+    polys = [ring.poly({mono: 1 + i % 4
+                        for i, mono in enumerate(monos[j:] + monos[:j])})
+             + ring.poly({(j % 4, 0, 0, 0, 1): 2})
+             for j in range(len(monos))]
+    expected = [textbook_str(f) for f in polys]
+    wrong = []
+
+    def printer(order):
+        for i in order:
+            if str(polys[i]) != expected[i]:
+                wrong.append(i)
+
+    rng = random.Random(35)
+    orders = [rng.sample(range(len(polys)), len(polys)) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=printer, args=(order,))
+                   for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(ring._texts) == 30
 
 
 # ---------------------------------------------------------------------------

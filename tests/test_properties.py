@@ -31,7 +31,9 @@ from diagalg.exactalg import (
     _hilbert_numerator,
     _descending_grevlex,
     _Packing,
+    _reduce,
     _truncated_normal_form,
+    _var_power,
     exponent_vectors,
     groebner_basis,
     is_regular_sequence,
@@ -197,6 +199,67 @@ def test_packed_monomials_agree_with_tuples(drawn):
 
 
 @st.composite
+def leads_and_pure_powers(draw):
+    """A packing, a lead and a pure power x_k^a above the lead's exponent
+    of x_k, whose lcm the packing holds; the caps push many to its limit."""
+    nvars = draw(st.integers(1, 6))
+    packing = _Packing(nvars, draw(st.integers(1, 200)))
+    lead, room = [], packing.limit - 1
+    for e in draw(st.lists(st.integers(0, packing.limit),
+                           min_size=nvars, max_size=nvars)):
+        lead.append(min(e, room))
+        room -= lead[-1]
+    k = draw(st.integers(0, nvars - 1))
+    a = lead[k] + draw(st.integers(1, room + 1))
+    return packing, tuple(lead), k, a
+
+
+@SETTINGS
+@given(leads_and_pure_powers())
+@example((_Packing(1, 1), (0,), 0, 1))
+@example((_Packing(3, 7), (2, 0, 4), 0, 3))
+@example((_Packing(2, 63), (0, 1), 1, 63))
+def test_pure_power_lcm_on_the_packed_lead(drawn):
+    # Buchberger's run forms the lcm of a lead with a pure power x_k^a of
+    # higher exponent by raising one field of the packed lead.
+    packing, lead, k, a = drawn
+    u = packing.pack(lead)
+    lcm = tuple(map(max, lead, _var_power(len(lead), k, a)))
+    assert u + (a - lead[k]) * packing._weights[k] == packing.pack(lcm)
+    assert (u >> packing.degree_shift) + a - lead[k] == sum(lcm)
+
+
+@st.composite
+def packed_remainders(draw):
+    """A packed polynomial with coefficients in 0..3p, so that some vanish
+    mod p and most are unreduced, and a mask of pure powers, maybe empty."""
+    nvars, p = draw(st.integers(1, 4)), draw(st.sampled_from([2, 3, 5]))
+    packing = _Packing(nvars, 12)
+    support = [e for d in range(6) for e in exponent_vectors(d, nvars)]
+    monos = draw(st.lists(st.sampled_from(support), max_size=12, unique=True))
+    coeffs = draw(st.lists(st.integers(0, 3 * p),
+                           min_size=len(monos), max_size=len(monos)))
+    bounds = draw(st.dictionaries(st.integers(0, nvars - 1),
+                                  st.integers(1, 5)))
+    work = {packing.pack(e): c for e, c in zip(monos, coeffs)}
+    return packing, work, p, packing.mask(bounds)
+
+
+@SETTINGS
+@given(packed_remainders())
+def test_reduce_without_reducers_matches_the_heap_path(drawn):
+    # A reducer whose lead lies above every packed monomial divides none,
+    # so the heap path pops every term of ``work``; with no reducer at all
+    # the remainder must be the same dict, in the same order.
+    packing, work, p, (bias, cut) = drawn
+    never = [(1 << (packing.degree_shift + packing.width), [])]
+    for mask in ((bias, cut), (0, 0)):
+        heap = _reduce(dict(work), never, packing.guard, p, *mask)
+        fast = _reduce(dict(work), [], packing.guard, p, *mask)
+        assert list(fast.items()) == list(heap.items())
+
+
+@st.composite
 def operands(draw):
     """Two polynomials of one ring with m, n in 0..3 (either block may be
     empty); each may be zero or constant.  Small primes make coefficients
@@ -248,6 +311,12 @@ _X3_7 = PolyRing(7, 3)
           2, 3))
 # Characteristic 2: every cross term of a square vanishes.
 @example((_Y2.y(1) + _Y2.y(2), 4, 4))
+# One term, whose power is its closed form: 3^2 * x1^4 * x2^2 while
+# 2 * 2 < q, nothing at 2 * 2 = q, and 1 at k = 0.
+@example((_X3_7.poly({(2, 1, 0): 3}), 2, 5))
+@example((_X3_7.poly({(2, 1, 0): 3}), 2, 4))
+@example((_X3_7.poly({(2, 1, 0): 3}), 0, 1))
+@example((_X3_7.const(5), 3, 1))
 def test_truncated_power_matches_repeated_product(case):
     f, k, q = case
     expected = f.ring.one()
