@@ -6,11 +6,19 @@ table), ``frobenius`` (characteristic-p certificates on explicit or sampled
 polynomials), ``rees`` (Rees-diagonal criteria and exact dimensions), and
 ``figure`` (flag grid over a (d, e) rectangle at diagonal (1, 1)).
 
+``main`` parses the arguments in one pass.  When the first names a
+subcommand, that subcommand's own parser reads the rest
+(``parse_known_args``), and the top parser reports any it leaves as
+unrecognized, with the text and exit code 2 of a nested parse through the
+top parser; anything else (no argument, ``--help``, an unknown name) goes
+to the top parser.  The parser is built on the first call and kept
+(``build_parser``).
+
 Each ``cmd_*`` computes its result once and returns ``(doc, table, lines)``:
 the JSON document without its ``schema`` key, the CSV ``(header, rows)`` (or
-None where ``--format csv`` is not offered), and the text lines.  ``main``
-alone renders one of them and writes it to stdout in one piece, after the
-computation, so an error leaves stdout empty.
+None where ``--format csv`` is not offered), and the text lines.  After
+the parse, ``_dispatch`` alone renders one of them and writes it to stdout
+in one piece, after the computation, so an error leaves stdout empty.
 
 Output formats: json (single versioned document), csv (header plus one row
 per cell or table entry), text.  Exit codes: 0 success, 1 stdout closed
@@ -27,6 +35,7 @@ import io
 import json
 import os
 import sys
+from gettext import gettext
 
 from . import frobenius as frob
 from . import hypersurface as hyp
@@ -355,6 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "rings and characteristic-p singularity certificates.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # Each subcommand's own parser by name, for main()'s one-pass parse.
+    parser.subcommands = subparsers.choices
 
     sub = subparsers.add_parser(
         "classify", help="flag report for one hypersurface diagonal")
@@ -421,7 +432,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        # The subcommand's parser reads its flags once; the top parser
+        # reports what it leaves, in the words of a nested parse.
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error(gettext("unrecognized arguments: %s")
+                         % " ".join(extras))
+        args.command = argv[0]
+    return _dispatch(args)
+
+
+def _dispatch(args) -> int:
+    # Run the parsed command, write its output and return the exit code.
     try:
         doc, table, lines = globals()["cmd_" + args.command](args)
         if args.format == "json":

@@ -60,7 +60,11 @@ the power of f, or of a coordinate restriction of f, is nonzero; the
 certificates take the socle's remainder from :func:`_truncated_normal_form`.
 ``__pow__``, ``groebner_basis`` and ``normal_form`` stay the public,
 independent route to the same answers.  A square forms each cross term
-once (:func:`_mul`).
+once (:func:`_mul`).  A product or power with a single term c * x^e skips
+the packing: ``*`` shifts the other factor's exponent tuples by e and
+scales them by c, keeping their order, and :func:`_power` forms
+c^k * x^(k * e).  Every monomial the parser reads is built by such
+products.
 
 Standard-monomial counts and the regular-sequence test read the Hilbert
 numerator of a lead ideal (:func:`_hilbert_numerator`) from one bounded
@@ -553,6 +557,18 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) == 1 or len(b) == 1:
+            # c * x^e times g is g's terms shifted by e and scaled by c, in
+            # g's order, as _mul forms them; p is prime, so none cancels.
+            _check_product(len(a), len(b))
+            if len(b) != 1:
+                a, b = b, a
+            ((e, c),) = b.items()
+            p = self.ring.p
+            return MultiPoly._raw(self.ring, {
+                tuple(map(operator.add, u, e)): cu * c % p
+                for u, cu in a.items()})
         packing = _packing(self.ring.nvars,
                            self.total_degree() + other.total_degree())
         product = _mul(packing.pack_terms(self.terms),

@@ -16,7 +16,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     DegreeCapError,
@@ -73,7 +73,11 @@ class FrobeniusCertificate:
     details: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"degree": list(self.degree)}
+        # As ClassificationReport.to_dict: a shallow copy, each list or
+        # tuple a fresh list.
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name),
+                                              (list, tuple)) else v
+                for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -10,7 +10,7 @@ for a generic form over characteristic zero; reports carry that caveat.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (InternalDefectError, PreconditionError, check_integers,
                      check_rows)
@@ -65,7 +65,11 @@ class ClassificationReport:
     caveats: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"canonical_shift": list(self.canonical_shift)}
+        # The fields are flat: a shallow copy, with each list or tuple as a
+        # fresh list, is what dataclasses.asdict gives by deep copy.
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name),
+                                              (list, tuple)) else v
+                for f in fields(self)}
 
 
 def validate_generic_normal(spec: HypersurfaceSpec) -> bool:

@@ -1,13 +1,13 @@
 """Brute-force references that the tests compare the library against,
-statements of the paper that only the tests evaluate, and a counter of the
-kernel's division calls."""
+statements of the paper that only the tests evaluate, a counter of the
+kernel's division calls, and the CLI's earlier nested argument parse."""
 
 import contextlib
 import itertools
 from math import comb
 from unittest import mock
 
-from diagalg import exactalg
+from diagalg import cli, exactalg
 from diagalg.errors import PreconditionError
 from diagalg.exactalg import MultiPoly, PolyRing, _common_ring, exponent_vectors
 from diagalg.gradedcomb import DiagonalSpec
@@ -27,6 +27,16 @@ def tuple_product(f, g):
             exps = tuple(x + y for x, y in zip(ea, eb))
             out[exps] = out.get(exps, 0) + ca * cb
     return f.ring.poly(out)
+
+
+def packed_product(f, g):
+    """The terms of ``f * g`` as the packed product ``exactalg._mul`` forms
+    them, in its order."""
+    packing = exactalg._packing(f.ring.nvars,
+                                f.total_degree() + g.total_degree())
+    return packing.unpack_terms(exactalg._mul(
+        packing.pack_terms(f.terms), packing.pack_terms(g.terms), f.ring.p,
+        0, 0))
 
 
 def grevlex_key(exps):
@@ -284,3 +294,10 @@ def reduce_calls():
     with mock.patch.object(exactalg, "_reduce", counted_reduce), \
             mock.patch.object(exactalg, "_buchberger", phased_buchberger):
         yield counts
+
+
+def nested_main(argv):
+    """``cli.main`` with the nested parse it replaced: the top parser reads
+    every argument and hands those after the subcommand's name to that
+    subcommand's parser, which reads them again; then the same dispatch."""
+    return cli._dispatch(cli.build_parser().parse_args(argv))

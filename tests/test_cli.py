@@ -1,6 +1,8 @@
 """CLI surface: golden JSON/CSV/text documents and --help, the shared parser,
-exit codes, figure boundaries."""
+the one-pass dispatch against the nested parse, exit codes, figure
+boundaries."""
 
+import argparse
 import json
 import os
 import re
@@ -17,6 +19,7 @@ from diagalg import cli, rees
 from diagalg.errors import DegreeCapError, InternalDefectError
 from diagalg.exactalg import PolyRing
 from diagalg.frobenius import f_regular_certificate_graded, random_biform
+from oracles import nested_main
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -220,6 +223,62 @@ def test_golden_help(capsys, monkeypatch):
         assert captured.err == ""
         sections.append(f"$ diagalg {' '.join(argv)}\n{captured.out}")
     assert "".join(sections) == (GOLDEN / "help.txt").read_text()
+
+
+HYP_FLAGS = ["--m", "3", "--n", "2", "--d", "5", "--e", "1"]
+# Every golden command, each --help, and each kind of usage error.
+DISPATCH_CASES = [
+    *(shlex.split(command) for command in GOLDEN_COMMANDS.values()),
+    *([*command, "--help"] for command in (
+        [], ["classify"], ["hilbert"], ["lcdim"], ["frobenius"], ["rees"],
+        ["figure"])),
+    ["classify", *HYP_FLAGS, "--foo", "1"],
+    ["classify", *HYP_FLAGS, "stray"],
+    ["classify", *HYP_FLAGS, "--", "stray"],
+    ["hilbert", "--n", "2", "--d", "1", "--e", "1"],
+    ["classify", "--m", "x", "--n", "2", "--d", "5", "--e", "1"],
+    ["classes", *HYP_FLAGS],
+    [],
+    ["classify", *HYP_FLAGS, "--form", "json"],
+    ["lcdim", *HYP_FLAGS, "--k-min", "-5"],
+    ["rees", "--m", "3", "--k", "4", "-h", "--s", "2"],
+]
+
+
+def _outcome(capsys, entry, argv):
+    # The exit code (returned or raised), stdout and stderr of one call.
+    try:
+        code = entry(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
+def test_one_pass_dispatch_matches_the_nested_parse(capsys, monkeypatch,
+                                                    argv):
+    # main() parses a subcommand's flags with that subcommand's parser
+    # alone; its exit code, stdout and stderr are those of the nested parse
+    # through the top parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (_outcome(capsys, cli.main, argv)
+            == _outcome(capsys, nested_main, argv))
+
+
+def test_subcommand_flags_are_parsed_once(capsys, monkeypatch):
+    # One argparse pass per subcommand call: the nested parse made two.
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    check_golden(capsys, "classify.json",
+                 *shlex.split(GOLDEN_COMMANDS["classify.json"]))
+    assert calls == ["diagalg classify"]
 
 
 def test_import_does_not_build_the_parser():

@@ -2,6 +2,7 @@
 Groebner kernel's work on certificate ideals, witnesses."""
 
 import itertools
+from dataclasses import asdict
 from math import comb
 
 import pytest
@@ -367,6 +368,26 @@ def test_certificate_json_fields():
                 "normal_form", "assumptions"):
         assert key in doc
     assert doc["ideal_generators"] == ["x2^5", "x3^5", "x1^2 + x2*x3"]
+
+
+@pytest.mark.parametrize("f, degree, e_max, verdict", [
+    (witness_graded(2, 3, 5), 2, 4, VERDICT_F_REGULAR),
+    (PolyRing(5, 3).x(1) ** 2 + PolyRing(5, 3).x(2) ** 2, 2, 2,
+     VERDICT_INCONCLUSIVE),
+    (PolyRing(5, 3).x(1) ** 2, 2, 4, VERDICT_NOT_F_PURE),
+])
+def test_certificate_to_dict_is_a_shallow_copy(f, degree, e_max, verdict):
+    # The dict that dataclasses.asdict made, key order included, with the
+    # degree as a list; no returned list is the certificate's own.
+    cert = f_regular_certificate_graded(f, degree, 3, 5, e_max=e_max)
+    assert cert.verdict == verdict
+    doc = cert.to_dict()
+    expected = asdict(cert) | {"degree": list(cert.degree)}
+    assert list(doc.items()) == list(expected.items())
+    for key, value in doc.items():
+        if isinstance(value, list):
+            value.append(key)
+    assert cert.to_dict() == expected
 
 
 # ---------------------------------------------------------------------------

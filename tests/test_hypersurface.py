@@ -1,6 +1,7 @@
 """Classifier tests: criteria, dimensions, duality, and the Groebner oracle."""
 
 import time
+from dataclasses import asdict
 from math import comb
 
 import pytest
@@ -60,6 +61,19 @@ def test_hypersurface_spec_validation():
     # A non-integer shape used to reach the closed forms and raise TypeError.
     with pytest.raises(PreconditionError, match=r"m must be an integer: 3\.5"):
         classify(HypersurfaceSpec(3.5, 3, 2, 1), DiagonalSpec(1, 1))
+
+
+def test_report_to_dict_is_a_shallow_copy():
+    # The dict that dataclasses.asdict made, key order included, with the
+    # canonical shift as a list; no returned list is the report's own.
+    report = classify(HypersurfaceSpec(2, 3, 2, 1), DiagonalSpec(1, 1))
+    assert report.caveats
+    doc = report.to_dict()
+    expected = asdict(report) | {"canonical_shift": list(report.canonical_shift)}
+    assert list(doc.items()) == list(expected.items())
+    doc["caveats"].append("changed")
+    doc["canonical_shift"][0] += 1
+    assert report.to_dict() == expected
 
 
 def test_validate_generic_normal_examples():

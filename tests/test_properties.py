@@ -1,5 +1,7 @@
 """Property tests of kernel invariants: the grevlex key, packed monomials
-and their pure-power masks, products against the loop on exponent tuples, truncated powers against
+and their pure-power masks, products against the loop on exponent tuples,
+products with a single term against the packed route (and the parser
+forming none), truncated powers against
 repeated products, Fedder's test against the truncated power, the kept
 leading monomial of arithmetic results and of Groebner bases, the lead of
 a form containing x1^d (x1^d*y1^e), the facts a sampled form is built
@@ -19,11 +21,13 @@ compositions, and the parse/print round trip."""
 import functools
 import itertools
 import operator
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diagalg import exactalg
 from diagalg.errors import PreconditionError
 from diagalg.exactalg import (
     PolyRing,
@@ -61,6 +65,7 @@ from oracles import (
     grevlex_key,
     initial_ideal_dimension,
     mono_divides,
+    packed_product,
     reduce_calls,
     textbook_groebner_basis,
     tuple_product,
@@ -287,6 +292,47 @@ def test_product_matches_tuple_loop(pair):
     expected = tuple_product(f, g)
     assert f * g == expected
     assert g * f == expected
+
+
+@st.composite
+def single_term_operands(draw):
+    """A drawn polynomial and a single term c * x^e of its ring, with each
+    exponent at most 3."""
+    f, _ = draw(operands())
+    ring = f.ring
+    exps = draw(st.lists(st.integers(0, 3), min_size=ring.nvars,
+                         max_size=ring.nvars))
+    return f, ring.poly({tuple(exps): draw(st.integers(1, ring.p - 1))})
+
+
+@SETTINGS
+@given(single_term_operands())
+@example((_X3.x(1) + 2 * _X3.x(2), _X3.const(3)))
+@example((_X3.x(1) + _X3.x(2) ** 2 + 4, 3))
+@example((_X3.zero(), _X3.x(1) ** 2))
+@example((_Y2.y(1) + _Y2.y(2) ** 3, _Y2.y(2)))
+def test_single_term_product_matches_the_packed_route(pair):
+    # A product with one single-term factor (or an int) skips the packing;
+    # on either side it has the packed route's terms in the packed route's
+    # order.
+    f, t = pair
+    term = f.ring.const(t) if isinstance(t, int) else t
+    for product, packed in ((f * t, packed_product(f, term)),
+                            (t * f, packed_product(term, f))):
+        assert list(product.terms.items()) == list(packed.items())
+
+
+def test_parsing_a_sum_of_monomials_packs_no_product():
+    # Every factor of a monomial is a single term, so parsing a sum of
+    # monomials forms no packed product: a count that no machine's speed
+    # changes.
+    with mock.patch.object(exactalg, "_mul", wraps=exactalg._mul) as spy:
+        f = parse_polynomial("x1^2*y1 + 3*x2*x3*y2 - x1*x3*y3 + 4*x2^2*y1 + 7",
+                             3, 3, 5)
+    assert spy.call_count == 0
+    assert f.terms == {(2, 0, 0, 1, 0, 0): 1, (0, 1, 1, 0, 1, 0): 3,
+                       (1, 0, 1, 0, 0, 1): 4, (0, 2, 0, 1, 0, 0): 4,
+                       (0, 0, 0, 0, 0, 0): 2}
 
 
 @st.composite
